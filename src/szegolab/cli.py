@@ -2,7 +2,9 @@
 
 Artifacts are written with a fixed key order and shortest round-trip float
 formatting, so identical configurations and seeds produce byte-identical
-output whatever the worker count.
+output whatever the worker count, at a fixed BLAS thread count; a different
+BLAS thread count can change the last digits.  A failed gate prints its
+quantity, value, bound and artifact path on stderr.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numeric failure,
 4 identity-check failure, 5 gated tolerance exceeded.
@@ -82,6 +84,13 @@ def write_coefficient_csv(path: str, table) -> None:
     write_csv(path, ["quantity", "L", "m", "n", "mean", "stderr"], rows)
 
 
+def _gate_failed(code: int, quantity: str, value, bound: str, artifact: str) -> int:
+    """Say on stderr which number failed its gate, then return ``code``."""
+    print(f"gate failed: {quantity} = {value!r}, bound {bound}; artifact {artifact}",
+          file=sys.stderr)
+    return code
+
+
 # ---------------------------------------------------------------------------
 # experiment kinds
 # ---------------------------------------------------------------------------
@@ -96,7 +105,8 @@ def _run_expansion_fit(cfg: ExperimentConfig) -> int:
     report, res = sweep_and_fit(cfg.ensemble, cfg.d, cfg.g, cfg.h, ells, r,
                                 cfg.samples, formula_L=formula_l,
                                 ell_offset=offset, workers=cfg.workers)
-    write_json(os.path.join(cfg.out_dir, "fit-report.json"), report.to_jsonable())
+    fit_path = os.path.join(cfg.out_dir, "fit-report.json")
+    write_json(fit_path, report.to_jsonable())
     rows = [[e, m, s, cfg.samples] for e, m, s in
             zip(report.ells, report.trace_means, report.trace_stderrs)]
     write_csv(os.path.join(cfg.out_dir, "sweep.csv"),
@@ -109,9 +119,11 @@ def _run_expansion_fit(cfg: ExperimentConfig) -> int:
             [res.adjudicate(formula_l, m) for m in range(1, cfg.d + 1)])
         write_json(os.path.join(cfg.out_dir, "coefficients.json"), payload)
         write_coefficient_csv(os.path.join(cfg.out_dir, "coefficients.csv"), table)
-    if cfg.opt_bool("gate_crosscheck") and report.cross_check is not None:
-        if not report.cross_check["within_3_sigma"]:
-            return EXIT_GATE
+    check = report.cross_check
+    if cfg.opt_bool("gate_crosscheck") and check is not None and not check["within_3_sigma"]:
+        return _gate_failed(EXIT_GATE, "|A1_fit - A1_formula|", check["gap"],
+                            f"<= 3 x combined stderr = {3.0 * check['combined_stderr']!r}",
+                            fit_path)
     return EXIT_OK
 
 
@@ -174,17 +186,25 @@ def _run_identity_checks(cfg: ExperimentConfig) -> int:
                 if coeff.c_constant(d, m, n + 1) != -(m - n) * coeff.c_constant(d, m, n):
                     rec_ok = False
     results["c_recurrence_exact"] = rec_ok
-    write_json(os.path.join(cfg.out_dir, "identities.json"), results)
-    failed = (worst_ie != 0 or not rec_ok or worst_tel > 1e-9
-              or any(v != 0 for v in results["partition"].values()))
-    return EXIT_IDENTITY if failed else EXIT_OK
+    path = os.path.join(cfg.out_dir, "identities.json")
+    write_json(path, results)
+    worst_part = max(results["partition"].values(), default=0)
+    for quantity, value, bound, failed in (
+            ("inclusion-exclusion defect", worst_ie, "== 0", worst_ie != 0),
+            ("c recurrence exact", rec_ok, "== True", not rec_ok),
+            ("telescoping residual", worst_tel, "<= 1e-09", worst_tel > 1e-9),
+            ("wedge partition residual", worst_part, "== 0", worst_part != 0)):
+        if failed:
+            return _gate_failed(EXIT_IDENTITY, quantity, value, bound, path)
+    return EXIT_OK
 
 
 def _run_szego_1d(cfg: ExperimentConfig) -> int:
     symbol = parse_symbol(cfg.options, k_max=cfg.opt_int("k_max", 32))
     grid = cfg.opt_ints("l_grid", "50 100 200 400")
     report = szego_1d_suite(symbol, cfg.h, grid, k_max=cfg.opt_int("k_max", 32))
-    write_json(os.path.join(cfg.out_dir, "szego1d.json"), report)
+    path = os.path.join(cfg.out_dir, "szego1d.json")
+    write_json(path, report)
     rows = [[l, ld, gap] for l, ld, gap in
             zip(report["L_grid"], report["logdet"], report["logdet_minus_prediction"])]
     write_csv(os.path.join(cfg.out_dir, "szego1d.csv"),
@@ -193,8 +213,10 @@ def _run_szego_1d(cfg: ExperimentConfig) -> int:
     if gate_l:
         tol = cfg.opt_float("gate_tol", 1e-3)
         idx = report["L_grid"].index(gate_l)
-        if abs(report["logdet_minus_prediction"][idx]) > tol:
-            return EXIT_GATE
+        gap = abs(report["logdet_minus_prediction"][idx])
+        if gap > tol:
+            return _gate_failed(EXIT_GATE, f"|logdet T_{gate_l} - prediction|", gap,
+                                f"<= {tol!r}", path)
     return EXIT_OK
 
 
@@ -203,14 +225,16 @@ def _run_log_enhancement(cfg: ExperimentConfig) -> int:
     r = cfg.opt_int("R", 0) or None
     report = log_enhancement_probe(cfg.ensemble, cfg.g, cfg.h, ells, cfg.samples,
                                    R=r, workers=cfg.workers)
-    write_json(os.path.join(cfg.out_dir, "log-enhancement.json"), report)
+    path = os.path.join(cfg.out_dir, "log-enhancement.json")
+    write_json(path, report)
     rows = [[e, m, s] for e, m, s in
             zip(report["ells"], report["trace_means"], report["trace_stderrs"])]
     write_csv(os.path.join(cfg.out_dir, "log-enhancement.csv"),
               ["ell", "trace_mean", "trace_stderr"], rows)
     expect = cfg.options.get("expect", "").strip()
     if expect and report["classification"] != expect:
-        return EXIT_GATE
+        return _gate_failed(EXIT_GATE, "classification", report["classification"],
+                            f"== {expect!r}", path)
     return EXIT_OK
 
 
@@ -241,10 +265,12 @@ def _run_verify(cfg: ExperimentConfig) -> int:
         td = trace_difference_probe(cfg.ensemble, cfg.g, cfg.h, inner, outer, tbox,
                                     cfg.samples, workers=cfg.workers)
         payload["trace_difference"] = td.to_jsonable()
-    write_json(os.path.join(cfg.out_dir, "decay-report.json"), payload)
+    path = os.path.join(cfg.out_dir, "decay-report.json")
+    write_json(path, payload)
     min_mu = cfg.opt_float("gate_min_mu", 0.0)
-    if min_mu and kernel.params.get("mu", 0.0) <= min_mu:
-        return EXIT_GATE
+    mu = kernel.params.get("mu", 0.0)
+    if min_mu and mu <= min_mu:
+        return _gate_failed(EXIT_GATE, "kernel decay mu", mu, f"> {min_mu!r}", path)
     return EXIT_OK
 
 

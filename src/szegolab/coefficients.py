@@ -226,43 +226,8 @@ def partition_block_sizes(d: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# restricted functional calculus helpers
+# the per-sample spectral kernel
 # ---------------------------------------------------------------------------
-
-def _restricted_diag(matrix: np.ndarray, bits: np.ndarray, h: ScalarFunction) -> np.ndarray:
-    """Diagonal of h(chi M chi) embedded on the full box (h(0) outside)."""
-    n = matrix.shape[0]
-    idx = np.flatnonzero(bits)
-    if h.is_identity:
-        diag = np.zeros(n)
-        diag[idx] = np.real(matrix[idx, idx])
-        return diag
-    diag = np.full(n, h.value_at_zero)
-    if idx.size:
-        sub = matrix[np.ix_(idx, idx)]
-        mu, v = np.linalg.eigh(sub)
-        diag[idx] = (np.abs(v) ** 2) @ np.real(h(mu))
-    return diag
-
-
-def _restricted_matrix(matrix: np.ndarray, bits: np.ndarray, h: ScalarFunction) -> np.ndarray:
-    n = matrix.shape[0]
-    idx = np.flatnonzero(bits)
-    if h.is_identity:
-        out = np.zeros_like(matrix)
-        out[np.ix_(idx, idx)] = matrix[np.ix_(idx, idx)]
-        return out
-    out = np.zeros((n, n), dtype=matrix.dtype if np.iscomplexobj(matrix) else float)
-    if idx.size:
-        sub = matrix[np.ix_(idx, idx)]
-        mu, v = np.linalg.eigh(sub)
-        out[np.ix_(idx, idx)] = (v * np.real(h(mu))[None, :]) @ v.conj().T
-    h0 = h.value_at_zero
-    if h0 != 0.0:
-        comp = np.setdiff1d(np.arange(n), idx)
-        out[comp, comp] = h0
-    return out
-
 
 def spectral_data(spec: EnsembleSpec, box: LatticeBox, sample_id: int,
                   g: ScalarFunction):
@@ -272,22 +237,33 @@ def spectral_data(spec: EnsembleSpec, box: LatticeBox, sample_id: int,
     return lam, u, np.real(g(lam))
 
 
-def block_of_gH(u: np.ndarray, gl: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """The sub-block of g(H) = U g(lambda) U^H on the masked sites."""
-    idx = np.flatnonzero(bits)
-    rows = u[idx]
-    return (rows * gl[None, :]) @ rows.conj().T
+def block_of_gH(u: np.ndarray, f: np.ndarray, idx: Optional[np.ndarray] = None
+                ) -> np.ndarray:
+    """U diag(f) U^H, or its sub-block on the rows and columns ``idx``.
+
+    Eigenpairs with f = 0 are skipped; that is exact, and for a bump g it
+    drops every eigenvalue outside supp g.
+    """
+    keep = np.flatnonzero(f)
+    w = u[:, keep] if idx is None else u[np.ix_(idx, keep)]
+    return (w * f[keep][None, :]) @ w.conj().T
 
 
-def _restricted_diag_from_sub(sub, bits, h, n) -> np.ndarray:
+def _restricted_diag(u: np.ndarray, gl: np.ndarray, bits: np.ndarray,
+                     h: ScalarFunction) -> np.ndarray:
+    """Diagonal of h(g(H)|_S) on the box, h(0) outside S = {bits}.
+
+    ``(u, gl)`` are the eigenvectors of H and g(eigenvalues).  On the whole
+    box, and for h = identity, the diagonal is read from the one full-length
+    product |U|^2 h(gl), so identity-h differences pair bit-identical floats.
+    """
+    if h.is_identity or bits.all():
+        return np.where(bits, (np.abs(u) ** 2) @ np.real(h(gl)), h.value_at_zero)
+    diag = np.full(u.shape[0], h.value_at_zero)
     idx = np.flatnonzero(bits)
-    if h.is_identity:
-        diag = np.zeros(n)
-        diag[idx] = np.real(np.diagonal(sub))
-        return diag
-    diag = np.full(n, h.value_at_zero)
-    mu, v = np.linalg.eigh(sub)
-    diag[idx] = (np.abs(v) ** 2) @ np.real(h(mu))
+    if idx.size:
+        mu, v = np.linalg.eigh(block_of_gH(u, gl, idx))
+        diag[idx] = (np.abs(v) ** 2) @ np.real(h(mu))
     return diag
 
 
@@ -348,12 +324,19 @@ def model_operators(spec: EnsembleSpec, d: int, sample_id: int, g: ScalarFunctio
         raise ConfigError("truncation tolerance requested but no decay certificate supplied")
     box = big_box(d, R)
     lam, u, gl = spectral_data(spec, box, sample_id, g)
-    a = (u * gl[None, :]) @ u.conj().T
+    a = block_of_gH(u, gl)
     coords = box.sites()
     members = []
     for n in range(d + 1):
         bits = half_orthant_region(d, n).evaluate(coords)
-        members.append(HermitianOperator(box, _restricted_matrix(a, bits, h),
+        block = np.ix_(bits, bits)
+        mat = np.diag(np.where(bits, 0.0, h.value_at_zero)).astype(a.dtype)
+        if h.is_identity:
+            mat[block] = a[block]
+        else:
+            mu, v = np.linalg.eigh(a[block])
+            mat[block] = block_of_gH(v, np.real(h(mu)))
+        members.append(HermitianOperator(box, mat,
                                          label=f"f_{n}[{spec.kind} s={sample_id}]"))
     est = None
     if decay_rate is not None:
@@ -477,7 +460,7 @@ def _pullback_coords(coords: np.ndarray, sigma: Tuple[int, ...], L: int,
     return out + L
 
 
-def _corner_error_for_sample(d: int, box: LatticeBox, a_matrix: np.ndarray,
+def _corner_error_for_sample(d: int, box: LatticeBox, u: np.ndarray, gl: np.ndarray,
                              h: ScalarFunction, L: int) -> float:
     """sum_sigma Tr( chi_{[0,L)^d} { h((A^T)_{[0,2L)^d}) - f_d^T } ), pulled back."""
     coords = box.sites()
@@ -488,8 +471,8 @@ def _corner_error_for_sample(d: int, box: LatticeBox, a_matrix: np.ndarray,
     for sigma in itertools.product((0, 1), repeat=d):
         pre = _pullback_coords(coords, sigma, L)
         probe = boxL.evaluate(pre)
-        diag_box = _restricted_diag(a_matrix, box2L.evaluate(pre), h)
-        diag_orth = _restricted_diag(a_matrix, orth.evaluate(pre), h)
+        diag_box = _restricted_diag(u, gl, box2L.evaluate(pre), h)
+        diag_orth = _restricted_diag(u, gl, orth.evaluate(pre), h)
         total += float(np.sum(diag_box[probe] - diag_orth[probe]))
     return total
 
@@ -501,8 +484,7 @@ def error_term(spec: EnsembleSpec, d: int, sample_id: int, g: ScalarFunction,
         raise ConfigError(f"error term needs 2L <= R, got L={L}, R={R}")
     box = big_box(d, R)
     lam, u, gl = spectral_data(spec, box, sample_id, g)
-    a = (u * gl[None, :]) @ u.conj().T
-    return _corner_error_for_sample(d, box, a, h, L)
+    return _corner_error_for_sample(d, box, u, gl, h, L)
 
 
 @dataclass
@@ -542,18 +524,12 @@ def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
     box = big_box(d, R)
     coords = box.sites()
     lam, u, gl = spectral_data(spec, box, sample_id, g)
-    a = (u * gl[None, :]) @ u.conj().T
-    # one shared realization of diag f_0 so the h = identity case collapses
-    # to an exact zero (every difference pairs bit-identical floats)
-    if h.is_identity:
-        diag0_global = _restricted_diag(a, np.ones(box.site_count, bool), h)
-    else:
-        diag0_global = (np.abs(u) ** 2) @ np.real(h(gl))
+    diag0_global = _restricted_diag(u, gl, np.ones(box.site_count, bool), h)
 
     lam_region = Region(d, tuple(
         _coord_range(i, -L, L - 1) for i in range(d)))
     lam_bits = lam_region.evaluate(coords)
-    diag_lam = _restricted_diag(a, lam_bits, h)
+    diag_lam = _restricted_diag(u, gl, lam_bits, h)
     lhs = float(np.sum(diag_lam[lam_bits] - diag0_global[lam_bits]))
 
     # pulled-back half-orthant diagonals, keyed by (sigma, frozen axis set)
@@ -573,7 +549,7 @@ def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
         if key not in diag_cache:
             region = Region(d, tuple(Orthant(i, +1) for i in axes))
             bits = region.evaluate(pre_for(sigma))
-            diag_cache[key] = _restricted_diag(a, bits, h)
+            diag_cache[key] = _restricted_diag(u, gl, bits, h)
         return diag_cache[key]
 
     corner = {m: 0.0 for m in range(1, d + 1)}
@@ -601,7 +577,7 @@ def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
                             corner[n + j] += term
                             b_diag[(n, j)] += term
                             abs_acc += abs(term)
-    err = _corner_error_for_sample(d, box, a, h, L)
+    err = _corner_error_for_sample(d, box, u, gl, h, L)
     abs_acc += abs(err)
     rhs = sum(corner.values()) + err
     budget = None
@@ -636,7 +612,7 @@ class SweepPlan:
     orthant_bits: List[np.ndarray]
     chi_masks: Dict[Tuple[int, int, int], np.ndarray]
     pf_masks: Dict[Tuple[int, int], np.ndarray]
-    ell_indices: Dict[int, np.ndarray]
+    ell_bits: Dict[int, np.ndarray]
     center_index: int
     error_L: Tuple[int, ...] = ()
     constants: Optional[CoefficientTable] = None
@@ -666,17 +642,16 @@ def make_sweep_plan(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunc
             pf_masks[(L, m)] = pf_region(d, m, L).evaluate(coords)
             for n in range(1, m + 1):
                 chi_masks[(L, m, n)] = chi_hat_region(d, m, n, L=L).evaluate(coords)
-    ell_indices = {}
+    ell_bits = {}
     for ell in ells:
         lo = [offset[i] - ell // 2 for i in range(d)]
         hi = [lo[i] + ell - 1 for i in range(d)]
         if any(lo[i] < box.lo[i] or hi[i] > box.hi[i] for i in range(d)):
             raise ConfigError(f"sweep box ell={ell} (offset {offset}) leaves B_R")
-        bits = Region(d, tuple(_coord_range(i, lo[i], hi[i]) for i in range(d))
-                      ).evaluate(coords)
-        ell_indices[ell] = np.flatnonzero(bits)
+        ell_bits[ell] = Region(d, tuple(_coord_range(i, lo[i], hi[i]) for i in range(d))
+                               ).evaluate(coords)
     return SweepPlan(spec, d, R, box, g, h, L_values, ells, offset,
-                     orthant_bits, chi_masks, pf_masks, ell_indices,
+                     orthant_bits, chi_masks, pf_masks, ell_bits,
                      box.index_of((0,) * d), error_L, comb_constants(d))
 
 
@@ -684,13 +659,7 @@ def _sample_stats(plan: SweepPlan, sample_id: int) -> Dict[str, float]:
     """All per-sample scalars of the coefficient sweep, keyed by statistic."""
     d, h = plan.d, plan.h
     lam, u, gl = spectral_data(plan.spec, plan.box, sample_id, plan.g)
-    n_sites = plan.box.site_count
-    diag = np.empty((d + 1, n_sites))
-    diag[0] = (np.abs(u) ** 2) @ np.real(h(gl))
-    for n in range(1, d + 1):
-        bits = plan.orthant_bits[n]
-        sub = block_of_gH(u, gl, bits)
-        diag[n] = _restricted_diag_from_sub(sub, bits, h, n_sites)
+    diag = [_restricted_diag(u, gl, bits, h) for bits in plan.orthant_bits]
 
     out: Dict[str, float] = {}
     out["A0"] = float(diag[0][plan.center_index])
@@ -716,18 +685,10 @@ def _sample_stats(plan: SweepPlan, sample_id: int) -> Dict[str, float]:
             out[f"Apf_printed|{L}|{m}"] = printed
             out[f"Apf_recurrence|{L}|{m}"] = rec
     for ell in plan.ells:
-        idx = plan.ell_indices[ell]
-        rows = u[idx]
-        sub = (rows * gl[None, :]) @ rows.conj().T
-        if h.is_identity:
-            out[f"sweep|{ell}"] = float(np.real(np.trace(sub)))
-        else:
-            mu = np.linalg.eigvalsh(sub)
-            out[f"sweep|{ell}"] = float(np.sum(np.real(h(mu))))
-    if plan.error_L:
-        a = (u * gl[None, :]) @ u.conj().T
-        for L in plan.error_L:
-            out[f"EL|{L}"] = _corner_error_for_sample(d, plan.box, a, h, L)
+        bits = plan.ell_bits[ell]
+        out[f"sweep|{ell}"] = float(np.sum(_restricted_diag(u, gl, bits, h)[bits]))
+    for L in plan.error_L:
+        out[f"EL|{L}"] = _corner_error_for_sample(d, plan.box, u, gl, h, L)
     return out
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coefficients import spectral_data, _restricted_diag
+from .coefficients import block_of_gH, spectral_data, _restricted_diag
 from .errors import ConfigError, DegenerateFitError, NumericError
 from .fitting import ols_line
 from .lattices import EnsembleSpec, LatticeBox
@@ -131,7 +131,7 @@ def _gh_matrices(spec: EnsembleSpec, box: LatticeBox, g: ScalarFunction,
                  n_samples: int, workers: int = 1) -> List[np.ndarray]:
     def one(s):
         lam, u, gl = spectral_data(spec, box, s, g)
-        return (u * gl[None, :]) @ u.conj().T
+        return block_of_gH(u, gl)
     return ordered_map(one, range(n_samples), workers=workers)
 
 
@@ -292,7 +292,7 @@ def combes_thomas_probe(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
         lam, u, gl = spectral_data(spec, box, s, g)
         window.update(gl)
         for z in sums:
-            res = (u * (1.0 / (gl - z))[None, :]) @ u.conj().T
+            res = block_of_gH(u, 1.0 / (gl - z))
             gap = float(np.min(np.abs(gl - z)))
             if np.abs(res).max() > 1.0 / gap + 1e-8:
                 hard_bound_ok = False
@@ -356,17 +356,15 @@ def resolvent_difference_probe(spec: EnsembleSpec, g: ScalarFunction,
     for s in range(n_samples):
         lam, u, gl = spectral_data(spec, box, s, g)
         window.update(gl)
-        a = (u * gl[None, :]) @ u.conj().T
+        restricted = [(sign, idx, np.linalg.eigh(block_of_gH(u, gl, idx)))
+                      for sign, idx in ((1.0, in_idx), (-1.0, out_idx))]
         for z in sums:
             diff_diag = np.zeros(box.site_count, dtype=complex)
-            for idx in (in_idx, out_idx):
-                sub = a[np.ix_(idx, idx)]
-                mu_s, v = np.linalg.eigh(sub)
+            for sign, idx, (mu_s, v) in restricted:
                 gap = float(np.min(np.abs(mu_s - z)))
                 if gap < 1e-12:
                     raise NumericError(f"z={z} too close to a restricted spectrum")
                 res_diag = np.sum((np.abs(v) ** 2) * (1.0 / (mu_s - z))[None, :], axis=1)
-                sign = 1.0 if idx is in_idx else -1.0
                 diff_diag[idx] += sign * res_diag
             sums[z] = diff_diag if sums[z] is None else sums[z] + diff_diag
     xs, ys, pairs_d, pairs_v = [], [], [], []
@@ -421,10 +419,8 @@ def trace_difference_probe(spec: EnsembleSpec, g: ScalarFunction, h: ScalarFunct
 
     def one(s):
         lam, u, gl = spectral_data(spec, box, s, g)
-        a = (u * gl[None, :]) @ u.conj().T
-        d_in = _restricted_diag(a, inner_mask.bits, h)
-        d_out = _restricted_diag(a, outer_mask.bits, h)
-        return d_in - d_out
+        return (_restricted_diag(u, gl, inner_mask.bits, h)
+                - _restricted_diag(u, gl, outer_mask.bits, h))
 
     rows = ordered_map(one, range(n_samples), workers=workers)
     mean_diff = np.abs(sum(rows) / n_samples)

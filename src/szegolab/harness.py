@@ -19,12 +19,10 @@ from .coefficients import SweepResult, coefficient_sweep
 from .errors import ConfigError, NumericError
 from .fitting import ols_line, weighted_lstsq
 from .lattices import EnsembleSpec, Symbol1D, toeplitz_matrix
-from .mc import MCAccumulator, StatSummary, mc_estimate
 from .spectral import ScalarFunction
 
-# re-exported for library users
 __all__ = ["FitReport", "fit_expansion", "sweep_and_fit", "szego_1d_suite",
-           "log_enhancement_probe", "mc_estimate", "MCAccumulator"]
+           "log_enhancement_probe"]
 
 
 @dataclass

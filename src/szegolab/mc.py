@@ -98,13 +98,3 @@ def mc_estimate(estimator: Callable[[int, int], float], budget: int, seed: int =
         acc.push(v)
     return acc
 
-
-def accumulate_keyed(sample_fn: Callable[[int], Dict[str, float]], n_samples: int,
-                     workers: int = 1) -> Dict[str, MCAccumulator]:
-    """Per-key Welford statistics over per-sample dictionaries of scalars."""
-    rows = ordered_map(sample_fn, range(n_samples), workers=workers)
-    accs: Dict[str, MCAccumulator] = {}
-    for row in rows:
-        for key, value in row.items():
-            accs.setdefault(key, MCAccumulator()).push(float(value))
-    return accs

@@ -104,10 +104,6 @@ class Region:
         return ok
 
 
-def everything(d: int) -> Region:
-    return Region(d, ())
-
-
 def box_region(d: int, lo: int, hi: int) -> Region:
     return Region(d, tuple(CoordRange(i, lo, hi) for i in range(d)))
 

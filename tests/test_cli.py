@@ -172,7 +172,7 @@ box_side = 24
     assert run_experiment(path) == 3
 
 
-def test_gate_exceeded_is_exit_5(tmp_path):
+def test_gate_exceeded_is_exit_5(tmp_path, capsys):
     out = tmp_path / "gate"
     path = write(tmp_path, "gate.ini", f"""
 [experiment]
@@ -186,6 +186,9 @@ gate_at_l = 10
 gate_tol = 1e-30
 """)
     assert run_experiment(path) == 5
+    err = capsys.readouterr().err
+    assert "|logdet T_10 - prediction|" in err and "1e-30" in err
+    assert str(out / "szego1d.json") in err
 
 
 def test_verify_cli(tmp_path):

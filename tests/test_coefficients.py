@@ -148,6 +148,19 @@ def test_model_operators_identity_h_wedge_nullity():
             assert np.max(np.abs(block)) == 0.0
 
 
+def test_block_of_gH_matches_eigen_route():
+    from szegolab.coefficients import block_of_gH, spectral_data
+    from szegolab.lattices import build_operator
+    from szegolab.spectral import matrix_function
+    box = big_box(2, 6)
+    lam, u, gl = spectral_data(ANDERSON, box, 0, G_BUMP)
+    assert 0 < np.count_nonzero(gl) < gl.size      # zero-weight pairs are skipped
+    ref = matrix_function(build_operator(ANDERSON, box, 0), G_BUMP).matrix
+    assert np.max(np.abs(block_of_gH(u, gl) - ref)) <= 1e-12
+    idx = np.arange(0, box.site_count, 3)
+    assert np.max(np.abs(block_of_gH(u, gl, idx) - ref[np.ix_(idx, idx)])) <= 1e-12
+
+
 def test_model_operators_requires_certificate_with_tol():
     with pytest.raises(ConfigError):
         model_operators(ANDERSON, 1, 0, G_BUMP, H_SQUARE, R=8, tol=1e-6)
@@ -227,6 +240,19 @@ def test_identity_h_nullity_and_exact_error_term():
         for m in range(1, d + 1):
             assert abs(table.A_fv[m].mean) <= 1e-10 * scale
         assert table.E_L.mean == 0.0 and table.E_L.stderr == 0.0
+
+
+@pytest.mark.parametrize("d,L,R", [(1, 10, 40), (2, 4, 12)])
+def test_sweep_identity_h_coefficients_exactly_zero(d, L, R):
+    # identity-h diagonals all come from one product |U|^2 g(lambda), so every
+    # wedge difference pairs bit-identical floats
+    for seed in (7, 123):
+        spec = EnsembleSpec("anderson", W=8.0, seed=seed)
+        res = coefficient_sweep(spec, d, G_BUMP, H_ID, R, [L], 4, error_L=[L])
+        keys = [k for k in res.stats if k.startswith(("Amn|", "Afv|"))]
+        assert len(keys) == d * (d + 1) // 2 + d
+        for k in keys:
+            assert res.stats[k].mean == 0.0 and res.stats[k].stderr == 0.0, k
 
 
 def test_off_spectrum_g_gives_zero_coefficients():
