@@ -1,9 +1,11 @@
 """Command line interface and experiment runner with stable artifacts.
 
 Artifacts are written with a fixed key order and shortest round-trip float
-formatting, so identical configurations and seeds produce byte-identical
-output whatever the worker count, at a fixed BLAS thread count; a different
-BLAS thread count can change the last digits.  A failed gate prints its
+formatting.  Monte Carlo samples run on ``workers`` threads, each with
+OpenBLAS pinned to one thread (see ``mc.single_blas_thread``), so identical
+configurations and seeds of the sampled experiments produce byte-identical
+output whatever the worker count or BLAS thread setting, wherever OpenBLAS is
+found.  ``workers`` is the only parallelism.  A failed gate prints its
 quantity, value, bound and artifact path on stderr.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numeric failure,
@@ -253,8 +255,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     if "ct_z" in cfg.options:
         zs = [complex(v) for v in cfg.options["ct_z"].split()]
         theta = cfg.opt_float("ct_theta", 1.0)
-        ct = combes_thomas_probe(cfg.ensemble, cfg.g, box, cfg.samples, zs, theta,
-                                 workers=cfg.workers)
+        ct = combes_thomas_probe(cfg.ensemble, cfg.g, box, cfg.samples, zs, theta)
         payload["combes_thomas"] = ct.to_jsonable()
     if "trace_inner" in cfg.options and "trace_outer" in cfg.options:
         inner = parse_region(cfg.d, cfg.options["trace_inner"])

@@ -26,7 +26,7 @@ from .coefficients import block_of_gH, spectral_data, _restricted_diag
 from .errors import ConfigError, DegenerateFitError, NumericError
 from .fitting import ols_line
 from .lattices import EnsembleSpec, LatticeBox
-from .mc import ordered_map
+from .mc import ordered_map, single_blas_thread
 from .regions import Region, boundary_distance, region_mask
 from .spectral import ScalarFunction
 
@@ -275,28 +275,31 @@ def holo_constant(spec: EnsembleSpec, g: ScalarFunction, q_tilde: float,
 
 def combes_thomas_probe(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
                         n_samples: int, z_grid: Sequence[complex],
-                        theta: float = 1.0, workers: int = 1) -> DecayFitReport:
+                        theta: float = 1.0) -> DecayFitReport:
     """Probe || E[ chi_a R_z(g(H)) chi_b ] || <= C/dist(z) exp(-mu dist(z) |a-b|^theta).
 
     Fits (log C, mu) by OLS over all (z, distance) observations; also verifies
     the hard resolvent bound |R_z[a,b]| <= 1/dist(z, spectrum) + 1e-8 for
     every sample.  theta = 1 is the deterministic default; random ensembles
-    may fit better with theta < 1/2, which the caller can scan.
+    may fit better with theta < 1/2, which the caller can scan.  Samples run
+    one after another and are summed in ascending order, so only one running
+    sum per z is held.
     """
     coords = box.sites()
     dists = _sup_distances(coords)
     window = SpectralWindow()
     sums: Dict[complex, np.ndarray] = {complex(z): None for z in z_grid}
     hard_bound_ok = True
-    for s in range(n_samples):
-        lam, u, gl = spectral_data(spec, box, s, g)
-        window.update(gl)
-        for z in sums:
-            res = block_of_gH(u, 1.0 / (gl - z))
-            gap = float(np.min(np.abs(gl - z)))
-            if np.abs(res).max() > 1.0 / gap + 1e-8:
-                hard_bound_ok = False
-            sums[z] = res if sums[z] is None else sums[z] + res
+    with single_blas_thread():
+        for s in range(n_samples):
+            lam, u, gl = spectral_data(spec, box, s, g)
+            window.update(gl)
+            for z in sums:
+                res = block_of_gH(u, 1.0 / (gl - z))
+                gap = float(np.min(np.abs(gl - z)))
+                if np.abs(res).max() > 1.0 / gap + 1e-8:
+                    hard_bound_ok = False
+                sums[z] = res if sums[z] is None else sums[z] + res
     xs, ys = [], []
     pairs_d, pairs_v = [], []
     for z, total in sums.items():
@@ -353,20 +356,22 @@ def resolvent_difference_probe(spec: EnsembleSpec, g: ScalarFunction,
     out_idx = np.flatnonzero(outer_mask.bits)
     window = SpectralWindow()
     sums: Dict[complex, np.ndarray] = {complex(z): None for z in z_grid}
-    for s in range(n_samples):
-        lam, u, gl = spectral_data(spec, box, s, g)
-        window.update(gl)
-        restricted = [(sign, idx, np.linalg.eigh(block_of_gH(u, gl, idx)))
-                      for sign, idx in ((1.0, in_idx), (-1.0, out_idx))]
-        for z in sums:
-            diff_diag = np.zeros(box.site_count, dtype=complex)
-            for sign, idx, (mu_s, v) in restricted:
-                gap = float(np.min(np.abs(mu_s - z)))
-                if gap < 1e-12:
-                    raise NumericError(f"z={z} too close to a restricted spectrum")
-                res_diag = np.sum((np.abs(v) ** 2) * (1.0 / (mu_s - z))[None, :], axis=1)
-                diff_diag[idx] += sign * res_diag
-            sums[z] = diff_diag if sums[z] is None else sums[z] + diff_diag
+    with single_blas_thread():
+        for s in range(n_samples):
+            lam, u, gl = spectral_data(spec, box, s, g)
+            window.update(gl)
+            restricted = [(sign, idx, np.linalg.eigh(block_of_gH(u, gl, idx)))
+                          for sign, idx in ((1.0, in_idx), (-1.0, out_idx))]
+            for z in sums:
+                diff_diag = np.zeros(box.site_count, dtype=complex)
+                for sign, idx, (mu_s, v) in restricted:
+                    gap = float(np.min(np.abs(mu_s - z)))
+                    if gap < 1e-12:
+                        raise NumericError(f"z={z} too close to a restricted spectrum")
+                    res_diag = np.sum((np.abs(v) ** 2) * (1.0 / (mu_s - z))[None, :],
+                                      axis=1)
+                    diff_diag[idx] += sign * res_diag
+                sums[z] = diff_diag if sums[z] is None else sums[z] + diff_diag
     xs, ys, pairs_d, pairs_v = [], [], [], []
     for z, total in sums.items():
         dz = window.distance(z)

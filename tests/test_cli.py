@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +105,55 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert run_experiment(p4) == 0
     for name in ("fit-report.json", "sweep.csv", "coefficients.json"):
         assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
+
+
+# smallest d = 2 sweep whose bytes moved with the BLAS thread count before
+# sample work was pinned to one BLAS thread (196 sites, one sample)
+BLAS_D2_INI = """
+[experiment]
+kind = expansion_fit
+seed = 7
+samples = 1
+out = {out}
+workers = 1
+d = 2
+
+[ensemble]
+kind = anderson
+W = 8.0
+hopping = 1.0
+
+[g]
+form = bump(2.0, 3.0, 4)
+
+[h]
+form = poly(0, 0, 1)
+
+[sweep]
+ells = 1 2 3 4
+R = 7
+formula_L = 2
+gate_crosscheck = false
+"""
+
+
+def test_blas_thread_count_does_not_change_bytes(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        path = write(tmp_path, f"blas{threads}.ini", BLAS_D2_INI.format(out=out))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        proc = subprocess.run([sys.executable, "-m", "szegolab.cli", "run", path],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    assert names == ["coefficients.csv", "coefficients.json", "fit-report.json", "sweep.csv"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_identities_cli_writes_zero_residuals(tmp_path):

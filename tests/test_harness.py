@@ -5,7 +5,8 @@ import pytest
 
 from szegolab.errors import ConfigError, NumericError
 from szegolab.lattices import EnsembleSpec, Symbol1D, symbol_fourier_coefficients
-from szegolab.mc import MCAccumulator, mc_estimate
+from szegolab import mc
+from szegolab.mc import mc_estimate
 from szegolab.spectral import ScalarFunction
 from szegolab.harness import (fit_expansion, log_enhancement_probe, sweep_and_fit,
                               szego_1d_suite)
@@ -41,17 +42,41 @@ def test_mc_propagates_failures_with_sample_id():
         mc_estimate(bad, budget=8, seed=0)
 
 
-def test_mc_merge_matches_push():
-    xs = [0.3, -1.2, 4.5, 2.2, 0.0, 9.1]
-    a, b, c = MCAccumulator(), MCAccumulator(), MCAccumulator()
-    for x in xs:
-        c.push(x)
-    for x in xs[:3]:
-        a.push(x)
-    for x in xs[3:]:
-        b.push(x)
-    a.merge(b)
-    assert abs(a.mean - c.mean) < 1e-14 and abs(a.m2 - c.m2) < 1e-12
+@pytest.fixture
+def openblas_at_two():
+    """The loaded OpenBLAS set to 2 threads; its own count is put back after."""
+    controls = mc._openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield lambda: [get() for get, _ in controls]
+    for (_, set_), n in zip(controls, before):
+        set_(n)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ordered_map_pins_blas_to_one_thread(openblas_at_two, workers):
+    seen = mc.ordered_map(lambda a: openblas_at_two(), range(3), workers=workers)
+    assert all(set(counts) == {1} for counts in seen)
+    assert set(openblas_at_two()) == {2}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ordered_map_restores_blas_threads_after_failure(openblas_at_two, workers):
+    def boom(a):
+        raise ValueError("boom")
+    with pytest.raises(ValueError):
+        mc.ordered_map(boom, range(3), workers=workers)
+    assert set(openblas_at_two()) == {2}
+
+
+def test_single_blas_thread_without_openblas_does_nothing(openblas_at_two, monkeypatch):
+    monkeypatch.setattr(mc, "_openblas_controls", lambda: ())
+    with mc.single_blas_thread():
+        assert set(openblas_at_two()) == {2}
+    assert set(openblas_at_two()) == {2}
 
 
 def test_fit_expansion_exact_polynomial():
