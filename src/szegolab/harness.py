@@ -19,6 +19,7 @@ from .coefficients import SweepResult, coefficient_sweep
 from .errors import ConfigError, NumericError
 from .fitting import ols_line, weighted_lstsq
 from .lattices import EnsembleSpec, Symbol1D, toeplitz_matrix
+from .mc import single_blas_thread
 from .spectral import ScalarFunction
 
 __all__ = ["FitReport", "fit_expansion", "sweep_and_fit", "szego_1d_suite",
@@ -146,23 +147,25 @@ def szego_1d_suite(symbol: Symbol1D, h: Optional[ScalarFunction],
     out["strong_szego_sum"] = strong
     out["strong_szego_tail_estimate"] = tail
     logdets, gaps = [], []
-    for L in L_grid:
-        t = toeplitz_matrix(symbol, int(L))
-        sign, logdet = np.linalg.slogdet(t.matrix)
-        if sign <= 0:
-            raise NumericError(f"non-positive determinant at L={L}")
-        logdets.append(float(logdet))
-        gaps.append(float(logdet - L * const - strong))
+    with single_blas_thread():
+        for L in L_grid:
+            t = toeplitz_matrix(symbol, int(L))
+            sign, logdet = np.linalg.slogdet(t.matrix)
+            if sign <= 0:
+                raise NumericError(f"non-positive determinant at L={L}")
+            logdets.append(float(logdet))
+            gaps.append(float(logdet - L * const - strong))
     out["logdet"] = logdets
     out["logdet_minus_prediction"] = gaps
     if h is not None:
         if abs(h.value_at_zero) > 1e-12:
             raise ConfigError("trace branch needs h(0) = 0")
         traces = []
-        for L in L_grid:
-            t = toeplitz_matrix(symbol, int(L))
-            mu = np.linalg.eigvalsh(t.matrix)
-            traces.append(float(np.sum(np.real(h(mu)))))
+        with single_blas_thread():
+            for L in L_grid:
+                t = toeplitz_matrix(symbol, int(L))
+                mu = np.linalg.eigvalsh(t.matrix)
+                traces.append(float(np.sum(np.real(h(mu)))))
         out["trace_h"] = traces
         # leading coefficient (h o a)_0 by quadrature
         theta = 2 * np.pi * np.arange(4096) / 4096

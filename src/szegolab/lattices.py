@@ -22,8 +22,10 @@ import numpy as np
 
 from .errors import ConfigError, ModelError
 
-# Dense matrices only; refuse boxes that would not fit in memory.
-MAX_SITES = 20_000
+# Bytes one dense step may hold: operators whose build and diagonalization
+# would need more are refused, and the resolvent quadrature sizes its solve
+# chunks from it.
+MEMORY_BUDGET_BYTES = 2 * 1024 ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +375,25 @@ def potential_values(spec: EnsembleSpec, box: LatticeBox, sample_id: int) -> np.
     raise ModelError(f"no potential for ensemble kind {spec.kind!r}")
 
 
+def operator_bytes(n: int, itemsize: int) -> int:
+    """Estimated peak bytes to build and ``eigh`` one dense n x n operator.
+
+    Five n x n arrays: the matrix, the eigenvectors, LAPACK's copy of the
+    input and the ``syevd``/``heevd`` workspace of about two more (measured
+    peak: 5.1 matrices for real and complex).
+    """
+    return 5 * itemsize * n * n
+
+
+def _refuse_oversized(n: int, itemsize: int) -> None:
+    """Raise ``ModelError``, before allocating, for an operator over the budget."""
+    need = operator_bytes(n, itemsize)
+    if need > MEMORY_BUDGET_BYTES:
+        raise ModelError(f"{n} sites need an estimated {need / 2 ** 30:.2f} GiB "
+                         f"({need} bytes) to build and diagonalize, over the "
+                         f"{MEMORY_BUDGET_BYTES / 2 ** 30:.2f} GiB budget")
+
+
 def build_operator(spec: EnsembleSpec, box: LatticeBox, sample_id: int) -> HermitianOperator:
     """Finite Hermitian realization of one ensemble sample on a box.
 
@@ -382,14 +403,12 @@ def build_operator(spec: EnsembleSpec, box: LatticeBox, sample_id: int) -> Hermi
     """
     spec.validate_for(box)
     n = box.site_count
-    if n > MAX_SITES:
-        raise ModelError(f"site count {n} exceeds the configured maximum {MAX_SITES}")
-
     if spec.kind == "toeplitz1d":
         op = toeplitz_matrix(spec.symbol, n)
         return HermitianOperator(box, op.matrix,
                                  label=f"toeplitz1d L={n} sample={sample_id}")
 
+    _refuse_oversized(n, 8)
     m = np.zeros((n, n), dtype=float)
     sites = box.sites()
     strides = box.strides
@@ -413,6 +432,7 @@ def toeplitz_matrix(symbol: Symbol1D, L: int) -> HermitianOperator:
         raise ConfigError("L must be >= 1")
     if not symbol.is_hermitian():
         raise ModelError("symbol is not real-valued; matrix would not be Hermitian")
+    _refuse_oversized(L, 16)
     kernel = np.zeros(2 * L - 1, dtype=complex)
     for k, a in symbol.coeffs:
         if -(L - 1) <= k <= L - 1:

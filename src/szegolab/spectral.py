@@ -4,22 +4,26 @@
 ``hs_apply`` evaluates the same operator function as a two-dimensional
 quadrature of resolvents against the d-bar derivative of a quasi-analytic
 extension, built from a Taylor sum with a smooth cutoff in the imaginary
-direction.  The two routes are kept algorithmically independent (the
-quadrature solves shifted linear systems and never touches eigenvectors), so
-one can serve as an oracle for the other.
+direction.  The quadrature is a tensor Gauss-Legendre panel rule whose seams
+sit where the integrand loses smoothness or changes scale: at the support
+edges of f in x; at dyadic heights below y = 1/2, where the resolvent grows
+like 1/y; and at y = 1/2, where the cutoff begins (see ``QuadratureGrid``).
+The two routes are kept algorithmically independent (the quadrature solves
+shifted linear systems and never touches eigenvectors), so one can serve as
+an oracle for the other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import ConfigError, NumericError, QuadratureError
-from .lattices import HermitianOperator, LatticeBox
+from .lattices import MEMORY_BUDGET_BYTES, HermitianOperator, LatticeBox
 
 # ---------------------------------------------------------------------------
 # scalar functions with derivative data
@@ -287,49 +291,81 @@ def hs_extension(f: ScalarFunction, n: int) -> QuasiAnalyticExtension:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    nx: int = 481
-    ny: int = 241
-    y_min: float = 1e-3
+    """Tensor Gauss-Legendre panel rule over supp f x (0, 1].
+
+    Every term of omega carries a derivative of f, so omega vanishes outside
+    supp f = [lo, hi], and f is only C^k across its support edges.  The x
+    rule is ``x_panels`` equal panels over [lo, hi] with ``x_nodes`` nodes
+    each, so the edges are panel seams.
+
+    Below y = 1/2, tau = 1 and omega is f^(n+1)(x) (iy)^n / n!, a polynomial
+    in y, while the resolvent grows like 1/y near the real axis.  Those y
+    panels are [0, y0] and then dyadic up to 1/2, ``y_nodes`` nodes each.
+    y0 is the smallest 2^-k / 2 not below the x-panel width h: under y = h
+    the x panels no longer resolve the resolvent's peak of width y, so
+    refining there buys nothing, and the strip holds O(h^n) of the mass.
+    On [1/2, 1], tau' != 0 and omega is a polynomial of degree 3n + 4 in y
+    (tau' of degree 2n + 4 times the Taylor sum), so that panel takes the
+    (3n + 6) // 2 nodes that integrate it exactly.  Gauss nodes are interior,
+    so no strip along the real axis is left out.
+    """
+
+    x_panels: int = 16
+    x_nodes: int = 8
+    y_nodes: int = 4
 
     def halved(self) -> "QuadratureGrid":
-        return QuadratureGrid(max(self.nx // 2, 9), max(self.ny // 2, 9), self.y_min)
+        """Half the x panels, which also drops one dyadic y panel; at one x
+        panel, half the node counts instead."""
+        if self.x_panels > 1:
+            return replace(self, x_panels=self.x_panels // 2)
+        return replace(self, x_nodes=max(self.x_nodes // 2, 1),
+                       y_nodes=max(self.y_nodes // 2, 1))
+
+    def nodes(self, ext: QuasiAnalyticExtension
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(xs, wx, ys, wy): the x and y nodes of the rule and their weights."""
+        lo, hi = ext.f.support
+        xs, wx = _gauss_panels(np.linspace(lo, hi, self.x_panels + 1), self.x_nodes)
+        k = 0                                   # y0 = 2^-(k+1)
+        while 2.0 ** -(k + 2) >= (hi - lo) / self.x_panels:
+            k += 1
+        ys, wy = _gauss_panels(np.append(0.0, 2.0 ** -np.arange(k + 1, 0, -1)),
+                               self.y_nodes)
+        yt, wt = _gauss_panels(np.array([0.5, 1.0]), (3 * ext.order + 6) // 2)
+        return xs, wx, np.append(ys, yt), np.append(wy, wt)
 
 
 DEFAULT_GRID = QuadratureGrid()
 
 
-def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(nodes)
-    if nodes.size == 1:
-        return w
-    d = np.diff(nodes)
-    w[:-1] += d / 2
-    w[1:] += d / 2
-    return w
+def _gauss_panels(edges: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, ``order`` per panel between edges."""
+    t, w = np.polynomial.legendre.leggauss(order)
+    a, b = edges[:-1, None], edges[1:, None]
+    return ((a + b + (b - a) * t) / 2).ravel(), ((b - a) * w / 2).ravel()
+
+
+def _chunk_nodes(n: int) -> int:
+    """Resolvent nodes per solve: the shifted stack, the right-hand side and
+    the solution, each 16 n^2 bytes a node, fit ``MEMORY_BUDGET_BYTES``."""
+    return max(1, MEMORY_BUDGET_BYTES // (3 * 16 * n * n))
 
 
 def _hs_quadrature(matrix: np.ndarray, ext: QuasiAnalyticExtension,
-                   grid: QuadratureGrid, chunk: int = 4096) -> np.ndarray:
+                   grid: QuadratureGrid) -> np.ndarray:
     n = matrix.shape[0]
-    lo, hi = ext.f.support
-    xs = np.linspace(lo - 0.25, hi + 0.25, grid.nx)
-    ys = np.linspace(grid.y_min, 1.0, grid.ny)
-    wx = _trapezoid_weights(xs)
-    wy = _trapezoid_weights(ys)
-    omega = ext.omega(xs[None, :], ys[:, None])           # (ny, nx)
-    weights = (wy[:, None] * wx[None, :]) * omega
+    xs, wx, ys, wy = grid.nodes(ext)
+    wz = ((wy[:, None] * wx[None, :]) * ext.omega(xs[None, :], ys[:, None])).ravel()
     zs = (xs[None, :] + 1j * ys[:, None]).ravel()
-    wz = weights.ravel()
-    keep = np.abs(wz) > 1e-300
-    zs, wz = zs[keep], wz[keep]
-
+    chunk = _chunk_nodes(n)
     acc = np.zeros((n, n), dtype=complex)
     eye = np.eye(n, dtype=complex)
     for start in range(0, zs.size, chunk):
         zc = zs[start:start + chunk]
         shifted = matrix[None, :, :] - zc[:, None, None] * eye[None, :, :]
         rez = np.linalg.solve(shifted, np.broadcast_to(eye, (zc.size, n, n)))
-        acc += np.einsum("k,kij->ij", wz[start:start + chunk], rez)
+        acc += np.tensordot(wz[start:start + chunk], rez, axes=1)
     # y < 0 half plane contributes the Hermitian adjoint for real f
     return (acc + acc.conj().T) / (2.0 * np.pi)
 
@@ -337,14 +373,13 @@ def _hs_quadrature(matrix: np.ndarray, ext: QuasiAnalyticExtension,
 def hs_apply(op: HermitianOperator, ext: QuasiAnalyticExtension,
              grid: QuadratureGrid = DEFAULT_GRID, rtol: Optional[float] = None
              ) -> HermitianOperator:
-    """Operator function as a tensor-trapezoidal integral of resolvents.
+    """Operator function as a Gauss-Legendre panel integral of resolvents.
 
-    The strip |y| < y_min is excluded; since |omega| <= C |y|^(n-1) and the
-    resolvent norm is at most 1/|y| there, the omitted mass is O(y_min^(n-1)).
-    With ``rtol`` set, the quadrature is repeated on a halved grid and a
+    Each node z of ``grid`` in the upper half plane costs one solve of
+    (M - z) X = I; the lower half plane contributes the adjoint.  With
+    ``rtol`` set, the quadrature is repeated on ``grid.halved()`` and a
     discrepancy above ``rtol`` raises ``QuadratureError``.
     """
-    lo, hi = ext.f.support
     spec = np.linalg.eigvalsh(op.matrix)
     if spec.min() <= ext.x_support[0] or spec.max() >= ext.x_support[1]:
         raise ConfigError("operator spectrum is not inside the extension's x-support")

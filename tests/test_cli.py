@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from szegolab.cli import main, run_experiment
 from szegolab.config import load_config, parse_scalar_function, parse_symbol
 from szegolab.errors import ConfigError
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+CONFIGS = os.path.join(ROOT, "configs")
 
 EXPANSION_INI = """
 [experiment]
@@ -137,23 +141,53 @@ gate_crosscheck = false
 """
 
 
+def run_cli_with_blas_threads(threads, *args):
+    """``python -m szegolab.cli *args`` in a fresh process at OPENBLAS_NUM_THREADS."""
+    pythonpath = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+    proc = subprocess.run([sys.executable, "-m", "szegolab.cli", *args],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_blas_thread_count_does_not_change_bytes(tmp_path):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"blas{threads}"
         path = write(tmp_path, f"blas{threads}.ini", BLAS_D2_INI.format(out=out))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
-        proc = subprocess.run([sys.executable, "-m", "szegolab.cli", "run", path],
-                              env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        run_cli_with_blas_threads(threads, "run", path)
         outs.append(out)
     names = sorted(os.listdir(outs[0]))
     assert names == sorted(os.listdir(outs[1]))
     assert names == ["coefficients.csv", "coefficients.json", "fit-report.json", "sweep.csv"]
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_blas_thread_count_does_not_change_szego1d_bytes(tmp_path):
+    outs = [tmp_path / f"sz{threads}" for threads in ("1", "2")]
+    for threads, out in zip(("1", "2"), outs):
+        run_cli_with_blas_threads(threads, "szego1d", os.path.join(CONFIGS, "szego1d.ini"),
+                                  "--out", str(out))
+    names = sorted(os.listdir(outs[0]))
+    assert names == ["szego1d.csv", "szego1d.json"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_oversized_box_is_exit_2_before_allocating(tmp_path, capsys):
+    # d = 1, R = 4000: 8000 sites, 5 x 8 x 8000^2 bytes > the 2 GiB budget
+    path = write(tmp_path, "big.ini", EXPANSION_INI.format(out=tmp_path / "big", workers=1)
+                 .replace("R = 100", "R = 4000"))
+    tracemalloc.start()
+    try:
+        code = run_experiment(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "2560000000 bytes" in capsys.readouterr().err
+    assert peak < 8000 ** 2      # an eighth of one dense 8000 x 8000 matrix
 
 
 def test_identities_cli_writes_zero_residuals(tmp_path):

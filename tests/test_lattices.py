@@ -3,8 +3,9 @@ import pytest
 from scipy import stats as scipy_stats
 
 from szegolab.errors import ConfigError, ModelError
-from szegolab.lattices import (EnsembleSpec, LatticeBox, SymmetryAction, Symbol1D,
-                               apply_symmetry, build_operator, site_uniforms,
+from szegolab.lattices import (MEMORY_BUDGET_BYTES, EnsembleSpec, LatticeBox,
+                               SymmetryAction, Symbol1D, apply_symmetry, build_operator,
+                               operator_bytes, site_uniforms,
                                symbol_fourier_coefficients, toeplitz_matrix)
 from szegolab.regions import region_mask, submatrix
 from szegolab.coefficients import big_box
@@ -224,3 +225,18 @@ def test_ensemble_config_roundtrip():
     spec2 = EnsembleSpec("toeplitz1d", symbol=sym)
     again2 = EnsembleSpec.from_config(spec2.to_config())
     assert again2.symbol.as_dict() == sym.as_dict()
+
+
+def test_operator_byte_estimate_and_guard():
+    # matrix, eigenvectors, LAPACK's input copy and two n^2 of eigh workspace
+    assert operator_bytes(2304, 8) == 5 * 8 * 2304 ** 2
+    assert operator_bytes(400, 16) == 5 * 16 * 400 ** 2
+    # the largest shipped box (d = 2, R = 24) fits with room to spare
+    assert operator_bytes(big_box(2, 24).site_count, 8) < MEMORY_BUDGET_BYTES / 10
+    # 8000 sites of float64 need 2.56e9 bytes; refused before any allocation
+    assert operator_bytes(8000, 8) > MEMORY_BUDGET_BYTES
+    with pytest.raises(ModelError, match="2560000000 bytes"):
+        build_operator(EnsembleSpec("free"), LatticeBox.interval(0, 7999), 0)
+    sym = Symbol1D.from_dict({0: 2.0, 1: 0.5, -1: 0.5})
+    with pytest.raises(ModelError, match="5120000000 bytes"):
+        toeplitz_matrix(sym, 8000)          # the 1-D Szego suite builds these directly

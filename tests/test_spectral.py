@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from szegolab.errors import ConfigError, NumericError, QuadratureError
-from szegolab.lattices import EnsembleSpec, HermitianOperator, LatticeBox, build_operator
-from szegolab.spectral import (DEFAULT_GRID, QuadratureGrid, ScalarFunction,
+from szegolab.lattices import (MEMORY_BUDGET_BYTES, EnsembleSpec, HermitianOperator,
+                               LatticeBox, build_operator)
+from szegolab.spectral import (DEFAULT_GRID, QuadratureGrid, ScalarFunction, _chunk_nodes,
                                apply_scalar_function, hs_apply, hs_discrepancy,
                                hs_extension, matrix_function, resolvent,
                                spectral_decompose)
@@ -161,7 +162,7 @@ def test_hs_apply_zero_function_gives_zero():
     zero = ScalarFunction.poly((0.0,), support=(-1.0, 1.0))
     ext = hs_extension(zero, 2)
     op = HermitianOperator.from_matrix(np.diag([0.2, -0.1]))
-    out = hs_apply(op, ext, QuadratureGrid(61, 31, 1e-2))
+    out = hs_apply(op, ext, QuadratureGrid(4, 4, 2))
     assert np.max(np.abs(out.matrix)) < 1e-14
 
 
@@ -189,8 +190,7 @@ def test_hs_refinement_near_monotone(rng):
     m = rand_hermitian(rng, 6)
     m *= 0.7 / np.abs(np.linalg.eigvalsh(m)).max()
     op = HermitianOperator.from_matrix(m)
-    grids = [QuadratureGrid(61, 31, 1e-3), QuadratureGrid(121, 61, 1e-3),
-             QuadratureGrid(241, 121, 1e-3)]
+    grids = [QuadratureGrid(4, 8, 4), QuadratureGrid(8, 8, 4), QuadratureGrid(16, 8, 4)]
     errs = [hs_discrepancy(op, ext, grid) for grid in grids]
     for a, b in zip(errs, errs[1:]):
         assert b <= 4.0 * a + 1e-12     # factor-4 non-monotonicity slack
@@ -209,4 +209,41 @@ def test_hs_apply_coarse_grid_detected():
     ext = hs_extension(f, 4)
     op = HermitianOperator.from_matrix(np.array([[0.3]]))
     with pytest.raises(QuadratureError):
-        hs_apply(op, ext, QuadratureGrid(17, 9, 1e-2), rtol=1e-10)
+        hs_apply(op, ext, QuadratureGrid(2, 2, 2), rtol=1e-10)
+
+
+def _criterion_8_operator(rng):
+    m = rand_hermitian(rng, 16, complex_entries=True)
+    return HermitianOperator.from_matrix(m * (0.8 / np.abs(np.linalg.eigvalsh(m)).max()))
+
+
+def test_hs_default_rule_is_cheap_and_accurate(rng, monkeypatch):
+    ext = hs_extension(ScalarFunction.bump(0.0, 2.0, 6), 4)
+    op = _criterion_8_operator(rng)
+    solve = np.linalg.solve
+    systems = []
+
+    def counting_solve(a, b):
+        systems.append(a.shape[0])
+        return solve(a, b)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    got = hs_apply(op, ext)
+    assert sum(systems) <= 4096
+    err = np.linalg.norm(got.matrix - matrix_function(op, ext.f).matrix, ord=2)
+    assert err <= 1e-8
+
+
+def test_hs_halved_default_rule_is_a_usable_guard(rng):
+    ext = hs_extension(ScalarFunction.bump(0.0, 2.0, 6), 4)
+    op = _criterion_8_operator(rng)
+    assert DEFAULT_GRID.halved().x_panels < DEFAULT_GRID.x_panels
+    hs_apply(op, ext, rtol=1e-6)
+
+
+def test_hs_chunk_fits_memory_budget():
+    # each node holds a shifted matrix, a right-hand side and a solution
+    per_node = 3 * 16 * 128 ** 2
+    assert _chunk_nodes(128) * per_node <= MEMORY_BUDGET_BYTES
+    assert (_chunk_nodes(128) + 1) * per_node > MEMORY_BUDGET_BYTES
+    xs, _, ys, _ = DEFAULT_GRID.nodes(hs_extension(ScalarFunction.bump(0.0, 2.0, 6), 4))
+    assert xs.size * ys.size <= _chunk_nodes(16)
