@@ -11,9 +11,8 @@ kernel-decay hypotheses the expansion rests on.
 from .coefficients import (CoefficientTable, ModelOperatorFamily, big_box,
                            chi_hat_mask, chi_hat_region, coefficient_sweep,
                            comb_constants, decomposition_identity_probe,
-                           error_term, finite_volume_coefficients,
-                           inclusion_exclusion_check, model_operators,
-                           partition_free_coefficients, telescoping_check)
+                           error_term, inclusion_exclusion_check,
+                           model_operators, telescoping_check)
 from .decay import (DecayFitReport, SpectralWindow, certify_a1,
                     combes_thomas_probe, fit_kernel_decay, holo_constant,
                     trace_difference_probe)
@@ -21,14 +20,12 @@ from .errors import (ConfigError, DegenerateFitError, ModelError, NumericError,
                      QuadratureError, SzegolabError)
 from .harness import (FitReport, fit_expansion, log_enhancement_probe,
                       sweep_and_fit, szego_1d_suite)
-from .lattices import (EnsembleSpec, HermitianOperator, LatticeBox,
-                       SymmetryAction, Symbol1D, apply_symmetry, build_operator,
-                       site_uniforms, symbol_fourier_coefficients,
-                       toeplitz_matrix)
-from .mc import MCAccumulator, StatSummary, mc_estimate
-from .regions import (ProjectionMask, Region, boundary_distance,
-                      kernel_block_norm, operator_norm, parse_region,
-                      region_mask, restrict, schatten_norm, trace)
+from .lattices import (EnsembleSpec, HermitianOperator, LatticeBox, Symbol1D,
+                       build_operator, site_uniforms,
+                       symbol_fourier_coefficients, toeplitz_matrix)
+from .mc import StatSummary, column_moments
+from .regions import (ProjectionMask, Region, boundary_distance, parse_region,
+                      region_mask, trace)
 from .spectral import (QuadratureGrid, QuasiAnalyticExtension, ScalarFunction,
                        SpectralDecomposition, apply_scalar_function,
                        hs_apply, hs_discrepancy, hs_extension, matrix_function,

@@ -86,6 +86,17 @@ def write_coefficient_csv(path: str, table) -> None:
     write_csv(path, ["quantity", "L", "m", "n", "mean", "stderr"], rows)
 
 
+def write_coefficients(out_dir: str, res, L: int) -> None:
+    """coefficients.json and coefficients.csv of a sweep's probe depth L."""
+    table = res.table(L)
+    payload = table.to_jsonable()
+    payload["partition_free"] = _jsonable(res.partition_free(L))
+    payload["c_tilde_adjudication"] = _jsonable(
+        [res.adjudicate(L, m) for m in range(1, res.plan.d + 1)])
+    write_json(os.path.join(out_dir, "coefficients.json"), payload)
+    write_coefficient_csv(os.path.join(out_dir, "coefficients.csv"), table)
+
+
 def _gate_failed(code: int, quantity: str, value, bound: str, artifact: str) -> int:
     """Say on stderr which number failed its gate, then return ``code``."""
     print(f"gate failed: {quantity} = {value!r}, bound {bound}; artifact {artifact}",
@@ -113,14 +124,8 @@ def _run_expansion_fit(cfg: ExperimentConfig) -> int:
             zip(report.ells, report.trace_means, report.trace_stderrs)]
     write_csv(os.path.join(cfg.out_dir, "sweep.csv"),
               ["ell", "trace_mean", "trace_stderr", "n_samples"], rows)
-    if res is not None and formula_l:
-        table = res.table(formula_l)
-        payload = table.to_jsonable()
-        payload["partition_free"] = _jsonable(res.partition_free(formula_l))
-        payload["c_tilde_adjudication"] = _jsonable(
-            [res.adjudicate(formula_l, m) for m in range(1, cfg.d + 1)])
-        write_json(os.path.join(cfg.out_dir, "coefficients.json"), payload)
-        write_coefficient_csv(os.path.join(cfg.out_dir, "coefficients.csv"), table)
+    if formula_l:
+        write_coefficients(cfg.out_dir, res, formula_l)
     check = report.cross_check
     if cfg.opt_bool("gate_crosscheck") and check is not None and not check["within_3_sigma"]:
         return _gate_failed(EXIT_GATE, "|A1_fit - A1_formula|", check["gap"],
@@ -138,13 +143,7 @@ def _run_coefficient_formula(cfg: ExperimentConfig) -> int:
     res = coeff.coefficient_sweep(cfg.ensemble, cfg.d, cfg.g, cfg.h, r, [l_val],
                                   cfg.samples, error_L=[l_val] if include_e else (),
                                   workers=cfg.workers)
-    table = res.table(l_val)
-    payload = table.to_jsonable()
-    payload["partition_free"] = _jsonable(res.partition_free(l_val))
-    payload["c_tilde_adjudication"] = _jsonable(
-        [res.adjudicate(l_val, m) for m in range(1, cfg.d + 1)])
-    write_json(os.path.join(cfg.out_dir, "coefficients.json"), payload)
-    write_coefficient_csv(os.path.join(cfg.out_dir, "coefficients.csv"), table)
+    write_coefficients(cfg.out_dir, res, l_val)
     return EXIT_OK
 
 

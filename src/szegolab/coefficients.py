@@ -40,10 +40,11 @@ import numpy as np
 
 from .errors import ConfigError, ModelError
 from .lattices import EnsembleSpec, HermitianOperator, LatticeBox, build_operator
-from .mc import MCAccumulator, StatSummary
-from .regions import (Layer, Orthant, ProjectionMask, Region, box_region,
-                      orthant_region, region_mask, slot_chain, slot_dominates,
-                      wedge_region)
+from . import mc
+from .mc import StatSummary, column_moments
+from .regions import (CoordRange, Layer, Orthant, ProjectionMask, Region,
+                      box_region, orthant_region, region_mask, slot_chain,
+                      slot_dominates, wedge_region)
 from .spectral import ScalarFunction
 
 # ---------------------------------------------------------------------------
@@ -526,8 +527,7 @@ def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
     lam, u, gl = spectral_data(spec, box, sample_id, g)
     diag0_global = _restricted_diag(u, gl, np.ones(box.site_count, bool), h)
 
-    lam_region = Region(d, tuple(
-        _coord_range(i, -L, L - 1) for i in range(d)))
+    lam_region = Region(d, tuple(CoordRange(i, -L, L - 1) for i in range(d)))
     lam_bits = lam_region.evaluate(coords)
     diag_lam = _restricted_diag(u, gl, lam_bits, h)
     lhs = float(np.sum(diag_lam[lam_bits] - diag0_global[lam_bits]))
@@ -587,18 +587,20 @@ def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
                                     max(1.0, abs_acc), budget, b_diag)
 
 
-def _coord_range(axis: int, lo: int, hi: int):
-    from .regions import CoordRange
-    return CoordRange(axis, lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # per-sample coefficient pipeline
 # ---------------------------------------------------------------------------
 
 @dataclass
 class SweepPlan:
-    """Precomputed masks and index arrays for the per-sample pipeline."""
+    """Precomputed masks, index arrays and the column index of the statistics.
+
+    ``columns`` maps each per-sample statistic to its column of the sweep's
+    samples x statistics array: ``("A0",)``, ``("window_lo",)``,
+    ``("window_hi",)``, then per probe depth L ``("Amn", L, m, n)``,
+    ``("Afv", L, m)``, ``("pf", L, m, n)``, ``("Apf_printed", L, m)`` and
+    ``("Apf_recurrence", L, m)``, then ``("sweep", ell)`` and ``("EL", L)``.
+    """
 
     spec: EnsembleSpec
     d: int
@@ -614,6 +616,7 @@ class SweepPlan:
     pf_masks: Dict[Tuple[int, int], np.ndarray]
     ell_bits: Dict[int, np.ndarray]
     center_index: int
+    columns: Dict[Tuple, int]
     error_L: Tuple[int, ...] = ()
     constants: Optional[CoefficientTable] = None
 
@@ -648,23 +651,31 @@ def make_sweep_plan(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunc
         hi = [lo[i] + ell - 1 for i in range(d)]
         if any(lo[i] < box.lo[i] or hi[i] > box.hi[i] for i in range(d)):
             raise ConfigError(f"sweep box ell={ell} (offset {offset}) leaves B_R")
-        ell_bits[ell] = Region(d, tuple(_coord_range(i, lo[i], hi[i]) for i in range(d))
+        ell_bits[ell] = Region(d, tuple(CoordRange(i, lo[i], hi[i]) for i in range(d))
                                ).evaluate(coords)
+    names = [("A0",), ("window_lo",), ("window_hi",)]
+    for L in L_values:
+        for m in range(1, d + 1):
+            names += [("Amn", L, m, n) for n in range(1, m + 1)] + [("Afv", L, m)]
+            names += [("pf", L, m, n) for n in range(0, m + 1)]
+            names += [("Apf_printed", L, m), ("Apf_recurrence", L, m)]
+    names += [("sweep", ell) for ell in ells] + [("EL", L) for L in error_L]
+    columns = {name: j for j, name in enumerate(dict.fromkeys(names))}
     return SweepPlan(spec, d, R, box, g, h, L_values, ells, offset,
                      orthant_bits, chi_masks, pf_masks, ell_bits,
-                     box.index_of((0,) * d), error_L, comb_constants(d))
+                     box.index_of((0,) * d), columns, error_L, comb_constants(d))
 
 
-def _sample_stats(plan: SweepPlan, sample_id: int) -> Dict[str, float]:
-    """All per-sample scalars of the coefficient sweep, keyed by statistic."""
-    d, h = plan.d, plan.h
+def _sample_stats(plan: SweepPlan, sample_id: int) -> np.ndarray:
+    """All per-sample scalars of the coefficient sweep, one per plan column."""
+    d, h, col = plan.d, plan.h, plan.columns
     lam, u, gl = spectral_data(plan.spec, plan.box, sample_id, plan.g)
     diag = [_restricted_diag(u, gl, bits, h) for bits in plan.orthant_bits]
 
-    out: Dict[str, float] = {}
-    out["A0"] = float(diag[0][plan.center_index])
-    out["window_lo"] = float(gl.min())
-    out["window_hi"] = float(gl.max())
+    row = np.empty(len(col))
+    row[col["A0",]] = diag[0][plan.center_index]
+    row[col["window_lo",]] = gl.min()
+    row[col["window_hi",]] = gl.max()
     cst = plan.constants
     for L in plan.L_values:
         for m in range(1, d + 1):
@@ -672,42 +683,57 @@ def _sample_stats(plan: SweepPlan, sample_id: int) -> Dict[str, float]:
             for n in range(1, m + 1):
                 bits = plan.chi_masks[(L, m, n)]
                 t = float(np.sum(diag[n][bits] - diag[n - 1][bits]))
-                out[f"Amn|{L}|{m}|{n}"] = t
+                row[col["Amn", L, m, n]] = t
                 a_m += float(cst.c[m][n]) * t
-            out[f"Afv|{L}|{m}"] = a_m
+            row[col["Afv", L, m]] = a_m
             printed = rec = 0.0
             for n in range(0, m + 1):
                 bits = plan.pf_masks[(L, m)]
                 t = float(np.sum(diag[n][bits]))
-                out[f"pf|{L}|{m}|{n}"] = t
+                row[col["pf", L, m, n]] = t
                 printed += float(cst.c_tilde_printed[m][n]) * t
                 rec += float(cst.c_tilde_recurrence[m][n]) * t
-            out[f"Apf_printed|{L}|{m}"] = printed
-            out[f"Apf_recurrence|{L}|{m}"] = rec
+            row[col["Apf_printed", L, m]] = printed
+            row[col["Apf_recurrence", L, m]] = rec
     for ell in plan.ells:
         bits = plan.ell_bits[ell]
-        out[f"sweep|{ell}"] = float(np.sum(_restricted_diag(u, gl, bits, h)[bits]))
+        row[col["sweep", ell]] = np.sum(_restricted_diag(u, gl, bits, h)[bits])
     for L in plan.error_L:
-        out[f"EL|{L}"] = _corner_error_for_sample(d, plan.box, u, gl, h, L)
-    return out
+        row[col["EL", L]] = _corner_error_for_sample(d, plan.box, u, gl, h, L)
+    return row
 
 
 @dataclass
 class SweepResult:
-    """Order-fixed Monte Carlo statistics of one coefficient sweep."""
+    """Per-sample statistics of one coefficient sweep and their summaries.
+
+    ``samples`` holds one row per sample, in ascending sample order, and one
+    column per entry of ``plan.columns``; ``mean`` and ``stderr`` are its
+    column summaries.
+    """
 
     plan: SweepPlan
-    n_samples: int
-    stats: Dict[str, StatSummary]
-    window: Tuple[float, float]
+    samples: np.ndarray
+    mean: np.ndarray
+    stderr: np.ndarray
 
-    def stat(self, key: str) -> StatSummary:
-        return self.stats[key]
+    @property
+    def n_samples(self) -> int:
+        return self.samples.shape[0]
+
+    @property
+    def window(self) -> Tuple[float, float]:
+        """Smallest and largest g(eigenvalue) over all samples."""
+        col = self.plan.columns
+        return (float(self.samples[:, col["window_lo",]].min()),
+                float(self.samples[:, col["window_hi",]].max()))
+
+    def stat(self, name: str, *index: int) -> StatSummary:
+        j = self.plan.columns[(name, *index)]
+        return StatSummary(float(self.mean[j]), float(self.stderr[j]), self.n_samples)
 
     def a_fv(self, L: int, m: int) -> StatSummary:
-        if m == 0:
-            return self.stats["A0"]
-        return self.stats[f"Afv|{L}|{m}"]
+        return self.stat("A0") if m == 0 else self.stat("Afv", L, m)
 
     def table(self, L: int) -> CoefficientTable:
         d = self.plan.d
@@ -716,10 +742,10 @@ class SweepResult:
         t.n_samples = self.n_samples
         t.seed = self.plan.spec.seed
         t.A_fv = {m: self.a_fv(L, m) for m in range(0, d + 1)}
-        t.A_mn = {(m, n): self.stats[f"Amn|{L}|{m}|{n}"]
+        t.A_mn = {(m, n): self.stat("Amn", L, m, n)
                   for m in range(1, d + 1) for n in range(1, m + 1)}
-        if f"EL|{L}" in self.stats:
-            t.E_L = self.stats[f"EL|{L}"]
+        if L in self.plan.error_L:
+            t.E_L = self.stat("EL", L)
         t.extras["window"] = list(self.window)
         return t
 
@@ -727,10 +753,9 @@ class SweepResult:
         d = self.plan.d
         out = {"L": L, "printed": {}, "recurrence": {}, "raw_terms": {}}
         for m in range(1, d + 1):
-            out["printed"][m] = self.stats[f"Apf_printed|{L}|{m}"]
-            out["recurrence"][m] = self.stats[f"Apf_recurrence|{L}|{m}"]
-            out["raw_terms"][m] = {n: self.stats[f"pf|{L}|{m}|{n}"]
-                                   for n in range(0, m + 1)}
+            out["printed"][m] = self.stat("Apf_printed", L, m)
+            out["recurrence"][m] = self.stat("Apf_recurrence", L, m)
+            out["raw_terms"][m] = {n: self.stat("pf", L, m, n) for n in range(0, m + 1)}
         return out
 
     def adjudicate(self, L: int, m: int, sigma_factor: float = 3.0) -> Dict:
@@ -738,7 +763,7 @@ class SweepResult:
         ref = self.a_fv(L, m)
         verdicts = {}
         for name in ("printed", "recurrence"):
-            cand = self.stats[f"Apf_{name}|{L}|{m}"]
+            cand = self.stat(f"Apf_{name}", L, m)
             tol = sigma_factor * math.hypot(ref.stderr, cand.stderr)
             verdicts[name] = {
                 "value": cand.mean, "stderr": cand.stderr,
@@ -752,9 +777,8 @@ class SweepResult:
 
     def sweep_series(self):
         ells = list(self.plan.ells)
-        means = [self.stats[f"sweep|{e}"].mean for e in ells]
-        errs = [self.stats[f"sweep|{e}"].stderr for e in ells]
-        return ells, means, errs
+        stats = [self.stat("sweep", e) for e in ells]
+        return ells, [s.mean for s in stats], [s.stderr for s in stats]
 
 
 def coefficient_sweep(spec: EnsembleSpec, d: int, g: ScalarFunction,
@@ -763,43 +787,8 @@ def coefficient_sweep(spec: EnsembleSpec, d: int, g: ScalarFunction,
                       ell_offset: Sequence[int] = (), error_L: Sequence[int] = (),
                       workers: int = 1) -> SweepResult:
     """Monte Carlo sweep of all coefficient statistics over one ensemble."""
-    from .mc import ordered_map
     plan = make_sweep_plan(spec, d, g, h, R, L_values, ells, ell_offset, error_L)
-    rows = ordered_map(lambda s: _sample_stats(plan, s), range(n_samples),
-                       workers=workers)
-    accs: Dict[str, MCAccumulator] = {}
-    win_lo, win_hi = math.inf, -math.inf
-    for row in rows:
-        win_lo = min(win_lo, row["window_lo"])
-        win_hi = max(win_hi, row["window_hi"])
-        for key, value in row.items():
-            if key.startswith("window"):
-                continue
-            accs.setdefault(key, MCAccumulator()).push(value)
-    stats = {k: a.summary() for k, a in accs.items()}
-    return SweepResult(plan, n_samples, stats, (win_lo, win_hi))
-
-
-# ---------------------------------------------------------------------------
-# named operations on top of the sweep
-# ---------------------------------------------------------------------------
-
-def finite_volume_coefficients(spec: EnsembleSpec, d: int, g: ScalarFunction,
-                               h: ScalarFunction, L: int, R: int, n_samples: int,
-                               include_error_term: bool = False,
-                               workers: int = 1) -> CoefficientTable:
-    """Monte Carlo finite-volume coefficients A_m^(L) and their summands."""
-    res = coefficient_sweep(spec, d, g, h, R, [L], n_samples,
-                            error_L=[L] if include_error_term else (),
-                            workers=workers)
-    return res.table(L)
-
-
-def partition_free_coefficients(spec: EnsembleSpec, d: int, g: ScalarFunction,
-                                h: ScalarFunction, L: int, R: int, n_samples: int,
-                                workers: int = 1) -> Dict:
-    """Both partition-free candidate sums and their raw per-n terms."""
-    res = coefficient_sweep(spec, d, g, h, R, [L], n_samples, workers=workers)
-    out = res.partition_free(L)
-    out["adjudication"] = [res.adjudicate(L, m) for m in range(1, d + 1)]
-    return out
+    rows = mc.ordered_map(lambda s: _sample_stats(plan, s), range(n_samples),
+                          workers=workers)
+    samples = np.array(rows).reshape(n_samples, len(plan.columns))
+    return SweepResult(plan, samples, *column_moments(samples))

@@ -88,7 +88,7 @@ def fit_expansion(ells: Sequence[int], means: Sequence[float],
 def sweep_and_fit(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunction,
                   ells: Sequence[int], R: int, n_samples: int,
                   formula_L: Optional[int] = None, ell_offset: Sequence[int] = (),
-                  workers: int = 1) -> Tuple[FitReport, Optional[SweepResult]]:
+                  workers: int = 1) -> Tuple[FitReport, SweepResult]:
     """Monte Carlo L-sweep plus expansion fit, with an optional formula cross-check.
 
     When ``formula_L`` is given, the same samples also feed the wedge-route

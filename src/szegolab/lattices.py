@@ -95,10 +95,6 @@ class LatticeBox:
     def contains(self, site) -> bool:
         return all(l <= s <= h for s, l, h in zip(site, self.lo, self.hi))
 
-    def translate(self, j: Tuple[int, ...]) -> "LatticeBox":
-        return LatticeBox(tuple(l + v for l, v in zip(self.lo, j)),
-                          tuple(h + v for h, v in zip(self.hi, j)))
-
     # common constructions -------------------------------------------------
 
     @staticmethod
@@ -442,82 +438,3 @@ def toeplitz_matrix(symbol: Symbol1D, L: int) -> HermitianOperator:
     if np.abs(m.imag).max() <= 1e-15 * max(1.0, np.abs(m).max()):
         m = m.real.copy()
     return HermitianOperator(LatticeBox.interval(0, L - 1), m, label=f"toeplitz L={L}")
-
-
-# ---------------------------------------------------------------------------
-# symmetry actions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SymmetryAction:
-    """Translation, coordinate permutation, or reflection of a box operator.
-
-    ``permute``: ``perm`` is the 0-based map with ``(U psi)(x) = psi(x_perm)``,
-    ``x_perm[i] = x[perm[i]]``.  ``reflect``: ``bits[i] = 1`` flips coordinate i
-    about the box center.  ``translate``: relabels sites by ``vector``.
-    """
-
-    kind: str
-    vector: Optional[Tuple[int, ...]] = None
-    perm: Optional[Tuple[int, ...]] = None
-
-    def __post_init__(self):
-        if self.kind not in ("translate", "permute", "reflect"):
-            raise ConfigError(f"unknown symmetry action {self.kind!r}")
-        if self.kind in ("translate", "reflect") and self.vector is None:
-            raise ConfigError(f"{self.kind} action needs a vector")
-        if self.kind == "permute":
-            if self.perm is None or sorted(self.perm) != list(range(len(self.perm))):
-                raise ConfigError("permute action needs a permutation of 0..d-1")
-
-    @staticmethod
-    def translate(vector) -> "SymmetryAction":
-        return SymmetryAction("translate", vector=tuple(int(v) for v in vector))
-
-    @staticmethod
-    def permute(perm) -> "SymmetryAction":
-        return SymmetryAction("permute", perm=tuple(int(v) for v in perm))
-
-    @staticmethod
-    def reflect(bits) -> "SymmetryAction":
-        return SymmetryAction("reflect", vector=tuple(int(v) for v in bits))
-
-
-def _conjugation_indices(box: LatticeBox, mapped_coords: np.ndarray) -> np.ndarray:
-    return box.indices_of(mapped_coords)
-
-
-def apply_symmetry(op: HermitianOperator, action: SymmetryAction) -> HermitianOperator:
-    """Conjugate by the site-permutation unitary of the action.
-
-    Permutations and reflections require the box to be invariant under the
-    action; translations relabel the box.  Spectra are preserved exactly.
-    """
-    box = op.box
-    if action.kind == "translate":
-        new_box = box.translate(action.vector)
-        return HermitianOperator(new_box, op.matrix,
-                                 label=op.label + f" |T{action.vector}")
-    sites = box.sites()
-    if action.kind == "permute":
-        perm = action.perm
-        if len(perm) != box.d:
-            raise ModelError("permutation dimension does not match the box")
-        lo = tuple(box.lo[p] for p in perm)
-        hi = tuple(box.hi[p] for p in perm)
-        if lo != box.lo or hi != box.hi:
-            raise ModelError("box is not invariant under the permutation")
-        mapped = sites[:, list(perm)]
-        tag = f" |P{perm}"
-    else:
-        bits = action.vector
-        if len(bits) != box.d:
-            raise ModelError("reflection dimension does not match the box")
-        mapped = sites.copy()
-        for i, b in enumerate(bits):
-            if b:
-                mapped[:, i] = box.lo[i] + box.hi[i] - mapped[:, i]
-        tag = f" |R{bits}"
-    p = _conjugation_indices(box, mapped)
-    new = op.matrix[np.ix_(p, p)]
-    return HermitianOperator(box, new, label=op.label + tag)

@@ -1,7 +1,10 @@
-"""Monte Carlo accumulation with deterministic, order-fixed reduction.
+"""Monte Carlo samples in ascending order, reduced column by column.
 
-Sample estimates are always combined in ascending sample order, whatever the
-worker count, and every sample runs with OpenBLAS pinned to one thread, so a
+A sweep's per-sample statistics form one samples x statistics float array,
+rows in ascending sample order whatever the worker count.
+``column_moments`` reduces it with Welford's running update applied to all
+columns at once, so each column gets exactly the numbers of a scalar update
+over its samples.  Every sample runs with OpenBLAS pinned to one thread, so a
 given (seed, budget) produces bit-identical statistics whatever the worker
 count or the BLAS thread setting.  Parallelism comes from ``workers`` alone.
 """
@@ -10,41 +13,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .errors import NumericError
-
-
-@dataclass
-class MCAccumulator:
-    """Welford running mean / variance accumulator."""
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def push(self, x: float):
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def stderr(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self.m2 / (self.count * (self.count - 1)))
-
-    def summary(self) -> "StatSummary":
-        return StatSummary(self.mean, self.stderr, self.count)
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -58,39 +32,64 @@ class StatSummary:
                 "n_samples": int(self.count)}
 
 
+def column_moments(samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of every column of a samples x statistics array.
+
+    Welford's recurrence runs over the rows in order; the standard error is 0
+    below two samples.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[0]
+    mean = np.zeros(samples.shape[1])
+    m2 = np.zeros(samples.shape[1])
+    for count, x in enumerate(samples, start=1):
+        delta = x - mean
+        mean += delta / count
+        m2 += delta * (x - mean)
+    if n < 2:
+        return mean, np.zeros_like(mean)
+    return mean, np.sqrt(m2 / (n * (n - 1)))
+
+
 # (get, set) thread-count entry points, by the symbol names OpenBLAS builds use
 _OPENBLAS_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
 
 @functools.lru_cache(maxsize=None)
+def _openblas_control(path: str) -> Optional[Tuple[Callable, Callable]]:
+    """(get, set) thread-count functions of the library at ``path``, if any."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
 def _openblas_controls() -> Tuple[Tuple[Callable, Callable], ...]:
     """(get, set) thread-count functions of every OpenBLAS mapped into the process.
 
-    Empty when no OpenBLAS is loaded or ``/proc/self/maps`` is unreadable.
+    The maps are read on every call, so a library loaded later (scipy's own
+    OpenBLAS, say) is found too.  Empty when no OpenBLAS is loaded or
+    ``/proc/self/maps`` is unreadable.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
     except OSError:
         return ()
-    controls = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return tuple(controls)
+    controls = (_openblas_control(path) for path in sorted(paths))
+    return tuple(c for c in controls if c is not None)
 
 
 @contextmanager
@@ -125,26 +124,3 @@ def ordered_map(fn: Callable, args: Iterable, workers: int = 1) -> List:
             return [fn(a) for a in args]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, args))
-
-
-def mc_estimate(estimator: Callable[[int, int], float], budget: int, seed: int = 0,
-                workers: int = 1) -> MCAccumulator:
-    """Mean/stderr of ``estimator(seed, sample_id)`` over ``budget`` samples.
-
-    Estimator failures are re-raised with the offending sample id attached.
-    """
-    if budget < 1:
-        raise NumericError("budget must be >= 1")
-
-    def one(sample_id: int) -> float:
-        try:
-            return float(estimator(seed, sample_id))
-        except Exception as exc:
-            raise NumericError(f"estimator failed at sample {sample_id}: {exc}") from exc
-
-    values = ordered_map(one, range(budget), workers=workers)
-    acc = MCAccumulator()
-    for v in values:
-        acc.push(v)
-    return acc
-

@@ -1,4 +1,4 @@
-"""Symbolic lattice regions, projection masks, restrictions and Schatten norms.
+"""Symbolic lattice regions, projection masks, submatrices and traces.
 
 Order-type regions are expressed through one fixed strict total order on
 coordinate slots ("slot order"):
@@ -182,19 +182,8 @@ def wedge_masks(box: LatticeBox, lo: int, hi: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# restriction, traces, norms
+# submatrices and traces
 # ---------------------------------------------------------------------------
-
-def restrict(op: HermitianOperator, mask: ProjectionMask) -> HermitianOperator:
-    """Dirichlet restriction: entries zeroed outside mask x mask."""
-    if mask.box != op.box:
-        raise ModelError("mask box does not match the operator box")
-    m = op.matrix.copy()
-    out = ~mask.bits
-    m[out, :] = 0
-    m[:, out] = 0
-    return HermitianOperator(op.box, m, label=op.label + f" |chi({mask.count})")
-
 
 def submatrix(op_or_matrix, mask: ProjectionMask) -> np.ndarray:
     """The dense block of the operator on the masked sites."""
@@ -206,36 +195,6 @@ def submatrix(op_or_matrix, mask: ProjectionMask) -> np.ndarray:
 def trace(op: HermitianOperator) -> complex:
     t = np.trace(op.matrix)
     return complex(t)
-
-
-def singular_values(op: HermitianOperator) -> np.ndarray:
-    return np.linalg.svd(op.matrix, compute_uv=False)
-
-
-def schatten_norm(op: HermitianOperator, p: float) -> float:
-    """(sum s_i^p)^(1/p); a norm for p >= 1, quasi-norm for 0 < p < 1."""
-    if p <= 0:
-        raise ConfigError("Schatten exponent must be positive")
-    s = singular_values(op)
-    return float(np.sum(s ** p) ** (1.0 / p))
-
-
-def operator_norm(op: HermitianOperator) -> float:
-    s = singular_values(op)
-    return float(s[0]) if s.size else 0.0
-
-
-def kernel_block_norm(op: HermitianOperator, a, b, norm="operator") -> float:
-    """Norm of the one-site kernel block chi_a M chi_b.
-
-    With one-site cells the block is the single entry M[a, b], so every
-    Schatten norm and the operator norm coincide with its modulus.
-    """
-    if norm != "operator":
-        if not (isinstance(norm, tuple) and norm[0] == "schatten" and norm[1] > 0):
-            raise ConfigError(f"unknown block norm {norm!r}")
-    ia, ib = op.box.index_of(a), op.box.index_of(b)
-    return float(abs(op.matrix[ia, ib]))
 
 
 # ---------------------------------------------------------------------------

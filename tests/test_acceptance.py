@@ -127,7 +127,7 @@ def test_criterion_02_identity_h_nullity():
                 val = abs(res.a_fv(L, m).mean)
                 assert val <= 1e-10 * scale
                 worst = max(worst, val / scale)
-            e = res.stat(f"EL|{L}")
+            e = res.stat("EL", L)
             assert e.mean == 0.0 and e.stderr == 0.0
     report(2, f"A_m(identity) <= {worst:.1e} x scale; E^(L) == 0 exactly", t0)
 

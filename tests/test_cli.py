@@ -306,6 +306,39 @@ gate_min_mu = 0.05
     assert rep["kernel_decay"]["params"]["mu"] > 0.05
 
 
+def test_coefficient_formula_cli(tmp_path):
+    out = tmp_path / "cf"
+    path = write(tmp_path, "cf.ini", f"""
+[experiment]
+kind = coefficient_formula
+seed = 7
+samples = 2
+out = {out}
+d = 1
+
+[ensemble]
+kind = anderson
+W = 8.0
+
+[g]
+form = bump(2.0, 3.0, 4)
+
+[h]
+form = identity
+
+[formula]
+L = 10
+include_error_term = true
+""")
+    assert run_experiment(path) == 0
+    assert sorted(os.listdir(out)) == ["coefficients.csv", "coefficients.json"]
+    coeffs = json.loads((out / "coefficients.json").read_text())
+    assert coeffs["E_L"]["n_samples"] == 2
+    assert [s["mean"] for m, s in coeffs["A_fv"].items() if m != "0"] == [0.0]
+    rows = (out / "coefficients.csv").read_text().splitlines()
+    assert any(row.startswith("E_L,10,") for row in rows)
+
+
 def test_shipped_reference_configs_parse():
     import pathlib
     cfg_dir = pathlib.Path(__file__).resolve().parent.parent / "configs"

@@ -14,12 +14,10 @@ from szegolab.coefficients import (CoefficientTable, big_box, c_constant,
                                    chi_hat_mask, chi_hat_region,
                                    coefficient_sweep, comb_constants,
                                    decomposition_identity_probe, error_term,
-                                   finite_volume_coefficients,
                                    inclusion_exclusion_check, k_vectors,
                                    model_operators, partition_block_sizes,
-                                   partition_free_coefficients, perm_block,
-                                   pi0_for_block, sd_partition_residual,
-                                   telescoping_check)
+                                   perm_block, pi0_for_block,
+                                   sd_partition_residual, telescoping_check)
 from tests.conftest import rand_hermitian
 
 G_BUMP = ScalarFunction.bump(2.0, 3.0, 4)
@@ -234,8 +232,8 @@ def test_partition_residual_zero():
 
 def test_identity_h_nullity_and_exact_error_term():
     for d in (1, 2):
-        table = finite_volume_coefficients(ANDERSON, d, G_BUMP, H_ID, L=3, R=8,
-                                           n_samples=4, include_error_term=True)
+        table = coefficient_sweep(ANDERSON, d, G_BUMP, H_ID, 8, [3], 4,
+                                  error_L=[3]).table(3)
         scale = max(1.0, abs(table.A_fv[0].mean))
         for m in range(1, d + 1):
             assert abs(table.A_fv[m].mean) <= 1e-10 * scale
@@ -249,16 +247,16 @@ def test_sweep_identity_h_coefficients_exactly_zero(d, L, R):
     for seed in (7, 123):
         spec = EnsembleSpec("anderson", W=8.0, seed=seed)
         res = coefficient_sweep(spec, d, G_BUMP, H_ID, R, [L], 4, error_L=[L])
-        keys = [k for k in res.stats if k.startswith(("Amn|", "Afv|"))]
+        keys = [k for k in res.plan.columns if k[0] in ("Amn", "Afv")]
         assert len(keys) == d * (d + 1) // 2 + d
         for k in keys:
-            assert res.stats[k].mean == 0.0 and res.stats[k].stderr == 0.0, k
+            s = res.stat(*k)
+            assert s.mean == 0.0 and s.stderr == 0.0, k
 
 
 def test_off_spectrum_g_gives_zero_coefficients():
     g_off = ScalarFunction.bump(50.0, 2.0, 4)
-    table = finite_volume_coefficients(ANDERSON, 1, g_off, H_SQUARE, L=4, R=10,
-                                       n_samples=3)
+    table = coefficient_sweep(ANDERSON, 1, g_off, H_SQUARE, 10, [4], 3).table(4)
     for m in range(0, 2):
         assert abs(table.A_fv[m].mean) < 1e-18
 
@@ -272,8 +270,7 @@ def test_coefficient_l_stability_d1():
 
 def test_finite_volume_requires_L_within_R():
     with pytest.raises(ConfigError):
-        finite_volume_coefficients(ANDERSON, 1, G_BUMP, H_SQUARE, L=30, R=40,
-                                   n_samples=1)
+        coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 40, [30], 1).table(30)
 
 
 def test_truncation_stability_under_radius_doubling():
@@ -292,12 +289,10 @@ def test_truncation_stability_under_radius_doubling():
 
 def test_d3_coefficients_smoke():
     # tiny d = 3 run: all three orders finite, identity-h nullity holds
-    table = finite_volume_coefficients(ANDERSON, 3, G_BUMP, H_SQUARE, L=2, R=5,
-                                       n_samples=2)
+    table = coefficient_sweep(ANDERSON, 3, G_BUMP, H_SQUARE, 5, [2], 2).table(2)
     assert set(table.A_fv) == {0, 1, 2, 3}
     assert all(np.isfinite(s.mean) for s in table.A_fv.values())
-    tid = finite_volume_coefficients(ANDERSON, 3, G_BUMP, H_ID, L=2, R=5,
-                                     n_samples=2)
+    tid = coefficient_sweep(ANDERSON, 3, G_BUMP, H_ID, 5, [2], 2).table(2)
     for m in (1, 2, 3):
         assert abs(tid.A_fv[m].mean) <= 1e-10
 
@@ -314,10 +309,8 @@ def test_complex_toeplitz_through_model_operators():
 
 
 def test_mc_determinism_bit_identical():
-    a = finite_volume_coefficients(ANDERSON, 1, G_BUMP, H_SQUARE, L=10, R=30,
-                                   n_samples=12)
-    b = finite_volume_coefficients(ANDERSON, 1, G_BUMP, H_SQUARE, L=10, R=30,
-                                   n_samples=12)
+    a = coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 30, [10], 12).table(10)
+    b = coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 30, [10], 12).table(10)
     assert a.to_jsonable() == b.to_jsonable()
 
 
@@ -351,8 +344,8 @@ def test_error_term_decreases_in_L():
 # ---------------------------------------------------------------------------
 
 def test_partition_free_zero_h():
-    out = partition_free_coefficients(ANDERSON, 1, G_BUMP, ScalarFunction.zero(),
-                                      L=6, R=16, n_samples=3)
+    res = coefficient_sweep(ANDERSON, 1, G_BUMP, ScalarFunction.zero(), 16, [6], 3)
+    out = res.partition_free(6)
     for m, s in out["printed"].items():
         assert s.mean == 0.0
     for m, s in out["recurrence"].items():
@@ -370,9 +363,8 @@ def test_partition_free_m0_density_consistency():
 
 
 def test_partition_free_adjudication_d1():
-    out = partition_free_coefficients(ANDERSON, 1, G_BUMP, H_SQUARE, L=20, R=60,
-                                      n_samples=40)
-    verdicts = out["adjudication"][0]
+    res = coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 60, [20], 40)
+    verdicts = res.adjudicate(20, 1)
     assert verdicts["winner"] == "recurrence"
     assert verdicts["candidates"]["recurrence"]["matches"]
     assert not verdicts["candidates"]["printed"]["matches"]
@@ -416,8 +408,7 @@ def test_probe_b_diagnostics_sum_to_corner_terms():
 
 
 def test_table_linearity_a_fv_from_summands():
-    table = finite_volume_coefficients(ANDERSON, 2, G_BUMP, H_SQUARE, L=4, R=10,
-                                       n_samples=6)
+    table = coefficient_sweep(ANDERSON, 2, G_BUMP, H_SQUARE, 10, [4], 6).table(4)
     for m in range(1, 3):
         combo = sum(float(table.c[m][n]) * table.A_mn[(m, n)].mean
                     for n in range(1, m + 1))

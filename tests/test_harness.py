@@ -1,12 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from szegolab.errors import ConfigError, NumericError
+from szegolab.errors import ConfigError
 from szegolab.lattices import EnsembleSpec, Symbol1D, symbol_fourier_coefficients
 from szegolab import mc
-from szegolab.mc import mc_estimate
 from szegolab.spectral import ScalarFunction
 from szegolab.harness import (fit_expansion, log_enhancement_probe, sweep_and_fit,
                               szego_1d_suite)
@@ -14,32 +18,41 @@ from szegolab.lattices import site_uniforms
 
 
 def test_mc_constant_estimator():
-    acc = mc_estimate(lambda seed, s: 7.0, budget=13, seed=0)
-    assert acc.mean == 7.0 and acc.stderr == 0.0 and acc.count == 13
+    mean, stderr = mc.column_moments(np.full((13, 1), 7.0))
+    assert mean[0] == 7.0 and stderr[0] == 0.0
 
 
 def test_mc_two_samples():
-    acc = mc_estimate(lambda seed, s: 1.0 + 2.0 * s, budget=2, seed=0)
-    assert acc.mean == 2.0
-    assert abs(acc.stderr - 1.0) < 1e-14
+    mean, stderr = mc.column_moments(np.array([[1.0], [3.0]]))
+    assert mean[0] == 2.0
+    assert abs(stderr[0] - 1.0) < 1e-14
 
 
 def test_mc_stderr_scaling():
-    def estimator(seed, s):
-        return float(site_uniforms(seed, s, np.array([[0]]))[0])
-    small = mc_estimate(estimator, budget=200, seed=4)
-    large = mc_estimate(estimator, budget=2000, seed=4)
-    ratio = small.stderr / large.stderr
+    values = np.array([site_uniforms(4, s, np.array([[0]]))[0] for s in range(2000)])
+    _, small = mc.column_moments(values[:200, None])
+    _, large = mc.column_moments(values[:, None])
+    ratio = small[0] / large[0]
     assert 2.5 < ratio < 4.0      # expect ~ sqrt(10)
 
 
-def test_mc_propagates_failures_with_sample_id():
-    def bad(seed, s):
-        if s == 5:
-            raise ValueError("boom")
-        return 0.0
-    with pytest.raises(NumericError, match="sample 5"):
-        mc_estimate(bad, budget=8, seed=0)
+def test_column_moments_match_scalar_welford_bit_for_bit():
+    # the reduction must be Welford's running update, column by column: a
+    # pairwise or blocked sum (np.mean, say) differs in the last bits
+    rng = np.random.default_rng(2024)
+    samples = rng.standard_normal((200, 57)) * np.logspace(-12, 6, 57)
+    samples[:, 11] = 0.0
+    mean, stderr = mc.column_moments(samples)
+    for j in range(samples.shape[1]):
+        count, mu, m2 = 0, 0.0, 0.0
+        for x in samples[:, j].tolist():
+            count += 1
+            delta = x - mu
+            mu += delta / count
+            m2 += delta * (x - mu)
+        assert mean[j] == mu, j
+        assert stderr[j] == math.sqrt(m2 / (count * (count - 1))), j
+    assert mean[11] == 0.0 and stderr[11] == 0.0
 
 
 @pytest.fixture
@@ -77,6 +90,50 @@ def test_single_blas_thread_without_openblas_does_nothing(openblas_at_two, monke
     with mc.single_blas_thread():
         assert set(openblas_at_two()) == {2}
     assert set(openblas_at_two()) == {2}
+
+
+OPENBLAS_LATER_SCRIPT = textwrap.dedent("""
+    import ctypes, json
+    from szegolab import mc
+    with mc.single_blas_thread():      # before scipy maps its own OpenBLAS
+        pass
+    import scipy.linalg
+    names = [("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+             ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+             ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+             ("openblas_get_num_threads", "openblas_set_num_threads")]
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        pair = next(p for p in names if all(hasattr(lib, n) for n in p))
+        get, set_ = (getattr(lib, n) for n in pair)
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        set_(2)
+        controls.append(get)
+    with mc.single_blas_thread():
+        inside = [get() for get in controls]
+    print(json.dumps({"paths": paths, "inside": inside,
+                      "after": [get() for get in controls]}))
+""")
+
+
+def test_single_blas_thread_pins_openblas_loaded_later():
+    # scipy maps a second OpenBLAS with its own symbol names on import; a pin
+    # entered after that must find it, although an earlier pin ran before it
+    pytest.importorskip("scipy.linalg")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mc.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", OPENBLAS_LATER_SCRIPT], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    if not seen["paths"]:
+        pytest.skip("no OpenBLAS loaded")
+    assert seen["inside"] == [1] * len(seen["paths"]), seen
+    assert seen["after"] == [2] * len(seen["paths"]), seen
 
 
 def test_fit_expansion_exact_polynomial():
@@ -228,8 +285,8 @@ def test_box_offset_is_exposed():
     h = ScalarFunction.poly((0.0, 0.0, 1.0))
     r0 = coefficient_sweep(spec, 1, g, h, 40, [], 1, ells=[9], ell_offset=(0,))
     r1 = coefficient_sweep(spec, 1, g, h, 40, [], 1, ells=[9], ell_offset=(1,))
-    t0 = r0.stat("sweep|9").mean
-    t1 = r1.stat("sweep|9").mean
+    t0 = r0.stat("sweep", 9).mean
+    t1 = r1.stat("sweep", 9).mean
     assert np.isfinite(t0) and np.isfinite(t1)
     assert t0 != t1       # period-2 potential: odd boxes see the alignment
 

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -7,9 +6,7 @@ import pytest
 from szegolab.errors import ConfigError
 from szegolab.lattices import HermitianOperator, LatticeBox
 from szegolab.regions import (CoordRange, Layer, Orthant, Region, SlotLess,
-                              boundary_distance, box_region, full_mask,
-                              kernel_block_norm, operator_norm, parse_region,
-                              region_mask, restrict, schatten_norm, slot_chain,
+                              boundary_distance, parse_region, region_mask,
                               trace, wedge_masks, wedge_region)
 from tests.conftest import rand_hermitian
 
@@ -45,52 +42,9 @@ def test_wedge_partition_exact(d, side):
     assert np.array_equal(total, np.ones(box.site_count, dtype=int))
 
 
-def test_restrict_trivial_masks(rng):
-    box = LatticeBox.interval(0, 4)
-    op = HermitianOperator(box, rand_hermitian(rng, 5))
-    assert np.array_equal(restrict(op, full_mask(box)).matrix, op.matrix)
-    zero = region_mask(Region(1, (Layer(0, 99),)), box)
-    assert np.array_equal(restrict(op, zero).matrix, np.zeros((5, 5)))
-    single = region_mask(Region(1, (Layer(0, 2),)), box)
-    out = restrict(op, single).matrix
-    assert out[2, 2] == op.matrix[2, 2]
-    assert np.count_nonzero(out) == 1
-
-
 def test_trace_and_norms_diag():
     op = HermitianOperator.from_matrix(np.diag([3.0, -4.0]))
     assert trace(op) == -1.0
-    assert abs(schatten_norm(op, 1) - 7.0) < 1e-14
-    assert abs(operator_norm(op) - 4.0) < 1e-14
-
-
-@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
-def test_unitary_schatten_norm(p):
-    n = 6
-    theta = 2 * np.pi * np.outer(np.arange(n), np.arange(n)) / n
-    fourier = np.exp(1j * theta) / np.sqrt(n)
-    op = HermitianOperator.from_matrix(fourier)
-    assert abs(schatten_norm(op, p) - n ** (1 / p)) < 1e-10
-
-
-def test_frobenius_equals_entry_sum(rng):
-    m = rng.standard_normal((5, 5))
-    op = HermitianOperator.from_matrix(m)
-    direct = math.sqrt(np.sum(np.abs(m) ** 2))
-    assert abs(schatten_norm(op, 2) - direct) < 1e-12
-
-
-def test_schatten_interpolation_inequality(rng):
-    # ||A||_p^p <= ||A||^delta ||A||_{p-delta}^{p-delta}
-    for trial in range(100):
-        n = int(rng.integers(2, 9))
-        op = HermitianOperator.from_matrix(
-            rand_hermitian(rng, n, complex_entries=bool(trial % 2)))
-        for p in (1.0, 2.0):
-            for delta in (0.25, 0.5):
-                lhs = schatten_norm(op, p) ** p
-                rhs = operator_norm(op) ** delta * schatten_norm(op, p - delta) ** (p - delta)
-                assert lhs <= rhs + 1e-9 * max(1.0, rhs)
 
 
 def test_one_site_function_block_bound(rng):
@@ -111,18 +65,6 @@ def test_one_site_function_block_bound(rng):
         a = int(rng.integers(0, idx.size))
         row_norm = float(np.linalg.norm(h_sub[a]))     # rank-1: every Schatten norm
         assert row_norm <= c_bp ** p * c_h ** (2 * p / gamma) + 1e-9
-
-
-def test_kernel_block_norm_cases(rng):
-    box = LatticeBox.interval(0, 3)
-    m = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    m[1, 2] = 3 + 4j
-    m[2, 1] = 3 - 4j
-    op = HermitianOperator(box, m)
-    assert kernel_block_norm(op, (0,), (3,)) == 0.0
-    assert abs(kernel_block_norm(op, (1,), (2,)) - 5.0) < 1e-14
-    assert kernel_block_norm(op, (1,), (2,), norm=("schatten", 1.0)) == \
-        kernel_block_norm(op, (1,), (2,))
 
 
 def test_boundary_distance_halfline_example():
@@ -172,17 +114,6 @@ def test_boundary_distance_d2_against_bruteforce(rng):
         a = sites[int(rng.integers(0, len(sites)))]
         oracle = min(max(abs(a[0] - b[0]), abs(a[1] - b[1])) for b in boundary)
         assert boundary_distance(tuple(a), inner, outer, box) == float(oracle)
-
-
-def test_restrict_idempotent_and_contractive(rng):
-    box = LatticeBox.interval(0, 19)
-    op = HermitianOperator(box, rand_hermitian(rng, 20, complex_entries=True))
-    mask = region_mask(Region(1, (CoordRange(0, 3, 11),)), box)
-    once = restrict(op, mask)
-    twice = restrict(once, mask)
-    assert np.array_equal(once.matrix, twice.matrix)
-    for p in (0.5, 1.0, 2.0):
-        assert schatten_norm(once, p) <= schatten_norm(op, p) + 1e-9
 
 
 def test_region_grammar_roundtrip():
