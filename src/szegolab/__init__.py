@@ -13,8 +13,8 @@ from .coefficients import (CoefficientTable, ModelOperatorFamily, big_box,
                            comb_constants, decomposition_identity_probe,
                            error_term, inclusion_exclusion_check,
                            model_operators, telescoping_check)
-from .decay import (DecayFitReport, SpectralWindow, certify_a1,
-                    combes_thomas_probe, fit_kernel_decay, holo_constant,
+from .decay import (DecayFitReport, KernelBoxStats, SpectralWindow, certify_a1,
+                    combes_thomas_probe, fit_kernel_decay, kernel_box_stats,
                     trace_difference_probe)
 from .errors import (ConfigError, DegenerateFitError, ModelError, NumericError,
                      QuadratureError, SzegolabError)

@@ -26,7 +26,7 @@ import numpy as np
 from . import coefficients as coeff
 from .config import ExperimentConfig, load_config, parse_symbol
 from .decay import (certify_a1, combes_thomas_probe, fit_kernel_decay,
-                    trace_difference_probe)
+                    kernel_box_stats, trace_difference_probe)
 from .errors import ConfigError, ModelError, NumericError, SzegolabError
 from .harness import log_enhancement_probe, sweep_and_fit, szego_1d_suite
 from .lattices import HermitianOperator, LatticeBox
@@ -244,17 +244,16 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     box = LatticeBox.cube(cfg.d, 0, side - 1) if cfg.d > 1 else LatticeBox.interval(0, side - 1)
     payload: Dict = {"box_side": side, "d": cfg.d, "n_samples": cfg.samples}
     mode = cfg.options.get("kernel_mode", "exponential").strip()
-    kernel = fit_kernel_decay(cfg.ensemble, cfg.g, box, cfg.samples, mode=mode,
-                              workers=cfg.workers)
+    zs = [complex(v) for v in cfg.options.get("ct_z", "").split()]
+    stats = kernel_box_stats(cfg.ensemble, cfg.g, box, cfg.samples, zs,
+                             workers=cfg.workers)
+    kernel = fit_kernel_decay(stats, mode=mode)
     payload["kernel_decay"] = kernel.to_jsonable()
     if "a1_p" in cfg.options:
-        cert = certify_a1(cfg.ensemble, cfg.g, cfg.opt_float("a1_p", 1.0), box,
-                          cfg.samples, workers=cfg.workers)
+        cert = certify_a1(stats, cfg.opt_float("a1_p", 1.0))
         payload["a1_certificate"] = cert.to_jsonable()
     if "ct_z" in cfg.options:
-        zs = [complex(v) for v in cfg.options["ct_z"].split()]
-        theta = cfg.opt_float("ct_theta", 1.0)
-        ct = combes_thomas_probe(cfg.ensemble, cfg.g, box, cfg.samples, zs, theta)
+        ct = combes_thomas_probe(stats, cfg.opt_float("ct_theta", 1.0))
         payload["combes_thomas"] = ct.to_jsonable()
     if "trace_inner" in cfg.options and "trace_outer" in cfg.options:
         inner = parse_region(cfg.d, cfg.options["trace_inner"])

@@ -2,11 +2,19 @@
 
 These probes estimate, at desk scale, the constants and rates that the trace
 expansion rests on: the uniform Schatten bound on one-site kernel blocks of
-g(H), polynomial or exponential decay of those blocks, the admissible-domain
-constant of the holomorphic calculus, averaged resolvent decay away from the
-spectrum, and the boundary trace-norm estimate for differences
-h(g(H)_G) - h(g(H)_G').  "esssup over omega" is realized as a max over the
-sample budget and reported as an estimate, never as a certificate.
+g(H), polynomial or exponential decay of those blocks, averaged resolvent
+decay away from the spectrum, and the boundary trace-norm estimate for
+differences h(g(H)_G) - h(g(H)_G').  "esssup over omega" is realized as a max
+over the sample budget and reported as an estimate, never as a certificate.
+
+The kernel-box probes share one pass: ``kernel_box_stats`` diagonalizes each
+sample once and keeps running sums and maxima, which ``fit_kernel_decay``,
+``certify_a1`` and ``combes_thomas_probe`` reduce.  The pass, like the trace
+probe, maps its samples through ``ordered_map`` in chunks of at most
+``CHUNK_SAMPLES`` and folds each chunk in ascending sample order, so memory is
+O(chunk n^2) whatever the sample count and the bytes of a report do not
+depend on ``workers``.  Inputs whose one sample would not fit the byte budget
+beside the accumulators are refused before the first sample.
 
 Fits are ordinary least squares on transformed coordinates (log-log for the
 polynomial mode, log-linear for exponential and stretched modes); distances
@@ -23,9 +31,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .coefficients import block_of_gH, spectral_data, _restricted_diag
-from .errors import ConfigError, DegenerateFitError, NumericError
+from .errors import ConfigError, DegenerateFitError, ModelError, NumericError
 from .fitting import ols_line
-from .lattices import EnsembleSpec, LatticeBox
+from .lattices import MEMORY_BUDGET_BYTES, EnsembleSpec, LatticeBox, operator_bytes
 from .mc import ordered_map, single_blas_thread
 from .regions import Region, boundary_distance, region_mask
 from .spectral import ScalarFunction
@@ -120,19 +128,103 @@ def _fit_pairs(dist: np.ndarray, vals: np.ndarray, mode: str, n_samples: int,
 
 
 # ---------------------------------------------------------------------------
-# kernel-block statistics of g(H)
+# one pass over the kernel box
 # ---------------------------------------------------------------------------
+
+CHUNK_SAMPLES = 32  # most samples one ordered_map call holds before they are folded
+
 
 def _sup_distances(coords: np.ndarray) -> np.ndarray:
     return np.max(np.abs(coords[:, None, :] - coords[None, :, :]), axis=2)
 
 
-def _gh_matrices(spec: EnsembleSpec, box: LatticeBox, g: ScalarFunction,
-                 n_samples: int, workers: int = 1) -> List[np.ndarray]:
+def _fold_samples(one: Callable, n_samples: int, fold: Callable[[int, object], None],
+                  sample_bytes: int, held_bytes: int, workers: int) -> None:
+    """Map ``one`` over samples 0..n_samples-1 in chunks; ``fold(s, out)`` in order.
+
+    A chunk holds at most ``CHUNK_SAMPLES`` samples of ``sample_bytes`` each,
+    fewer when the byte budget left beside the ``held_bytes`` of the
+    accumulators admits fewer.  The folds run in ascending sample order on the
+    calling thread, so what they build depends on neither the chunk size nor
+    ``workers``.  Raises ``ModelError`` before the first sample when one sample
+    does not fit beside the accumulators.
+    """
+    if sample_bytes + held_bytes > MEMORY_BUDGET_BYTES:
+        raise ModelError(f"one sample and the accumulators need an estimated "
+                         f"{(sample_bytes + held_bytes) / 2 ** 30:.2f} GiB "
+                         f"({sample_bytes} + {held_bytes} bytes), over the "
+                         f"{MEMORY_BUDGET_BYTES / 2 ** 30:.2f} GiB budget")
+    chunk = min(CHUNK_SAMPLES, (MEMORY_BUDGET_BYTES - held_bytes) // sample_bytes)
+    for start in range(0, n_samples, chunk):
+        ids = range(start, min(start + chunk, n_samples))
+        for s, out in zip(ids, ordered_map(one, ids, workers=workers)):
+            fold(s, out)
+
+
+@dataclass
+class KernelBoxStats:
+    """Everything the kernel-block reducers read, from one pass over the samples."""
+
+    box: LatticeBox
+    n_samples: int
+    abs_sum: np.ndarray                     # sum over samples of |g(H)[a,b]|
+    abs_max: np.ndarray                     # max over samples of |g(H)[a,b]|
+    a1_value: float                         # max |g(H)[a,b]| over sites and samples
+    a1_argmax: Tuple                        # (a, b, sample) where it first occurs
+    resolvent_sums: Dict[complex, np.ndarray]   # sum over samples of R_z(g(H))
+    hard_bound_ok: bool                     # |R_z[a,b]| <= 1/dist(z) + 1e-8 always
+    window: SpectralWindow
+
+
+def kernel_box_stats(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
+                     n_samples: int, z_grid: Sequence[complex] = (),
+                     workers: int = 1) -> KernelBoxStats:
+    """One pass over the samples of the kernel box: one ``eigh`` per sample.
+
+    Each sample yields |g(H)| and the resolvent R_z(g(H)) for every z of the
+    grid; the pass keeps their running sums, the running max of |g(H)|, the A1
+    maximum (the first sample wins a tie), the hard resolvent-bound flag and
+    the spectral window of g(H).  Memory is O(chunk n^2) whatever the sample
+    count.
+    """
+    zs = list(dict.fromkeys(complex(z) for z in z_grid))
+    n = box.site_count
+    kept = (8 + 16 * len(zs)) * n * n       # |g(H)| and the resolvent blocks
+    coords = box.sites()
+    stats = KernelBoxStats(box, n_samples, np.zeros((n, n)), np.zeros((n, n)), -1.0,
+                           ((0,) * box.d, (0,) * box.d, 0),
+                           {z: np.zeros((n, n), dtype=complex) for z in zs}, True,
+                           SpectralWindow())
+
     def one(s):
         lam, u, gl = spectral_data(spec, box, s, g)
-        return block_of_gH(u, gl)
-    return ordered_map(one, range(n_samples), workers=workers)
+        resolvents, ok = [], True
+        for z in zs:
+            res = block_of_gH(u, 1.0 / (gl - z))
+            gap = float(np.min(np.abs(gl - z)))
+            ok = ok and not np.abs(res).max() > 1.0 / gap + 1e-8
+            resolvents.append(res)
+        return np.abs(block_of_gH(u, gl)), resolvents, ok, gl
+
+    def fold(s, out):
+        mags, resolvents, ok, gl = out
+        stats.abs_sum += mags
+        np.maximum(stats.abs_max, mags, out=stats.abs_max)
+        i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
+        if mags[i, j] > stats.a1_value:
+            stats.a1_value = float(mags[i, j])
+            stats.a1_argmax = (tuple(coords[i]), tuple(coords[j]), s)
+        for z, res in zip(zs, resolvents):
+            stats.resolvent_sums[z] += res
+        stats.hard_bound_ok = stats.hard_bound_ok and ok
+        stats.window.update(gl)
+
+    # a sample: the eigh, g(H) and |g(H)|, then what it returns; held: the
+    # running sum and max of |g(H)| and one resolvent sum per z
+    _fold_samples(one, n_samples, fold,
+                  sample_bytes=operator_bytes(n, 8) + 16 * n * n + kept,
+                  held_bytes=(16 + 16 * len(zs)) * n * n, workers=workers)
+    return stats
 
 
 @dataclass
@@ -148,8 +240,7 @@ class A1Certificate:
                 "n_samples": self.n_samples}
 
 
-def certify_a1(spec: EnsembleSpec, g: ScalarFunction, p: float, box: LatticeBox,
-               n_samples: int, workers: int = 1) -> A1Certificate:
+def certify_a1(stats: KernelBoxStats, p: float) -> A1Certificate:
     """Estimate sup_{a,b} esssup_omega of the one-site kernel block norm.
 
     With one-site cells every Schatten-p norm of a block equals the entry
@@ -157,20 +248,11 @@ def certify_a1(spec: EnsembleSpec, g: ScalarFunction, p: float, box: LatticeBox,
     """
     if p <= 0:
         raise ConfigError("Schatten exponent must be positive")
-    coords = box.sites()
-    best, arg = -1.0, ((0,) * box.d, (0,) * box.d, 0)
-    for s, a in enumerate(_gh_matrices(spec, box, g, n_samples, workers)):
-        mags = np.abs(a)
-        i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
-        if mags[i, j] > best:
-            best = float(mags[i, j])
-            arg = (tuple(coords[i]), tuple(coords[j]), s)
-    return A1Certificate(best, p, arg, n_samples)
+    return A1Certificate(stats.a1_value, p, stats.a1_argmax, stats.n_samples)
 
 
-def fit_kernel_decay(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
-                     n_samples: int, mode: str = "exponential",
-                     workers: int = 1, envelope: bool = True) -> DecayFitReport:
+def fit_kernel_decay(stats: KernelBoxStats, mode: str = "exponential",
+                     envelope: bool = True) -> DecayFitReport:
     """Fit the decay of one-site kernel blocks of g(H) against distance.
 
     Polynomial mode fits the per-distance max over samples and site pairs
@@ -179,15 +261,13 @@ def fit_kernel_decay(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
     hypothesis).  In polynomial mode a monotone upper envelope is applied
     before the log-log fit to tame oscillatory kernels.
     """
-    if min(box.shape) < 16:
+    if min(stats.box.shape) < 16:
         raise ConfigError("kernel-decay fits need box side >= 16")
-    coords = box.sites()
-    dists = _sup_distances(coords)
-    mats = _gh_matrices(spec, box, g, n_samples, workers)
+    dists = _sup_distances(stats.box.sites())
     if mode == "polynomial":
-        stat = np.max(np.stack([np.abs(m) for m in mats]), axis=0)
+        stat = stats.abs_max
     else:
-        stat = np.mean(np.stack([np.abs(m) for m in mats]), axis=0)
+        stat = stats.abs_sum / stats.n_samples
     rmax = int(dists.max())
     rs, vs = [], []
     for r in range(rmax + 1):
@@ -200,113 +280,31 @@ def fit_kernel_decay(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
         raise DegenerateFitError("all kernel blocks below the numerical floor")
     if mode == "polynomial" and envelope:
         vs = np.maximum.accumulate(vs[::-1])[::-1]  # monotone upper envelope
-    return _fit_pairs(rs, vs, mode, n_samples)
-
-
-# ---------------------------------------------------------------------------
-# holomorphic-calculus constant
-# ---------------------------------------------------------------------------
-
-def holo_constant_matrix(a: np.ndarray, coords: np.ndarray, qprime: float
-                         ) -> Tuple[float, float]:
-    """(constant, inner sup) of 2 + sup_a sum_b |A[a,b]| ((|a-b|+2)^q' - 1)."""
-    dists = _sup_distances(coords)
-    weights = (dists + 2.0) ** qprime - 1.0
-    sums = np.sum(np.abs(a) * weights, axis=1)
-    inner = float(sums.max())
-    return 1.0 + inner + 1.0, inner
-
-
-@dataclass
-class HoloConstantReport:
-    value: float
-    inner_sup: float
-    qprime: float
-    q_tilde: float
-    eps: float
-    tail_fraction: float
-    convergent_at_range: bool
-    n_samples: int
-
-    def to_jsonable(self):
-        return {"C_g_qtilde": self.value, "inner_sup": self.inner_sup,
-                "qprime": self.qprime, "q_tilde": self.q_tilde, "eps": self.eps,
-                "tail_fraction": self.tail_fraction,
-                "convergent_at_range": self.convergent_at_range,
-                "n_samples": self.n_samples}
-
-
-def holo_constant(spec: EnsembleSpec, g: ScalarFunction, q_tilde: float,
-                  box: LatticeBox, n_samples: int, eps: float = 0.5,
-                  certified_q: Optional[float] = None, workers: int = 1
-                  ) -> HoloConstantReport:
-    """Admissible-distance constant for the holomorphic route, q' = q~+d+eps/2.
-
-    Requires certified polynomial decay q > 2d + q~ for the site sums to
-    converge; at desk scale convergence is monitored by the weight carried by
-    the outermost distance shells and flagged, not proven.
-    """
-    d = box.d
-    qprime = q_tilde + d + eps / 2.0
-    if certified_q is not None and certified_q <= 2 * d + q_tilde:
-        raise ConfigError(
-            f"certified decay q={certified_q} too small (need q > 2d + q~ = {2 * d + q_tilde})")
-    coords = box.sites()
-    dists = _sup_distances(coords)
-    weights = (dists + 2.0) ** qprime - 1.0
-    best, best_row, best_dists = -1.0, None, None
-    for a in _gh_matrices(spec, box, g, n_samples, workers):
-        contrib = np.abs(a) * weights
-        sums = contrib.sum(axis=1)
-        i = int(np.argmax(sums))
-        if sums[i] > best:
-            best, best_row, best_dists = float(sums[i]), contrib[i], dists[i]
-    # convergence monitor: weight carried by the outermost 20% of distances
-    rmax = int(dists.max())
-    cut = 0.8 * rmax
-    tail = float(best_row[best_dists >= cut].sum()) / best if best > 0 else 0.0
-    return HoloConstantReport(2.0 + best, best, qprime, q_tilde, eps, tail,
-                              tail < 0.01, n_samples)
+    return _fit_pairs(rs, vs, mode, stats.n_samples)
 
 
 # ---------------------------------------------------------------------------
 # averaged resolvent decay (Combes-Thomas probe)
 # ---------------------------------------------------------------------------
 
-def combes_thomas_probe(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
-                        n_samples: int, z_grid: Sequence[complex],
-                        theta: float = 1.0) -> DecayFitReport:
+def combes_thomas_probe(stats: KernelBoxStats, theta: float = 1.0) -> DecayFitReport:
     """Probe || E[ chi_a R_z(g(H)) chi_b ] || <= C/dist(z) exp(-mu dist(z) |a-b|^theta).
 
-    Fits (log C, mu) by OLS over all (z, distance) observations; also verifies
-    the hard resolvent bound |R_z[a,b]| <= 1/dist(z, spectrum) + 1e-8 for
-    every sample.  theta = 1 is the deterministic default; random ensembles
-    may fit better with theta < 1/2, which the caller can scan.  Samples run
-    one after another and are summed in ascending order, so only one running
-    sum per z is held.
+    Fits (log C, mu) by OLS over all (z, distance) observations of the pass's
+    z grid, and reports whether the hard resolvent bound
+    |R_z[a,b]| <= 1/dist(z, spectrum) + 1e-8 held in every sample.  theta = 1
+    is the deterministic default; random ensembles may fit better with
+    theta < 1/2, which the caller can scan over one pass.
     """
-    coords = box.sites()
-    dists = _sup_distances(coords)
-    window = SpectralWindow()
-    sums: Dict[complex, np.ndarray] = {complex(z): None for z in z_grid}
-    hard_bound_ok = True
-    with single_blas_thread():
-        for s in range(n_samples):
-            lam, u, gl = spectral_data(spec, box, s, g)
-            window.update(gl)
-            for z in sums:
-                res = block_of_gH(u, 1.0 / (gl - z))
-                gap = float(np.min(np.abs(gl - z)))
-                if np.abs(res).max() > 1.0 / gap + 1e-8:
-                    hard_bound_ok = False
-                sums[z] = res if sums[z] is None else sums[z] + res
+    dists = _sup_distances(stats.box.sites())
+    window = stats.window
     xs, ys = [], []
     pairs_d, pairs_v = [], []
-    for z, total in sums.items():
+    for z, total in stats.resolvent_sums.items():
         dz = window.distance(z)
         if dz <= 0:
             raise ConfigError(f"z={z} lies in the observed spectral window")
-        mean_abs = np.abs(total / n_samples)
+        mean_abs = np.abs(total / stats.n_samples)
         rmax = int(dists.max())
         for r in range(DISTANCE_FLOOR, rmax + 1):
             sel = dists == r
@@ -326,13 +324,13 @@ def combes_thomas_probe(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
     report = DecayFitReport(
         "stretched" if theta != 1.0 else "exponential",
         {"mu": -fit.slope, "mu_stderr": fit.stderr_slope, "theta": theta},
-        float(np.exp(fit.intercept)), fit.r2, n_samples,
+        float(np.exp(fit.intercept)), fit.r2, stats.n_samples,
         (min(pairs_d), max(pairs_d)), raw_distances=pairs_d, raw_values=pairs_v,
         theta=theta,
-        notes={"hard_resolvent_bound_ok": hard_bound_ok,
+        notes={"hard_resolvent_bound_ok": stats.hard_bound_ok,
                "window": [window.lo, window.hi],
-               "z_grid": [[z.real, z.imag] for z in sums]})
-    if not hard_bound_ok:
+               "z_grid": [[z.real, z.imag] for z in stats.resolvent_sums]})
+    if not stats.hard_bound_ok:
         report.notes["flag"] = "resolvent bound violated beyond tolerance"
     return report
 
@@ -427,8 +425,12 @@ def trace_difference_probe(spec: EnsembleSpec, g: ScalarFunction, h: ScalarFunct
         return (_restricted_diag(u, gl, inner_mask.bits, h)
                 - _restricted_diag(u, gl, outer_mask.bits, h))
 
-    rows = ordered_map(one, range(n_samples), workers=workers)
-    mean_diff = np.abs(sum(rows) / n_samples)
+    n = box.site_count
+    total = np.zeros(n)     # 0.0 + row == row: starting at zero adds no rounding
+    _fold_samples(one, n_samples, lambda s, row: np.add(total, row, out=total),
+                  sample_bytes=operator_bytes(n, 8) + 8 * n, held_bytes=8 * n,
+                  workers=workers)
+    mean_diff = np.abs(total / n_samples)
     if probe_sites is None:
         sel = np.flatnonzero(inner_mask.bits)
     else:

@@ -1,4 +1,4 @@
-"""Symbolic lattice regions, projection masks, submatrices and traces.
+"""Symbolic lattice regions, projection masks and traces.
 
 Order-type regions are expressed through one fixed strict total order on
 coordinate slots ("slot order"):
@@ -15,7 +15,6 @@ integer-valued site weights.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -174,23 +173,9 @@ def full_mask(box: LatticeBox) -> ProjectionMask:
     return ProjectionMask(box, np.ones(box.site_count, dtype=bool))
 
 
-def wedge_masks(box: LatticeBox, lo: int, hi: int) -> dict:
-    """All d! wedge masks of ``{lo..hi}^d`` on the box, keyed by permutation."""
-    d = box.d
-    return {perm: region_mask(wedge_region(d, perm, lo, hi), box)
-            for perm in itertools.permutations(range(d))}
-
-
 # ---------------------------------------------------------------------------
-# submatrices and traces
+# traces
 # ---------------------------------------------------------------------------
-
-def submatrix(op_or_matrix, mask: ProjectionMask) -> np.ndarray:
-    """The dense block of the operator on the masked sites."""
-    m = op_or_matrix.matrix if isinstance(op_or_matrix, HermitianOperator) else op_or_matrix
-    idx = np.flatnonzero(mask.bits)
-    return m[np.ix_(idx, idx)]
-
 
 def trace(op: HermitianOperator) -> complex:
     t = np.trace(op.matrix)

@@ -306,6 +306,93 @@ gate_min_mu = 0.05
     assert rep["kernel_decay"]["params"]["mu"] > 0.05
 
 
+VERIFY_INI = """
+[experiment]
+kind = verify
+seed = 3
+samples = {samples}
+out = {out}
+workers = {workers}
+d = {d}
+
+[ensemble]
+kind = anderson
+W = 8.0
+
+[g]
+form = bump(2.0, 3.0, 4)
+
+[h]
+form = poly(0, 0, 1)
+
+[verify]
+box_side = {side}
+kernel_mode = exponential
+a1_p = 1.0
+ct_z = 2.5+0j 3+0j
+trace_inner = range(1,0,29)
+trace_outer = orthant(1,+)
+"""
+
+
+def test_verify_samples_all_run_inside_decay_ordered_map(tmp_path, monkeypatch):
+    # a benchmark job marks its first sample by patching ``ordered_map`` in
+    # ``szegolab.mc`` and ``szegolab.decay``, and traces the probes through
+    # the names ``cli`` and ``decay`` bind; every sample must pass through them
+    import szegolab.cli as cli
+    import szegolab.decay as decay
+    for name in ("fit_kernel_decay", "certify_a1", "combes_thomas_probe",
+                 "trace_difference_probe"):
+        assert getattr(cli, name) is getattr(decay, name)
+    for name in ("spectral_data", "_restricted_diag", "ordered_map"):
+        assert hasattr(decay, name)
+    depth, calls = [0], []
+
+    def recorded_map(fn, args, workers=1, _orig=decay.ordered_map):
+        depth[0] += 1
+        try:
+            return _orig(fn, args, workers)
+        finally:
+            depth[0] -= 1
+
+    def recorded_spectrum(*args, _orig=decay.spectral_data):
+        calls.append(depth[0] > 0)
+        return _orig(*args)
+
+    monkeypatch.setattr(decay, "ordered_map", recorded_map)
+    monkeypatch.setattr(decay, "spectral_data", recorded_spectrum)
+    path = write(tmp_path, "ver.ini", VERIFY_INI.format(
+        samples=5, out=tmp_path / "ver", workers=1, d=1, side=32))
+    assert run_experiment(path) == 0
+    rep = json.loads((tmp_path / "ver" / "decay-report.json").read_text())
+    assert {"a1_certificate", "combes_thomas", "trace_difference"} <= set(rep)
+    assert len(calls) == 10 and all(calls)      # kernel box + trace box, 5 each
+
+
+def test_verify_worker_count_does_not_change_bytes(tmp_path):
+    outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
+    for workers, out in zip((1, 2), outs):
+        path = write(tmp_path, f"ver{workers}.ini", VERIFY_INI.format(
+            samples=40, out=out, workers=workers, d=1, side=32))
+        assert run_experiment(path) == 0
+    assert (outs[0] / "decay-report.json").read_bytes() == \
+        (outs[1] / "decay-report.json").read_bytes()
+
+
+def test_verify_over_budget_is_exit_2_before_first_sample(tmp_path, monkeypatch, capsys):
+    # d = 2, side 64: the 4096-site operator fits the budget, but one sample
+    # with its two resolvent blocks plus the accumulators does not
+    import szegolab.decay as decay
+
+    def no_sample(*args):
+        raise AssertionError("a sample ran before the refusal")
+    monkeypatch.setattr(decay, "spectral_data", no_sample)
+    path = write(tmp_path, "big.ini", VERIFY_INI.format(
+        samples=3, out=tmp_path / "big", workers=1, d=2, side=64))
+    assert run_experiment(path) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_coefficient_formula_cli(tmp_path):
     out = tmp_path / "cf"
     path = write(tmp_path, "cf.ini", f"""

@@ -276,13 +276,13 @@ def test_finite_volume_requires_L_within_R():
 def test_truncation_stability_under_radius_doubling():
     # counter-based seeding nests the samples, so the R -> 2R difference is a
     # pure truncation effect, bounded by the decay-certified tail at R - 2L
-    from szegolab.decay import fit_kernel_decay
+    from szegolab.decay import fit_kernel_decay, kernel_box_stats
     from szegolab.coefficients import truncation_tail
     n_samples, L = 24, 10
     small = coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 40, [L], n_samples)
     large = coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 80, [L], n_samples)
     gap = abs(small.a_fv(L, 1).mean - large.a_fv(L, 1).mean)
-    cert = fit_kernel_decay(ANDERSON, G_BUMP, LatticeBox.interval(0, 63), 60)
+    cert = fit_kernel_decay(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 63), 60))
     bound = truncation_tail(cert.rate_bound(), 1, 40 - 2 * L)
     assert gap <= bound
 

@@ -8,8 +8,8 @@ from szegolab.lattices import EnsembleSpec, LatticeBox
 from szegolab.regions import CoordRange, Orthant, Region
 from szegolab.spectral import ScalarFunction
 from szegolab.decay import (SpectralWindow, certify_a1, combes_thomas_probe,
-                            fit_kernel_decay, holo_constant,
-                            holo_constant_matrix, trace_difference_probe)
+                            fit_kernel_decay, kernel_box_stats,
+                            trace_difference_probe)
 
 G_BUMP = ScalarFunction.bump(2.0, 3.0, 4)
 H_SQUARE = ScalarFunction.poly((0.0, 0.0, 1.0))
@@ -19,55 +19,57 @@ BOX64 = LatticeBox.interval(0, 63)
 
 def test_certify_a1_off_spectrum():
     g_off = ScalarFunction.bump(50.0, 2.0, 4)
-    cert = certify_a1(ANDERSON, g_off, 1.0, LatticeBox.interval(0, 19), 5)
+    cert = certify_a1(kernel_box_stats(ANDERSON, g_off, LatticeBox.interval(0, 19), 5), 1.0)
     assert cert.value < 1e-18
 
 
 def test_certify_a1_bounded_by_sup_g():
-    cert = certify_a1(ANDERSON, G_BUMP, 0.5, LatticeBox.interval(0, 31), 20)
+    cert = certify_a1(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 31), 20), 0.5)
     assert 0.0 < cert.value <= 1.0 + 1e-12      # |g| <= 1 bounds every block
 
 
 def test_certify_a1_p_independent_on_one_site_cells():
-    a = certify_a1(ANDERSON, G_BUMP, 0.5, LatticeBox.interval(0, 19), 10)
-    b = certify_a1(ANDERSON, G_BUMP, 2.0, LatticeBox.interval(0, 19), 10)
+    stats = kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 19), 10)
+    a = certify_a1(stats, 0.5)
+    b = certify_a1(stats, 2.0)
     assert a.value == b.value
 
 
 def test_certify_a1_two_scale_stability():
-    a = certify_a1(ANDERSON, G_BUMP, 1.0, LatticeBox.interval(0, 39), 40)
-    b = certify_a1(ANDERSON, G_BUMP, 1.0, LatticeBox.interval(0, 79), 40)
+    a = certify_a1(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 39), 40), 1.0)
+    b = certify_a1(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 79), 40), 1.0)
     assert abs(a.value - b.value) <= 0.05 * max(a.value, b.value)
 
 
 def test_fit_kernel_decay_degenerate():
     g_off = ScalarFunction.bump(50.0, 2.0, 4)
     with pytest.raises(DegenerateFitError):
-        fit_kernel_decay(ANDERSON, g_off, LatticeBox.interval(0, 31), 3)
+        fit_kernel_decay(kernel_box_stats(ANDERSON, g_off, LatticeBox.interval(0, 31), 3))
 
 
 def test_fit_kernel_decay_needs_room():
     with pytest.raises(ConfigError):
-        fit_kernel_decay(ANDERSON, G_BUMP, LatticeBox.interval(0, 7), 3)
+        fit_kernel_decay(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 7), 3))
 
 
 def test_free_chain_smooth_g_polynomial_decay():
     # smooth compactly supported g on the free chain: fast polynomial decay,
     # fitted exponent at least 6 for a C^8 bump inside the band
     g_smooth = ScalarFunction.bump(2.0, 2.4, 8)
-    rep = fit_kernel_decay(EnsembleSpec("free"), g_smooth,
-                           LatticeBox.interval(0, 255), 1, mode="polynomial")
+    stats = kernel_box_stats(EnsembleSpec("free"), g_smooth, LatticeBox.interval(0, 255), 1)
+    rep = fit_kernel_decay(stats, mode="polynomial")
     assert rep.params["q"] >= 6.0
 
 
 def test_anderson_exponential_decay():
-    rep = fit_kernel_decay(ANDERSON, G_BUMP, BOX64, 100, mode="exponential")
+    rep = fit_kernel_decay(kernel_box_stats(ANDERSON, G_BUMP, BOX64, 100),
+                           mode="exponential")
     assert rep.params["mu"] > 0
     assert rep.r2 >= 0.95
 
 
 def test_stretched_mode_fits_with_theta():
-    rep = fit_kernel_decay(ANDERSON, G_BUMP, LatticeBox.interval(0, 31), 40,
+    rep = fit_kernel_decay(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 31), 40),
                            mode="stretched")
     assert rep.mode == "stretched" and rep.theta == 1.0
     assert rep.params["mu"] > 0
@@ -75,66 +77,57 @@ def test_stretched_mode_fits_with_theta():
 
 def test_combes_thomas_theta_scan_reports_best():
     # the probe takes theta as an input; scanning is the caller's choice
-    box = LatticeBox.interval(0, 31)
+    stats = kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 31), 20,
+                             [complex(2.5, 0.0)])
     best = None
     for theta in (0.25, 0.5, 1.0):
-        rep = combes_thomas_probe(ANDERSON, G_BUMP, box, 20,
-                                  [complex(2.5, 0.0)], theta=theta)
+        rep = combes_thomas_probe(stats, theta=theta)
         if best is None or rep.r2 > best[1]:
             best = (theta, rep.r2)
     assert best is not None and 0 < best[0] <= 1.0
 
 
 def test_report_refits_bit_identically():
-    rep = fit_kernel_decay(ANDERSON, G_BUMP, LatticeBox.interval(0, 31), 20)
+    rep = fit_kernel_decay(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 31), 20))
     again = rep.refit()
     assert again.params == rep.params
     assert again.prefactor == rep.prefactor and again.r2 == rep.r2
 
 
-def test_holo_constant_identity_matrix():
-    # diagonal A = 1: the only block is at distance 0 with weight 2^q' - 1
-    coords = LatticeBox.interval(0, 9).sites()
-    value, inner = holo_constant_matrix(np.eye(10), coords, qprime=2.0)
-    assert inner == 3.0 and value == 5.0
+def test_kernel_box_running_stats_match_stacked_reductions():
+    # the pass's running sum and max give the stacked mean and max bit for bit
+    from szegolab.coefficients import block_of_gH, spectral_data
+    mats = []
+    for s in range(40):
+        lam, u, gl = spectral_data(ANDERSON, BOX64, s, G_BUMP)
+        mats.append(np.abs(block_of_gH(u, gl)))
+    stats = kernel_box_stats(ANDERSON, G_BUMP, BOX64, 40, workers=2)
+    assert np.array_equal(stats.abs_sum / 40, np.mean(np.stack(mats), axis=0))
+    assert np.array_equal(stats.abs_max, np.max(np.stack(mats), axis=0))
+    i, j = np.unravel_index(int(np.argmax(stats.abs_max)), stats.abs_max.shape)
+    first = next(s for s, m in enumerate(mats) if m[i, j] == stats.a1_value)
+    assert stats.a1_argmax == ((i,), (j,), first)
 
 
-def test_holo_constant_zero_matrix():
-    coords = LatticeBox.interval(0, 9).sites()
-    value, inner = holo_constant_matrix(np.zeros((10, 10)), coords, qprime=2.0)
-    assert value == 2.0 and inner == 0.0
-
-
-def test_holo_constant_banded_matches_bruteforce():
-    v = 0.3
-    n = 12
-    a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i, i + 1] = a[i + 1, i] = v
-    coords = LatticeBox.interval(0, n - 1).sites()
-    value, inner = holo_constant_matrix(a, coords, qprime=1.0)
-    # oracle: brute-force site sums
-    best = 0.0
-    for i in range(n):
-        s = sum(abs(a[i, j]) * ((abs(i - j) + 2.0) ** 1.0 - 1.0) for j in range(n))
-        best = max(best, s)
-    assert abs(inner - best) < 1e-14
-    assert abs(inner - 2 * v * 2.0) < 1e-14      # interior rows: two blocks at distance 1
-
-
-def test_holo_constant_probe_runs():
-    rep = holo_constant(ANDERSON, G_BUMP, q_tilde=1.0, box=LatticeBox.interval(0, 31),
-                        n_samples=10)
-    assert rep.value > 2.0
-    assert rep.qprime == 1.0 + 1 + 0.25
-    with pytest.raises(ConfigError):
-        holo_constant(ANDERSON, G_BUMP, q_tilde=4.0, box=LatticeBox.interval(0, 31),
-                      n_samples=2, certified_q=5.0)
+def test_kernel_box_memory_does_not_grow_with_samples():
+    import tracemalloc
+    zs = [complex(2.5, 0.0), complex(3.0, 0.0)]
+    kernel_box_stats(ANDERSON, G_BUMP, BOX64, 2, zs)       # warm caches first
+    peaks = []
+    for n_samples in (40, 160):
+        tracemalloc.start()
+        try:
+            kernel_box_stats(ANDERSON, G_BUMP, BOX64, n_samples, zs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
 def test_combes_thomas_far_z_trivial_bound():
     box = LatticeBox.interval(0, 23)
-    rep = combes_thomas_probe(ANDERSON, G_BUMP, box, 10, [complex(3.0, 0.0)])
+    rep = combes_thomas_probe(kernel_box_stats(ANDERSON, G_BUMP, box, 10,
+                                               [complex(3.0, 0.0)]))
     # every reported raw value obeys the resolvent norm bound at distance >= 2
     assert rep.notes["hard_resolvent_bound_ok"]
     window_hi = rep.notes["window"][1]
@@ -155,16 +148,17 @@ def test_combes_thomas_diagonal_matches_eigenoracle():
 
 
 def test_combes_thomas_regression_quality():
-    rep = combes_thomas_probe(ANDERSON, G_BUMP, LatticeBox.interval(0, 47), 60,
-                              [complex(2.5, 0.0)], theta=1.0)
+    stats = kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 47), 60,
+                             [complex(2.5, 0.0)])
+    rep = combes_thomas_probe(stats, theta=1.0)
     assert rep.params["mu"] > 0
     assert rep.r2 >= 0.9
 
 
 def test_combes_thomas_rejects_z_in_window():
     with pytest.raises(ConfigError):
-        combes_thomas_probe(ANDERSON, G_BUMP, LatticeBox.interval(0, 23), 5,
-                            [complex(0.5, 0.0)])
+        combes_thomas_probe(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 23), 5,
+                                             [complex(0.5, 0.0)]))
 
 
 def test_spectral_window_distance():

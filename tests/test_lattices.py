@@ -7,7 +7,7 @@ from szegolab.lattices import (MEMORY_BUDGET_BYTES, EnsembleSpec, LatticeBox,
                                Symbol1D, build_operator, operator_bytes,
                                site_uniforms, symbol_fourier_coefficients,
                                toeplitz_matrix)
-from szegolab.regions import region_mask, submatrix
+from szegolab.regions import region_mask
 from szegolab.coefficients import big_box
 
 

@@ -7,7 +7,7 @@ from szegolab.errors import ConfigError
 from szegolab.lattices import HermitianOperator, LatticeBox
 from szegolab.regions import (CoordRange, Layer, Orthant, Region, SlotLess,
                               boundary_distance, parse_region, region_mask,
-                              trace, wedge_masks, wedge_region)
+                              trace, wedge_region)
 from tests.conftest import rand_hermitian
 
 
@@ -22,15 +22,6 @@ def test_empty_constraints_give_all_ones():
     box = LatticeBox.cube(3, -1, 1)
     mask = region_mask(Region(3, ()), box)
     assert mask.count == box.site_count
-
-
-def test_wedge_masks_cover_d3_side4():
-    box = LatticeBox.cube(3, 0, 3)
-    masks = wedge_masks(box, 0, 3)
-    total = sum(m.count for m in masks.values())
-    assert total == 64
-    stacked = np.stack([m.bits for m in masks.values()]).astype(int)
-    assert np.array_equal(stacked.sum(axis=0), np.ones(box.site_count, dtype=int))
 
 
 @pytest.mark.parametrize("d,side", [(1, 6), (2, 5), (2, 6), (3, 4), (3, 6)])
