@@ -39,7 +39,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, ModelError
-from .lattices import EnsembleSpec, HermitianOperator, LatticeBox, build_operator
+from .lattices import (EnsembleSpec, HermitianOperator, LatticeBox, build_operator,
+                       is_tridiagonal)
 from . import mc
 from .mc import StatSummary, column_moments
 from .regions import (CoordRange, Layer, Orthant, ProjectionMask, Region,
@@ -232,10 +233,39 @@ def partition_block_sizes(d: int, n: int) -> int:
 
 def spectral_data(spec: EnsembleSpec, box: LatticeBox, sample_id: int,
                   g: ScalarFunction):
-    """(eigenvalues of H, eigenvectors, g(eigenvalues)) for one sample."""
-    ham = build_operator(spec, box, sample_id)
-    lam, u = np.linalg.eigh(ham.matrix)
+    """(eigenvalues of H, eigenvectors, g(eigenvalues)) for one sample.
+
+    A tridiagonal H goes to ``tridiagonal_eigh`` where numpy's OpenBLAS has
+    ``dstevd``; every other H, and every H without it, to ``np.linalg.eigh``.
+    """
+    m = build_operator(spec, box, sample_id).matrix
+    if is_tridiagonal(spec, box) and mc.lapacke_dstevd() is not None:
+        lam, u = tridiagonal_eigh(np.diagonal(m), np.diagonal(m, 1))
+    else:
+        lam, u = np.linalg.eigh(m)
     return lam, u, np.real(g(lam))
+
+
+def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of the real symmetric tridiagonal matrix with bands
+    ``diag`` and ``off``, from the bands alone.
+
+    LAPACK's ``dstevd`` runs the divide and conquer ``dstedc`` that ``eigh``'s
+    ``dsyevd`` runs after reducing a dense matrix to tridiagonal form, in the
+    same OpenBLAS, so the eigenpairs are the same bits without the reduction.
+    Eigenvectors are the columns of a C-contiguous array.  Needs
+    ``mc.lapacke_dstevd()``.
+    """
+    lam = np.array(diag, dtype=np.float64)
+    e = np.array(off, dtype=np.float64)
+    n = lam.size
+    if lam.ndim != 1 or e.shape != (max(n - 1, 0),):
+        raise ValueError(f"bands of shapes {lam.shape} and {e.shape} are not n and n - 1")
+    u = np.empty((n, n))
+    info = mc.lapacke_dstevd()(101, b"V", n, lam, e, u, n)     # 101: row major
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed with info {info}")
+    return lam, u
 
 
 def block_of_gH(u: np.ndarray, f: np.ndarray, idx: Optional[np.ndarray] = None

@@ -34,7 +34,7 @@ from .coefficients import block_of_gH, spectral_data, _restricted_diag
 from .errors import ConfigError, DegenerateFitError, ModelError, NumericError
 from .fitting import ols_line
 from .lattices import MEMORY_BUDGET_BYTES, EnsembleSpec, LatticeBox, operator_bytes
-from .mc import ordered_map, single_blas_thread
+from .mc import ordered_map
 from .regions import Region, boundary_distance, region_mask
 from .spectral import ScalarFunction
 
@@ -333,70 +333,6 @@ def combes_thomas_probe(stats: KernelBoxStats, theta: float = 1.0) -> DecayFitRe
     if not stats.hard_bound_ok:
         report.notes["flag"] = "resolvent bound violated beyond tolerance"
     return report
-
-
-def resolvent_difference_probe(spec: EnsembleSpec, g: ScalarFunction,
-                               inner: Region, outer: Region, box: LatticeBox,
-                               n_samples: int, z_grid: Sequence[complex],
-                               theta: float = 1.0) -> DecayFitReport:
-    """G vs G' variant: averaged kernel decay of R_z(A_G) - R_z(A_G').
-
-    Diagonal probe: fits || E[ chi_a {R_z(A_G) - R_z(A_G')} chi_a ] || against
-    (C / dist(z)) exp(-mu dist(z) * 2 dist(a, boundary)^theta) over the z grid
-    and the sites of the inner region.
-    """
-    coords = box.sites()
-    inner_mask = region_mask(inner, box)
-    outer_mask = region_mask(outer, box)
-    if not outer_mask.contains_mask(inner_mask):
-        raise ConfigError("inner region not contained in outer region on this box")
-    in_idx = np.flatnonzero(inner_mask.bits)
-    out_idx = np.flatnonzero(outer_mask.bits)
-    window = SpectralWindow()
-    sums: Dict[complex, np.ndarray] = {complex(z): None for z in z_grid}
-    with single_blas_thread():
-        for s in range(n_samples):
-            lam, u, gl = spectral_data(spec, box, s, g)
-            window.update(gl)
-            restricted = [(sign, idx, np.linalg.eigh(block_of_gH(u, gl, idx)))
-                          for sign, idx in ((1.0, in_idx), (-1.0, out_idx))]
-            for z in sums:
-                diff_diag = np.zeros(box.site_count, dtype=complex)
-                for sign, idx, (mu_s, v) in restricted:
-                    gap = float(np.min(np.abs(mu_s - z)))
-                    if gap < 1e-12:
-                        raise NumericError(f"z={z} too close to a restricted spectrum")
-                    res_diag = np.sum((np.abs(v) ** 2) * (1.0 / (mu_s - z))[None, :],
-                                      axis=1)
-                    diff_diag[idx] += sign * res_diag
-                sums[z] = diff_diag if sums[z] is None else sums[z] + diff_diag
-    xs, ys, pairs_d, pairs_v = [], [], [], []
-    for z, total in sums.items():
-        dz = window.distance(z)
-        if dz <= 0:
-            raise ConfigError(f"z={z} lies in the observed spectral window")
-        mean_abs = np.abs(total / n_samples)
-        for i in in_idx:
-            r = boundary_distance(tuple(coords[i]), inner, outer, box)
-            if not math.isfinite(r) or r < DISTANCE_FLOOR:
-                continue
-            v = float(mean_abs[i])
-            if v <= VALUE_FLOOR:
-                continue
-            xs.append(dz * 2.0 * r ** theta)
-            ys.append(math.log(v) + math.log(dz))
-            pairs_d.append(float(r))
-            pairs_v.append(v)
-    if len(xs) < 3:
-        raise DegenerateFitError("not enough resolvent-difference observations")
-    fit = ols_line(np.asarray(xs), np.asarray(ys))
-    return DecayFitReport(
-        "stretched" if theta != 1.0 else "exponential",
-        {"mu": -fit.slope, "mu_stderr": fit.stderr_slope, "theta": theta},
-        float(np.exp(fit.intercept)), fit.r2, n_samples,
-        (min(pairs_d), max(pairs_d)), raw_distances=pairs_d, raw_values=pairs_v,
-        theta=theta, notes={"window": [window.lo, window.hi],
-                            "z_grid": [[z.real, z.imag] for z in sums]})
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,12 @@ def build_operator(spec: EnsembleSpec, box: LatticeBox, sample_id: int) -> Hermi
     return HermitianOperator(box, m, label)
 
 
+def is_tridiagonal(spec: EnsembleSpec, box: LatticeBox) -> bool:
+    """Whether ``build_operator(spec, box, .)`` is real symmetric tridiagonal:
+    -Delta + V on an interval, a Jacobi matrix."""
+    return box.d == 1 and spec.kind in ("anderson", "periodic", "free")
+
+
 def toeplitz_matrix(symbol: Symbol1D, L: int) -> HermitianOperator:
     """Truncated Toeplitz matrix ``(a_{j-k})_{j,k=0..L-1}`` of a real symbol."""
     if L < 1:

@@ -7,6 +7,8 @@ columns at once, so each column gets exactly the numbers of a scalar update
 over its samples.  Every sample runs with OpenBLAS pinned to one thread, so a
 given (seed, budget) produces bit-identical statistics whatever the worker
 count or the BLAS thread setting.  Parallelism comes from ``workers`` alone.
+The OpenBLAS that numpy loaded also lends its LAPACKE ``dstevd`` to the
+tridiagonal eigensolver of :mod:`szegolab.coefficients`.
 """
 
 from __future__ import annotations
@@ -76,20 +78,45 @@ def _openblas_control(path: str) -> Optional[Tuple[Callable, Callable]]:
     return None
 
 
-def _openblas_controls() -> Tuple[Tuple[Callable, Callable], ...]:
-    """(get, set) thread-count functions of every OpenBLAS mapped into the process.
+def _openblas_paths() -> Tuple[str, ...]:
+    """Paths of every OpenBLAS mapped into the process, read from the maps now.
 
-    The maps are read on every call, so a library loaded later (scipy's own
-    OpenBLAS, say) is found too.  Empty when no OpenBLAS is loaded or
-    ``/proc/self/maps`` is unreadable.
+    So a library loaded later (scipy's own OpenBLAS, say) is found too.  Empty
+    when no OpenBLAS is loaded or ``/proc/self/maps`` is unreadable.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
     except OSError:
         return ()
-    controls = (_openblas_control(path) for path in sorted(paths))
+    return tuple(sorted(paths))
+
+
+def _openblas_controls() -> Tuple[Tuple[Callable, Callable], ...]:
+    """(get, set) thread-count functions of every OpenBLAS mapped into the process."""
+    controls = (_openblas_control(path) for path in _openblas_paths())
     return tuple(c for c in controls if c is not None)
+
+
+@functools.lru_cache(maxsize=None)
+def lapacke_dstevd() -> Optional[Callable]:
+    """LAPACKE ``dstevd`` with 64-bit integers from numpy's OpenBLAS, or None.
+
+    Looked up once, on first use.  Arguments: layout, jobz, n, d, e, z, ldz;
+    returns LAPACK's info.  ctypes releases the GIL around the call.
+    """
+    for path in _openblas_paths():
+        try:
+            fn = getattr(ctypes.CDLL(path), "scipy_LAPACKE_dstevd64_", None)
+        except OSError:
+            continue
+        if fn is not None:
+            doubles = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+            fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64,
+                           doubles, doubles, doubles, ctypes.c_int64]
+            fn.restype = ctypes.c_int64
+            return fn
+    return None
 
 
 @contextmanager

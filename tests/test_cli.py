@@ -150,11 +150,41 @@ def run_cli_with_blas_threads(threads, *args):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_blas_thread_count_does_not_change_bytes(tmp_path):
+# d = 1 samples go through LAPACK's dstevd, whose dstedc calls dgemm
+BLAS_D1_INI = """
+[experiment]
+kind = expansion_fit
+seed = 7
+samples = 2
+out = {out}
+workers = 1
+d = 1
+
+[ensemble]
+kind = anderson
+W = 8.0
+hopping = 1.0
+
+[g]
+form = bump(2.0, 3.0, 4)
+
+[h]
+form = poly(0, 0, 1)
+
+[sweep]
+ells = 20 40 60 80
+R = 200
+formula_L = 80
+gate_crosscheck = false
+"""
+
+
+@pytest.mark.parametrize("ini", [BLAS_D2_INI, BLAS_D1_INI], ids=["d2", "d1"])
+def test_blas_thread_count_does_not_change_bytes(tmp_path, ini):
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"blas{threads}"
-        path = write(tmp_path, f"blas{threads}.ini", BLAS_D2_INI.format(out=out))
+        path = write(tmp_path, f"blas{threads}.ini", ini.format(out=out))
         run_cli_with_blas_threads(threads, "run", path)
         outs.append(out)
     names = sorted(os.listdir(outs[0]))

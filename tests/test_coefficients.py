@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from szegolab import mc
 from szegolab.errors import ConfigError
 from szegolab.lattices import EnsembleSpec, HermitianOperator, LatticeBox
 from szegolab.regions import full_mask, region_mask
@@ -157,6 +158,80 @@ def test_block_of_gH_matches_eigen_route():
     assert np.max(np.abs(block_of_gH(u, gl) - ref)) <= 1e-12
     idx = np.arange(0, box.site_count, 3)
     assert np.max(np.abs(block_of_gH(u, gl, idx) - ref[np.ix_(idx, idx)])) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the d = 1 tridiagonal eigensolver
+# ---------------------------------------------------------------------------
+
+JACOBI_SPECS = {
+    "anderson": ANDERSON,
+    "periodic": EnsembleSpec("periodic", period=(3,), potential_cell=(0.0, 1.5, -0.7)),
+    "free": EnsembleSpec("free"),
+    "hopping0": EnsembleSpec("anderson", W=3.0, hopping=0.0, seed=2),   # all degenerate
+}
+
+needs_dstevd = pytest.mark.skipif(mc.lapacke_dstevd() is None,
+                                  reason="numpy's OpenBLAS does not export dstevd")
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+
+    def counted(a, *args, _orig=np.linalg.eigh, **kwargs):
+        calls.append(a.shape)
+        return _orig(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@needs_dstevd
+@pytest.mark.parametrize("kind", sorted(JACOBI_SPECS))
+@pytest.mark.parametrize("n", [1, 2, 25, 26, 64, 200, 400])
+def test_d1_route_is_bit_identical_to_eigh(kind, n):
+    from szegolab.coefficients import spectral_data, tridiagonal_eigh
+    from szegolab.lattices import build_operator
+    spec, box = JACOBI_SPECS[kind], LatticeBox.interval(-(n // 2), n - n // 2 - 1)
+    m = build_operator(spec, box, 1).matrix
+    lam, u = np.linalg.eigh(m)
+    for got_lam, got_u in (tridiagonal_eigh(np.diagonal(m), np.diagonal(m, 1)),
+                           spectral_data(spec, box, 1, G_BUMP)[:2]):
+        assert np.array_equal(got_lam, lam) and np.array_equal(got_u, u)
+        assert got_u.flags.c_contiguous
+
+
+@needs_dstevd
+def test_only_d1_schroedinger_samples_skip_eigh(monkeypatch):
+    from szegolab.coefficients import spectral_data
+    from szegolab.lattices import Symbol1D, is_tridiagonal
+    toeplitz = EnsembleSpec("toeplitz1d", symbol=Symbol1D.from_dict(
+        {0: 1.0, 1: 0.25j, -1: -0.25j}))
+    cases = [(ANDERSON, LatticeBox.interval(0, 63), 0), (ANDERSON, big_box(2, 4), 1),
+             (toeplitz, LatticeBox.interval(0, 15), 1)]
+    calls = _count_eigh(monkeypatch)
+    for spec, box, eigh_calls in cases:
+        calls.clear()
+        spectral_data(spec, box, 0, G_BUMP)
+        assert len(calls) == eigh_calls, (spec.kind, box.d)
+        assert is_tridiagonal(spec, box) == (eigh_calls == 0)
+
+
+def test_d1_route_without_dstevd_falls_back_to_the_same_bits(monkeypatch):
+    from szegolab.coefficients import spectral_data
+    box = LatticeBox.interval(0, 199)
+    want = spectral_data(ANDERSON, box, 3, G_BUMP)
+    monkeypatch.setattr(mc, "lapacke_dstevd", lambda: None)
+    calls = _count_eigh(monkeypatch)
+    got = spectral_data(ANDERSON, box, 3, G_BUMP)
+    assert calls == [(200, 200)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@needs_dstevd
+def test_tridiagonal_eigh_failure_is_linalg_error():
+    from szegolab.coefficients import tridiagonal_eigh
+    with pytest.raises(np.linalg.LinAlgError):     # LAPACKE refuses NaN input
+        tridiagonal_eigh(np.array([1.0, np.nan, 2.0]), np.array([-1.0, -1.0]))
 
 
 def test_model_operators_requires_certificate_with_tol():

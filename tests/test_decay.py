@@ -239,15 +239,3 @@ def test_trace_difference_requires_containment():
     with pytest.raises(ConfigError):
         trace_difference_probe(ANDERSON, G_BUMP, H_SQUARE, bad_inner, OUTER, TBOX, 2)
 
-
-def test_resolvent_difference_probe_boundary_decay():
-    from szegolab.decay import resolvent_difference_probe
-    inner = Region(1, (CoordRange(0, 0, 39),))
-    box = LatticeBox.interval(-20, 99)
-    rep = resolvent_difference_probe(ANDERSON, G_BUMP, inner, OUTER, box, 30,
-                                     [complex(2.5, 0.0), complex(3.0, 0.0)])
-    assert rep.params["mu"] > 0
-    assert rep.r2 >= 0.85
-    with pytest.raises(ConfigError):
-        resolvent_difference_probe(ANDERSON, G_BUMP, inner, OUTER, box, 2,
-                                   [complex(0.5, 0.0)])
