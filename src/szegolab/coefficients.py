@@ -233,47 +233,48 @@ def partition_block_sizes(d: int, n: int) -> int:
 
 def spectral_data(spec: EnsembleSpec, box: LatticeBox, sample_id: int,
                   g: ScalarFunction):
-    """(eigenvalues of H, eigenvectors, g(eigenvalues)) for one sample.
+    """(eigenvalues of H, the eigenvectors g keeps, g(eigenvalues)) for one sample.
 
-    A tridiagonal H goes to ``tridiagonal_eigh`` where numpy's OpenBLAS has
-    ``dstevd``; every other H, and every H without it, to ``np.linalg.eigh``.
+    ``lam`` (ascending, the bits of ``np.linalg.eigh``'s) and ``gl`` have one
+    entry per site; ``u`` is C-contiguous and holds only the eigenvectors of
+    ``np.flatnonzero(gl)``, in order.  So g(H) = U diag(gl[gl != 0]) U*, and a
+    function f of g(H) with f(0) != 0 is f(0) I + U diag(f(g) - f(0)) U*.
+
+    A real H runs the stages of LAPACK's ``dsyevd`` itself: ``dsytrd`` (not
+    for a tridiagonal H), ``dstedc``, then ``dormtr`` on the kept columns
+    only.  A complex H, or an OpenBLAS without them, goes to ``np.linalg.eigh``.
     """
     m = build_operator(spec, box, sample_id).matrix
-    if is_tridiagonal(spec, box) and mc.lapacke_dstevd() is not None:
-        lam, u = tridiagonal_eigh(np.diagonal(m), np.diagonal(m, 1))
-    else:
+    lapack = mc.lapacke_eigensolver()
+    if np.iscomplexobj(m) or lapack is None:
         lam, u = np.linalg.eigh(m)
-    return lam, u, np.real(g(lam))
-
-
-def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of the real symmetric tridiagonal matrix with bands
-    ``diag`` and ``off``, from the bands alone.
-
-    LAPACK's ``dstevd`` runs the divide and conquer ``dstedc`` that ``eigh``'s
-    ``dsyevd`` runs after reducing a dense matrix to tridiagonal form, in the
-    same OpenBLAS, so the eigenpairs are the same bits without the reduction.
-    Eigenvectors are the columns of a C-contiguous array.  Needs
-    ``mc.lapacke_dstevd()``.
-    """
-    lam = np.array(diag, dtype=np.float64)
-    e = np.array(off, dtype=np.float64)
-    n = lam.size
-    if lam.ndim != 1 or e.shape != (max(n - 1, 0),):
-        raise ValueError(f"bands of shapes {lam.shape} and {e.shape} are not n and n - 1")
-    u = np.empty((n, n))
-    info = mc.lapacke_dstevd()(101, b"V", n, lam, e, u, n)     # 101: row major
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstevd failed with info {info}")
-    return lam, u
+        gl = np.real(g(lam))
+        return lam, np.ascontiguousarray(u[:, gl != 0]), gl
+    dsytrd, dstedc, dormtr = lapack
+    n, col_major = m.shape[0], 102          # 102: LAPACK_COL_MAJOR
+    tridiagonal = is_tridiagonal(spec, box)
+    if tridiagonal:
+        lam, e = np.diagonal(m).copy(), np.diagonal(m, 1).copy()
+    else:       # m is symmetric, so its C order is its column-major storage
+        lam, e, tau = np.empty(n), np.empty(max(n - 1, 0)), np.empty(max(n - 1, 0))
+        dsytrd(col_major, b"L", n, m, n, lam, e, tau)
+    z = np.empty((n, n))            # row j of the C view is eigenvector j
+    dstedc(col_major, b"I", n, lam, e, z, n)
+    gl = np.real(g(lam))
+    kept = z[gl != 0]
+    if not tridiagonal and kept.shape[0]:
+        dormtr(col_major, b"L", b"L", b"N", n, kept.shape[0], m, n, tau, kept, n)
+    return lam, np.ascontiguousarray(kept.T), gl
 
 
 def block_of_gH(u: np.ndarray, f: np.ndarray, idx: Optional[np.ndarray] = None
                 ) -> np.ndarray:
     """U diag(f) U^H, or its sub-block on the rows and columns ``idx``.
 
-    Eigenpairs with f = 0 are skipped; that is exact, and for a bump g it
-    drops every eigenvalue outside supp g.
+    ``f`` holds one value per column of ``u``.  With ``spectral_data``'s kept
+    eigenvectors and ``f = gl[gl != 0]`` this is g(H); a function of g(H)
+    that does not vanish at 0 needs the f(0) completion (see
+    ``spectral_data``).  Columns with f = 0 are skipped, which is exact.
     """
     keep = np.flatnonzero(f)
     w = u[:, keep] if idx is None else u[np.ix_(idx, keep)]
@@ -284,16 +285,21 @@ def _restricted_diag(u: np.ndarray, gl: np.ndarray, bits: np.ndarray,
                      h: ScalarFunction) -> np.ndarray:
     """Diagonal of h(g(H)|_S) on the box, h(0) outside S = {bits}.
 
-    ``(u, gl)`` are the eigenvectors of H and g(eigenvalues).  On the whole
-    box, and for h = identity, the diagonal is read from the one full-length
-    product |U|^2 h(gl), so identity-h differences pair bit-identical floats.
+    ``(u, gl)`` are ``spectral_data``'s kept eigenvectors and g(eigenvalues).
+    On the whole box, and for h = identity, the diagonal is read from one
+    product: |U|^2 h(g) when h(0) = 0, so identity-h differences pair
+    bit-identical floats, and h(0) + |U|^2 (h(g) - h(0)) otherwise.
     """
+    g_kept = gl[gl != 0]
+    h0 = h.value_at_zero
     if h.is_identity or bits.all():
-        return np.where(bits, (np.abs(u) ** 2) @ np.real(h(gl)), h.value_at_zero)
-    diag = np.full(u.shape[0], h.value_at_zero)
+        hg = np.real(h(g_kept))
+        full = (np.abs(u) ** 2) @ (hg - h0) + h0 if h0 else (np.abs(u) ** 2) @ hg
+        return np.where(bits, full, h0)
+    diag = np.full(u.shape[0], h0)
     idx = np.flatnonzero(bits)
     if idx.size:
-        mu, v = np.linalg.eigh(block_of_gH(u, gl, idx))
+        mu, v = np.linalg.eigh(block_of_gH(u, g_kept, idx))
         diag[idx] = (np.abs(v) ** 2) @ np.real(h(mu))
     return diag
 
@@ -355,7 +361,7 @@ def model_operators(spec: EnsembleSpec, d: int, sample_id: int, g: ScalarFunctio
         raise ConfigError("truncation tolerance requested but no decay certificate supplied")
     box = big_box(d, R)
     lam, u, gl = spectral_data(spec, box, sample_id, g)
-    a = block_of_gH(u, gl)
+    a = block_of_gH(u, gl[gl != 0])
     coords = box.sites()
     members = []
     for n in range(d + 1):

@@ -179,7 +179,7 @@ class KernelBoxStats:
 def kernel_box_stats(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
                      n_samples: int, z_grid: Sequence[complex] = (),
                      workers: int = 1) -> KernelBoxStats:
-    """One pass over the samples of the kernel box: one ``eigh`` per sample.
+    """One pass over the samples of the kernel box: one diagonalization per sample.
 
     Each sample yields |g(H)| and the resolvent R_z(g(H)) for every z of the
     grid; the pass keeps their running sums, the running max of |g(H)|, the A1
@@ -198,13 +198,17 @@ def kernel_box_stats(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
 
     def one(s):
         lam, u, gl = spectral_data(spec, box, s, g)
+        g_kept = gl[gl != 0]
         resolvents, ok = [], True
         for z in zs:
-            res = block_of_gH(u, 1.0 / (gl - z))
+            # R_z at 0 completes the eigenpairs g drops: R_z(0) I + U (R_z(g) - R_z(0)) U*
+            r0 = -1.0 / np.complex128(z)
+            res = block_of_gH(u, 1.0 / (g_kept - z) - r0)
+            res[np.diag_indices(n)] += r0
             gap = float(np.min(np.abs(gl - z)))
             ok = ok and not np.abs(res).max() > 1.0 / gap + 1e-8
             resolvents.append(res)
-        return np.abs(block_of_gH(u, gl)), resolvents, ok, gl
+        return np.abs(block_of_gH(u, g_kept)), resolvents, ok, gl
 
     def fold(s, out):
         mags, resolvents, ok, gl = out
@@ -219,7 +223,7 @@ def kernel_box_stats(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
         stats.hard_bound_ok = stats.hard_bound_ok and ok
         stats.window.update(gl)
 
-    # a sample: the eigh, g(H) and |g(H)|, then what it returns; held: the
+    # a sample: the diagonalization, g(H) and |g(H)|, then what it returns; held: the
     # running sum and max of |g(H)| and one resolvent sum per z
     _fold_samples(one, n_samples, fold,
                   sample_bytes=operator_bytes(n, 8) + 16 * n * n + kept,

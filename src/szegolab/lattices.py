@@ -222,6 +222,9 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown ensemble kind {self.kind!r}")
+        numbers = (self.W, self.hopping) + tuple(self.potential_cell or ())
+        if not all(np.isfinite(numbers)):
+            raise ConfigError("W, hopping and potential_cell must be finite")
         if self.W < 0:
             raise ConfigError("disorder W must be >= 0")
         if self.kind == "periodic":

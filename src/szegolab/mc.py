@@ -7,8 +7,10 @@ columns at once, so each column gets exactly the numbers of a scalar update
 over its samples.  Every sample runs with OpenBLAS pinned to one thread, so a
 given (seed, budget) produces bit-identical statistics whatever the worker
 count or the BLAS thread setting.  Parallelism comes from ``workers`` alone.
-The OpenBLAS that numpy loaded also lends its LAPACKE ``dstevd`` to the
-tridiagonal eigensolver of :mod:`szegolab.coefficients`.
+The OpenBLAS that numpy loaded also lends the LAPACKE stages of ``dsyevd``
+(``dsytrd``, ``dstedc``, ``dormtr``) to :func:`szegolab.coefficients.spectral_data`,
+which back-transforms only the eigenvectors with g(lambda) != 0; functions of
+g(H) that do not vanish at 0 add f(0) on the rest (the f(0) completion).
 """
 
 from __future__ import annotations
@@ -98,24 +100,36 @@ def _openblas_controls() -> Tuple[Tuple[Callable, Callable], ...]:
     return tuple(c for c in controls if c is not None)
 
 
-@functools.lru_cache(maxsize=None)
-def lapacke_dstevd() -> Optional[Callable]:
-    """LAPACKE ``dstevd`` with 64-bit integers from numpy's OpenBLAS, or None.
+def _raise_on_info(info: int, fn: Callable, args) -> int:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{fn.__name__} failed with info {info}")
+    return info
 
-    Looked up once, on first use.  Arguments: layout, jobz, n, d, e, z, ldz;
-    returns LAPACK's info.  ctypes releases the GIL around the call.
+
+@functools.lru_cache(maxsize=None)
+def lapacke_eigensolver() -> Optional[Tuple[Callable, Callable, Callable]]:
+    """LAPACKE ``(dsytrd, dstedc, dormtr)`` with 64-bit integers from numpy's
+    OpenBLAS, or None when it lacks any of them.
+
+    Looked up once, on first use.  Arguments follow LAPACKE's high-level
+    interface (layout, then LAPACK's without the workspace); an info other
+    than 0 raises ``np.linalg.LinAlgError``.  ctypes releases the GIL.
     """
+    dbl = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    i64, ch, layout = ctypes.c_int64, ctypes.c_char, ctypes.c_int
+    argtypes = {"dsytrd": [layout, ch, i64, dbl, i64, dbl, dbl, dbl],
+                "dstedc": [layout, ch, i64, dbl, dbl, dbl, i64],
+                "dormtr": [layout, ch, ch, ch, i64, i64, dbl, i64, dbl, dbl, i64]}
     for path in _openblas_paths():
         try:
-            fn = getattr(ctypes.CDLL(path), "scipy_LAPACKE_dstevd64_", None)
+            lib = ctypes.CDLL(path)
         except OSError:
             continue
-        if fn is not None:
-            doubles = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
-            fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64,
-                           doubles, doubles, doubles, ctypes.c_int64]
-            fn.restype = ctypes.c_int64
-            return fn
+        fns = [getattr(lib, f"scipy_LAPACKE_{name}64_", None) for name in argtypes]
+        if all(fn is not None for fn in fns):
+            for fn, types in zip(fns, argtypes.values()):
+                fn.argtypes, fn.restype, fn.errcheck = types, ctypes.c_int64, _raise_on_info
+            return tuple(fns)
     return None
 
 

@@ -164,8 +164,13 @@ def test_criterion_04_coefficient_cross_validation(d1_bundle, d2_bundle):
     assert gap2 <= 3.0 * combined2
     a2 = res2.a_fv(10, 2)   # reported with CI; agreement logged, not gated
     a2_gap = abs(fit2.A_hat[2] - a2.mean)
+    # the depth gap sits at rounding level, so it is printed against a rounding
+    # tolerance: its digits move with any change of summation order
+    round_tol = 1e3 * np.finfo(float).eps * abs(a80.mean)
+    stab_text = (f"<= {round_tol:.0e} (1e3 eps |A1(80)|)" if stab <= round_tol
+                 else f"= {stab:.1e}")
     report(4, f"d=1: |A1_fit - A1(80)| = {gap:.4f} <= {3 * combined:.4f}, "
-              f"|A1(40)-A1(80)| = {stab:.1e}; d=2: gap {gap2:.4f} <= {3 * combined2:.4f}; "
+              f"|A1(40)-A1(80)| {stab_text}; d=2: gap {gap2:.4f} <= {3 * combined2:.4f}; "
               f"A2 = {a2.mean:.4f}+-{a2.stderr:.4f} (fit {fit2.A_hat[2]:.4f}, "
               f"gap {a2_gap:.4f}, logged)", t0)
 

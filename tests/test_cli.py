@@ -86,6 +86,25 @@ def test_decreasing_grid_is_exit_2(tmp_path):
     assert run_experiment(path) == 2
 
 
+@pytest.mark.parametrize("key, value", [("W", "nan"), ("W", "inf"), ("hopping", "nan")])
+def test_non_finite_ensemble_is_exit_2(tmp_path, capsys, key, value):
+    text = EXPANSION_INI.format(out=tmp_path / "o", workers=1).replace(
+        f"\n{key} = ", f"\n{key} = {value}\n# was ")
+    assert run_experiment(write(tmp_path, "nonfinite.ini", text)) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_library_import_does_not_load_scipy():
+    # scipy costs every run its import time and memory; the library binds
+    # LAPACK from numpy's own OpenBLAS instead
+    pythonpath = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, szegolab, szegolab.cli; "
+            "sys.exit('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr or "importing szegolab loaded scipy"
+
+
 def test_expansion_fit_run_and_artifacts(tmp_path):
     out = tmp_path / "out_a"
     path = write(tmp_path, "exp.ini", EXPANSION_INI.format(out=out, workers=1))
@@ -150,7 +169,7 @@ def run_cli_with_blas_threads(threads, *args):
     assert proc.returncode == 0, proc.stderr
 
 
-# d = 1 samples go through LAPACK's dstevd, whose dstedc calls dgemm
+# d = 1 samples go through LAPACK's dstedc, which calls dgemm
 BLAS_D1_INI = """
 [experiment]
 kind = expansion_fit

@@ -155,13 +155,13 @@ def test_block_of_gH_matches_eigen_route():
     lam, u, gl = spectral_data(ANDERSON, box, 0, G_BUMP)
     assert 0 < np.count_nonzero(gl) < gl.size      # zero-weight pairs are skipped
     ref = matrix_function(build_operator(ANDERSON, box, 0), G_BUMP).matrix
-    assert np.max(np.abs(block_of_gH(u, gl) - ref)) <= 1e-12
+    assert np.max(np.abs(block_of_gH(u, gl[gl != 0]) - ref)) <= 1e-12
     idx = np.arange(0, box.site_count, 3)
-    assert np.max(np.abs(block_of_gH(u, gl, idx) - ref[np.ix_(idx, idx)])) <= 1e-12
+    assert np.max(np.abs(block_of_gH(u, gl[gl != 0], idx) - ref[np.ix_(idx, idx)])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
-# the d = 1 tridiagonal eigensolver
+# the sample eigensolver: LAPACK's dsyevd stages, kept columns only
 # ---------------------------------------------------------------------------
 
 JACOBI_SPECS = {
@@ -170,9 +170,11 @@ JACOBI_SPECS = {
     "free": EnsembleSpec("free"),
     "hopping0": EnsembleSpec("anderson", W=3.0, hopping=0.0, seed=2),   # all degenerate
 }
+G_NOWHERE_ZERO = ScalarFunction.poly((1.0,))       # keeps every eigenvector
 
-needs_dstevd = pytest.mark.skipif(mc.lapacke_dstevd() is None,
-                                  reason="numpy's OpenBLAS does not export dstevd")
+needs_lapacke = pytest.mark.skipif(mc.lapacke_eigensolver() is None,
+                                   reason="numpy's OpenBLAS does not export the "
+                                          "LAPACKE dsytrd, dstedc and dormtr")
 
 
 def _count_eigh(monkeypatch):
@@ -185,53 +187,124 @@ def _count_eigh(monkeypatch):
     return calls
 
 
-@needs_dstevd
+def _kept_reference(spec, box, sample_id, g):
+    """Eigenvalues, kept eigenvectors and g(eigenvalues) from ``np.linalg.eigh``."""
+    from szegolab.lattices import build_operator
+    lam, u = np.linalg.eigh(build_operator(spec, box, sample_id).matrix)
+    gl = np.real(g(lam))
+    return lam, u[:, gl != 0], gl
+
+
+@needs_lapacke
 @pytest.mark.parametrize("kind", sorted(JACOBI_SPECS))
 @pytest.mark.parametrize("n", [1, 2, 25, 26, 64, 200, 400])
 def test_d1_route_is_bit_identical_to_eigh(kind, n):
-    from szegolab.coefficients import spectral_data, tridiagonal_eigh
-    from szegolab.lattices import build_operator
+    from szegolab.coefficients import spectral_data
     spec, box = JACOBI_SPECS[kind], LatticeBox.interval(-(n // 2), n - n // 2 - 1)
-    m = build_operator(spec, box, 1).matrix
-    lam, u = np.linalg.eigh(m)
-    for got_lam, got_u in (tridiagonal_eigh(np.diagonal(m), np.diagonal(m, 1)),
-                           spectral_data(spec, box, 1, G_BUMP)[:2]):
-        assert np.array_equal(got_lam, lam) and np.array_equal(got_u, u)
-        assert got_u.flags.c_contiguous
+    for g in (G_BUMP, G_NOWHERE_ZERO):
+        lam, u, gl = _kept_reference(spec, box, 1, g)
+        got_lam, got_u, got_gl = spectral_data(spec, box, 1, g)
+        assert np.array_equal(got_lam, lam) and np.array_equal(got_gl, gl)
+        assert np.array_equal(got_u, u) and got_u.flags.c_contiguous
 
 
-@needs_dstevd
-def test_only_d1_schroedinger_samples_skip_eigh(monkeypatch):
+@needs_lapacke
+@pytest.mark.parametrize("d, R", [(2, 6), (2, 9), (3, 4)])
+def test_dense_route_keeps_eighs_eigenvalues_and_g_of_H(d, R):
+    from szegolab.coefficients import block_of_gH, spectral_data
+    from szegolab.lattices import build_operator
+    from szegolab.spectral import matrix_function
+    box = big_box(d, R)
+    lam, u, gl = spectral_data(ANDERSON, box, 2, G_BUMP)
+    assert np.array_equal(lam, np.linalg.eigh(build_operator(ANDERSON, box, 2).matrix)[0])
+    assert u.shape == (box.site_count, np.count_nonzero(gl)) and u.flags.c_contiguous
+    assert 0 < u.shape[1] < box.site_count
+    ref = matrix_function(build_operator(ANDERSON, box, 2), G_BUMP).matrix
+    assert np.max(np.abs(block_of_gH(u, gl[gl != 0]) - ref)) <= 1e-12
+    assert np.max(np.abs(u.T @ u - np.eye(u.shape[1]))) <= 1e-12
+
+
+@needs_lapacke
+def test_only_complex_samples_call_eigh(monkeypatch):
+    # real samples run dsytrd -> dstedc -> dormtr, Jacobi ones dstedc alone
     from szegolab.coefficients import spectral_data
-    from szegolab.lattices import Symbol1D, is_tridiagonal
-    toeplitz = EnsembleSpec("toeplitz1d", symbol=Symbol1D.from_dict(
+    from szegolab.lattices import Symbol1D
+    stages = mc.lapacke_eigensolver()
+    called = []
+
+    def counted(name, fn):
+        def call(*args):
+            called.append(name)
+            return fn(*args)
+        return call
+    monkeypatch.setattr(mc, "lapacke_eigensolver", lambda: tuple(
+        counted(name, fn) for name, fn in zip(("dsytrd", "dstedc", "dormtr"), stages)))
+    real = EnsembleSpec("toeplitz1d", symbol=Symbol1D.from_dict({0: 2.5, 1: -0.5, -1: -0.5}))
+    cplx = EnsembleSpec("toeplitz1d", symbol=Symbol1D.from_dict(
         {0: 1.0, 1: 0.25j, -1: -0.25j}))
-    cases = [(ANDERSON, LatticeBox.interval(0, 63), 0), (ANDERSON, big_box(2, 4), 1),
-             (toeplitz, LatticeBox.interval(0, 15), 1)]
+    cases = [(ANDERSON, LatticeBox.interval(0, 63), 0, ["dstedc"]),
+             (ANDERSON, big_box(2, 4), 0, ["dsytrd", "dstedc", "dormtr"]),
+             (real, LatticeBox.interval(0, 15), 0, ["dsytrd", "dstedc", "dormtr"]),
+             (cplx, LatticeBox.interval(0, 15), 1, [])]
     calls = _count_eigh(monkeypatch)
-    for spec, box, eigh_calls in cases:
+    for spec, box, eigh_calls, route in cases:
         calls.clear()
+        called.clear()
         spectral_data(spec, box, 0, G_BUMP)
-        assert len(calls) == eigh_calls, (spec.kind, box.d)
-        assert is_tridiagonal(spec, box) == (eigh_calls == 0)
+        assert len(calls) == eigh_calls and called == route, (spec.kind, box.d)
 
 
-def test_d1_route_without_dstevd_falls_back_to_the_same_bits(monkeypatch):
-    from szegolab.coefficients import spectral_data
-    box = LatticeBox.interval(0, 199)
+@pytest.mark.parametrize("d, R", [(1, 100), (2, 6)])
+def test_route_without_lapacke_gives_the_same_g_of_H(monkeypatch, d, R):
+    from szegolab.coefficients import block_of_gH, spectral_data
+    box = big_box(d, R)
     want = spectral_data(ANDERSON, box, 3, G_BUMP)
-    monkeypatch.setattr(mc, "lapacke_dstevd", lambda: None)
+    monkeypatch.setattr(mc, "lapacke_eigensolver", lambda: None)
     calls = _count_eigh(monkeypatch)
     got = spectral_data(ANDERSON, box, 3, G_BUMP)
-    assert calls == [(200, 200)]
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert calls == [(box.site_count, box.site_count)]
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+    assert got[1].shape == want[1].shape and got[1].flags.c_contiguous
+    if d == 1:
+        assert np.array_equal(got[1], want[1])
+    g_kept = want[2][want[2] != 0]
+    assert np.max(np.abs(block_of_gH(got[1], g_kept) - block_of_gH(want[1], g_kept))) <= 1e-12
 
 
-@needs_dstevd
-def test_tridiagonal_eigh_failure_is_linalg_error():
-    from szegolab.coefficients import tridiagonal_eigh
+@needs_lapacke
+@pytest.mark.parametrize("d", [1, 2])
+def test_lapack_failure_is_linalg_error(monkeypatch, d):
+    from szegolab import coefficients
+    from szegolab.lattices import build_operator
+
+    def nan_band(spec, box, sample_id):
+        op = build_operator(spec, box, sample_id)
+        op.matrix[1, 1] = np.nan
+        return op
+    monkeypatch.setattr(coefficients, "build_operator", nan_band)
     with pytest.raises(np.linalg.LinAlgError):     # LAPACKE refuses NaN input
-        tridiagonal_eigh(np.array([1.0, np.nan, 2.0]), np.array([-1.0, -1.0]))
+        coefficients.spectral_data(ANDERSON, big_box(d, 4), 0, G_BUMP)
+
+
+@pytest.mark.parametrize("d, R", [(1, 40), (2, 5)])
+def test_restricted_diag_completes_h_of_zero(d, R):
+    # h(0) != 0: the full box adds h(0) on the eigenvectors g drops
+    from szegolab.coefficients import _restricted_diag, spectral_data
+    from szegolab.lattices import build_operator
+    h = ScalarFunction.poly((0.5, -1.0, 2.0))
+    box = big_box(d, R)
+    lam, full_u = np.linalg.eigh(build_operator(ANDERSON, box, 4).matrix)
+    gl = np.real(G_BUMP(lam))
+    _, u, got_gl = spectral_data(ANDERSON, box, 4, G_BUMP)
+    want = (full_u ** 2) @ np.real(h(gl))
+    got = _restricted_diag(u, got_gl, np.ones(box.site_count, bool), h)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    bits = np.zeros(box.site_count, bool)
+    bits[::2] = True
+    mu, v = np.linalg.eigh(((full_u * gl[None, :]) @ full_u.T)[np.ix_(bits, bits)])
+    want = np.full(box.site_count, h.value_at_zero)
+    want[bits] = (v ** 2) @ np.real(h(mu))
+    assert np.max(np.abs(_restricted_diag(u, got_gl, bits, h) - want)) <= 1e-12
 
 
 def test_model_operators_requires_certificate_with_tol():

@@ -100,7 +100,7 @@ def test_kernel_box_running_stats_match_stacked_reductions():
     mats = []
     for s in range(40):
         lam, u, gl = spectral_data(ANDERSON, BOX64, s, G_BUMP)
-        mats.append(np.abs(block_of_gH(u, gl)))
+        mats.append(np.abs(block_of_gH(u, gl[gl != 0])))
     stats = kernel_box_stats(ANDERSON, G_BUMP, BOX64, 40, workers=2)
     assert np.array_equal(stats.abs_sum / 40, np.mean(np.stack(mats), axis=0))
     assert np.array_equal(stats.abs_max, np.max(np.stack(mats), axis=0))
@@ -135,16 +135,35 @@ def test_combes_thomas_far_z_trivial_bound():
     assert all(v <= 1.0 / dist + 1e-8 for v in rep.raw_values)
 
 
+def _eigh_g_of_H(spec, box, sample_id):
+    """g(eigenvalues) and all eigenvectors of one sample, from ``np.linalg.eigh``."""
+    from szegolab.lattices import build_operator
+    lam, u = np.linalg.eigh(build_operator(spec, box, sample_id).matrix)
+    return np.real(G_BUMP(lam)), u
+
+
 def test_combes_thomas_diagonal_matches_eigenoracle():
     box = LatticeBox.interval(0, 15)
     spec = EnsembleSpec("anderson", W=8.0, seed=5)
-    from szegolab.lattices import build_operator
-    from szegolab.coefficients import spectral_data
-    lam, u, gl = spectral_data(spec, box, 0, G_BUMP)
+    gl, u = _eigh_g_of_H(spec, box, 0)
     z = complex(2.5, 0.0)
     res = (u * (1.0 / (gl - z))[None, :]) @ u.conj().T
     dist = np.min(np.abs(gl - z))
     assert np.abs(np.diagonal(res)).max() <= 1.0 / dist + 1e-8
+
+
+@pytest.mark.parametrize("box", [LatticeBox.interval(0, 31), LatticeBox.cube(2, 0, 7)],
+                         ids=["d1", "d2"])
+def test_kernel_box_resolvent_completion_matches_resolvent_of_g_of_H(box):
+    # R_z(0) I + U (R_z(g) - R_z(0)) U* over the kept columns is R_z(g(H))
+    from szegolab.lattices import HermitianOperator, build_operator
+    from szegolab.spectral import matrix_function, resolvent
+    zs = [complex(2.5, 0.0), complex(0.5, 0.75)]
+    stats = kernel_box_stats(ANDERSON, G_BUMP, box, 2, zs)
+    for z in zs:
+        want = sum(resolvent(HermitianOperator(box, matrix_function(
+            build_operator(ANDERSON, box, s), G_BUMP).matrix), z) for s in range(2))
+        assert np.max(np.abs(stats.resolvent_sums[z] - want)) <= 1e-12
 
 
 def test_combes_thomas_regression_quality():
@@ -209,7 +228,6 @@ def test_trace_difference_fit_quality():
 def test_trace_difference_pair_values_swap_symmetric():
     # the averaged kernel block of the Hermitian difference is symmetric in
     # (a, b) up to conjugation, so probe values cannot depend on the order
-    from szegolab.coefficients import spectral_data
     from szegolab.regions import region_mask
     box = LatticeBox.interval(-20, 79)
     inner = Region(1, (CoordRange(0, 0, 29),))
@@ -217,7 +235,7 @@ def test_trace_difference_pair_values_swap_symmetric():
     out_bits = region_mask(OUTER, box).bits
     total = None
     for s in range(6):
-        lam, u, gl = spectral_data(ANDERSON, box, s, G_BUMP)
+        gl, u = _eigh_g_of_H(ANDERSON, box, s)
         a = (u * gl[None, :]) @ u.conj().T
         idx_in = np.flatnonzero(in_bits)
         idx_out = np.flatnonzero(out_bits)

@@ -183,6 +183,18 @@ def test_ensemble_config_roundtrip():
     assert again2.symbol.as_dict() == sym.as_dict()
 
 
+@pytest.mark.parametrize("block", [
+    {"kind": "anderson", "W": "nan"},
+    {"kind": "anderson", "W": "inf"},
+    {"kind": "anderson", "W": "8", "hopping": "-inf"},
+    {"kind": "free", "hopping": "nan"},
+    {"kind": "periodic", "period": "3", "potential_cell": "0 nan 1"},
+], ids=["W-nan", "W-inf", "hopping-minf", "hopping-nan", "cell-nan"])
+def test_non_finite_ensemble_is_config_error(block):
+    with pytest.raises(ConfigError, match="must be finite"):
+        EnsembleSpec.from_config(block)
+
+
 def test_operator_byte_estimate_and_guard():
     # matrix, eigenvectors, LAPACK's input copy and two n^2 of eigh workspace
     assert operator_bytes(2304, 8) == 5 * 8 * 2304 ** 2
