@@ -8,11 +8,9 @@ independent functional-calculus routes, and empirical certification of the
 kernel-decay hypotheses the expansion rests on.
 """
 
-from .coefficients import (CoefficientTable, ModelOperatorFamily, big_box,
-                           chi_hat_mask, chi_hat_region, coefficient_sweep,
+from .coefficients import (CoefficientTable, chi_hat_region, coefficient_sweep,
                            comb_constants, decomposition_identity_probe,
-                           error_term, inclusion_exclusion_check,
-                           model_operators, telescoping_check)
+                           inclusion_exclusion_check, telescoping_check)
 from .decay import (DecayFitReport, KernelBoxStats, SpectralWindow, certify_a1,
                     combes_thomas_probe, fit_kernel_decay, kernel_box_stats,
                     trace_difference_probe)
@@ -24,8 +22,7 @@ from .lattices import (EnsembleSpec, HermitianOperator, LatticeBox, Symbol1D,
                        build_operator, site_uniforms,
                        symbol_fourier_coefficients, toeplitz_matrix)
 from .mc import StatSummary, column_moments
-from .regions import (ProjectionMask, Region, boundary_distance, parse_region,
-                      region_mask, trace)
+from .regions import Region, boundary_distance, parse_region
 from .spectral import (QuadratureGrid, QuasiAnalyticExtension, ScalarFunction,
                        SpectralDecomposition, apply_scalar_function,
                        hs_apply, hs_discrepancy, hs_extension, matrix_function,

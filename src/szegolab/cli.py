@@ -27,10 +27,10 @@ from . import coefficients as coeff
 from .config import ExperimentConfig, load_config, parse_symbol
 from .decay import (certify_a1, combes_thomas_probe, fit_kernel_decay,
                     kernel_box_stats, trace_difference_probe)
-from .errors import ConfigError, ModelError, NumericError, SzegolabError
+from .errors import ConfigError, ModelError, NumericError, SzegolabError, config_value
 from .harness import log_enhancement_probe, sweep_and_fit, szego_1d_suite
 from .lattices import HermitianOperator, LatticeBox
-from .regions import full_mask, parse_region
+from .regions import parse_region
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -175,7 +175,7 @@ def _run_identity_checks(cfg: ExperimentConfig) -> int:
             for _n in range(d + 1):
                 m = rng.standard_normal((n_sites, n_sites))
                 fam.append(HermitianOperator(box, (m + m.T) / 2))
-            resid = coeff.telescoping_check(fam, full_mask(box))
+            resid = coeff.telescoping_check(fam, np.ones(n_sites, bool))
             worst_tel = max(worst_tel, resid)
     results["telescoping"]["max_residual"] = worst_tel
     results["telescoping"]["families_per_d"] = n_families
@@ -203,6 +203,9 @@ def _run_identity_checks(cfg: ExperimentConfig) -> int:
 def _run_szego_1d(cfg: ExperimentConfig) -> int:
     symbol = parse_symbol(cfg.options, k_max=cfg.opt_int("k_max", 32))
     grid = cfg.opt_ints("l_grid", "50 100 200 400")
+    gate_l = cfg.opt_int("gate_at_l", 0)
+    if gate_l and gate_l not in grid:
+        raise ConfigError(f"gate_at_l = {gate_l} is not in l_grid = {grid}")
     report = szego_1d_suite(symbol, cfg.h, grid, k_max=cfg.opt_int("k_max", 32))
     path = os.path.join(cfg.out_dir, "szego1d.json")
     write_json(path, report)
@@ -210,10 +213,9 @@ def _run_szego_1d(cfg: ExperimentConfig) -> int:
             zip(report["L_grid"], report["logdet"], report["logdet_minus_prediction"])]
     write_csv(os.path.join(cfg.out_dir, "szego1d.csv"),
               ["L", "logdet", "logdet_minus_prediction"], rows)
-    gate_l = cfg.opt_int("gate_at_l", 0)
     if gate_l:
         tol = cfg.opt_float("gate_tol", 1e-3)
-        idx = report["L_grid"].index(gate_l)
+        idx = grid.index(gate_l)
         gap = abs(report["logdet_minus_prediction"][idx])
         if gap > tol:
             return _gate_failed(EXIT_GATE, f"|logdet T_{gate_l} - prediction|", gap,
@@ -244,7 +246,8 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     box = LatticeBox.cube(cfg.d, 0, side - 1) if cfg.d > 1 else LatticeBox.interval(0, side - 1)
     payload: Dict = {"box_side": side, "d": cfg.d, "n_samples": cfg.samples}
     mode = cfg.options.get("kernel_mode", "exponential").strip()
-    zs = [complex(v) for v in cfg.options.get("ct_z", "").split()]
+    zs = config_value("ct_z", cfg.options.get("ct_z", ""),
+                      lambda t: [complex(v) for v in t.split()])
     stats = kernel_box_stats(cfg.ensemble, cfg.g, box, cfg.samples, zs,
                              workers=cfg.workers)
     kernel = fit_kernel_decay(stats, mode=mode)

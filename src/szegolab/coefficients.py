@@ -38,14 +38,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ModelError
+from .errors import ConfigError
 from .lattices import (EnsembleSpec, HermitianOperator, LatticeBox, build_operator,
                        is_tridiagonal)
 from . import mc
 from .mc import StatSummary, column_moments
-from .regions import (CoordRange, Layer, Orthant, ProjectionMask, Region,
-                      box_region, orthant_region, region_mask, slot_chain,
-                      slot_dominates, wedge_region)
+from .regions import (CoordRange, Layer, Region, box_region, check_mask,
+                      orthant_region, slot_chain, slot_dominates, wedge_region)
 from .spectral import ScalarFunction
 
 # ---------------------------------------------------------------------------
@@ -135,51 +134,24 @@ def comb_constants(d: int) -> CoefficientTable:
 # regions of the decomposition
 # ---------------------------------------------------------------------------
 
-def half_orthant_region(d: int, n: int) -> Region:
-    """{x_1, ..., x_n >= 0} (all of Z^d for n = 0)."""
-    if not 0 <= n <= d:
-        raise ConfigError(f"half-orthant index n={n} outside 0..{d}")
-    return Region(d, tuple(Orthant(i, +1) for i in range(n)))
-
-
-def chi_hat_region(d: int, m: int, n: int, L: Optional[int] = None) -> Region:
-    """Wedge mask of the coefficient A_{m,n}.
-
-    Conjunction of: the orthant (or the box {0..L-1}^d when L is given), the
-    slot chain x_1 <= ... <= x_n, the domination of x_n over x_{n+1..m}
-    (interpreted as the identity for n = m), and the layers x_{m+1..d} = 0
-    (identity for m = d).
-    """
-    if not (1 <= n <= m <= d):
-        raise ConfigError(f"need 1 <= n <= m <= d, got ({m},{n}), d={d}")
-    base = box_region(d, 0, L - 1) if L is not None else orthant_region(d)
-    r = base & slot_chain(d, tuple(range(n)))
-    if n < m:
-        r = r & slot_dominates(d, n - 1, range(n, m))
-    if m < d:
-        r = r & Region(d, tuple(Layer(i, 0) for i in range(m, d)))
-    return r
-
-
-def chi_hat_mask(m: int, n: int, box: LatticeBox, L: Optional[int] = None) -> ProjectionMask:
-    return region_mask(chi_hat_region(box.d, m, n, L=L), box)
-
-
-def chi_lnm_region(d: int, n: int, dominated_axes: Iterable[int], L: int) -> Region:
-    """Box wedge  chi_{[0,L)^d} chain(x_1..x_n) {x_n >= x_t, t in M}."""
-    r = box_region(d, 0, L - 1) & slot_chain(d, tuple(range(n)))
-    dominated = tuple(dominated_axes)
-    if dominated:
-        r = r & slot_dominates(d, n - 1, dominated)
-    return r
+def corner_wedge(d: int, head: Sequence[int], dominated: Iterable[int], L: int) -> Region:
+    """Corner box ``{0..L-1}^d`` with the slot chain x_head[0] <= ... <= x_head[-1]
+    and the domination of x_head[-1] over the ``dominated`` coordinates."""
+    return (box_region(d, 0, L - 1) & slot_chain(d, tuple(head))
+            & slot_dominates(d, head[-1], dominated))
 
 
 def pf_region(d: int, m: int, L: int) -> Region:
     """Partition-free trace mask: box {0..L-1}^d with layers x_{m+1..d} = 0."""
-    r = box_region(d, 0, L - 1)
-    if m < d:
-        r = r & Region(d, tuple(Layer(i, 0) for i in range(m, d)))
-    return r
+    return box_region(d, 0, L - 1) & Region(d, tuple(Layer(i, 0) for i in range(m, d)))
+
+
+def chi_hat_region(d: int, m: int, n: int, L: int) -> Region:
+    """Wedge mask of the coefficient A_{m,n}: the partition-free mask of m cut by
+    the slot chain x_1 <= ... <= x_n and the domination of x_n over x_{n+1..m}."""
+    if not (1 <= n <= m <= d):
+        raise ConfigError(f"need 1 <= n <= m <= d, got ({m},{n}), d={d}")
+    return corner_wedge(d, range(n), range(n, m), L) & pf_region(d, m, L)
 
 
 # ---------------------------------------------------------------------------
@@ -305,35 +277,8 @@ def _restricted_diag(u: np.ndarray, gl: np.ndarray, bits: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# model operators
+# truncation budget
 # ---------------------------------------------------------------------------
-
-def big_box(d: int, R: int) -> LatticeBox:
-    """The ambient even box {-R..R-1}^d, symmetric about -1/2."""
-    return LatticeBox.centered(d, R)
-
-
-@dataclass
-class ModelOperatorFamily:
-    """Half-orthant model operators f_0..f_d on the big box B_R.
-
-    ``f[n] = h(g(H)|_{x_1..x_n >= 0})`` embedded on B_R.  The relabelled
-    members ``f_{n,pi}`` of the telescoping identity are obtained by
-    conjugating with permute actions; the end members f_0, f_d are invariant
-    under every coordinate permutation.
-    """
-
-    sample_id: int
-    R: int
-    box: LatticeBox
-    f: List[HermitianOperator]
-    window: Tuple[float, float]
-    truncation_estimate: Optional[float] = None
-
-    @property
-    def d(self) -> int:
-        return self.box.d
-
 
 def truncation_tail(decay_rate: Callable[[float], float], d: int, margin: int) -> float:
     """sum_{r > margin} (2d (2r+1)^(d-1)) * rate(r), truncated when negligible."""
@@ -347,49 +292,11 @@ def truncation_tail(decay_rate: Callable[[float], float], d: int, margin: int) -
     return total
 
 
-def model_operators(spec: EnsembleSpec, d: int, sample_id: int, g: ScalarFunction,
-                    h: ScalarFunction, R: int, decay_rate=None,
-                    tol: Optional[float] = None) -> ModelOperatorFamily:
-    """Model operator family of one sample, matrices materialized on B_R.
-
-    ``decay_rate(r)`` is an optional certified bound on the averaged kernel of
-    g(H) at distance r; it is required whenever a truncation tolerance ``tol``
-    is requested, and the estimated half-space tail at radius R must then stay
-    below ``tol``.
-    """
-    if tol is not None and decay_rate is None:
-        raise ConfigError("truncation tolerance requested but no decay certificate supplied")
-    box = big_box(d, R)
-    lam, u, gl = spectral_data(spec, box, sample_id, g)
-    a = block_of_gH(u, gl[gl != 0])
-    coords = box.sites()
-    members = []
-    for n in range(d + 1):
-        bits = half_orthant_region(d, n).evaluate(coords)
-        block = np.ix_(bits, bits)
-        mat = np.diag(np.where(bits, 0.0, h.value_at_zero)).astype(a.dtype)
-        if h.is_identity:
-            mat[block] = a[block]
-        else:
-            mu, v = np.linalg.eigh(a[block])
-            mat[block] = block_of_gH(v, np.real(h(mu)))
-        members.append(HermitianOperator(box, mat,
-                                         label=f"f_{n}[{spec.kind} s={sample_id}]"))
-    est = None
-    if decay_rate is not None:
-        est = truncation_tail(decay_rate, d, R)
-        if tol is not None and est > tol:
-            raise ModelError(f"truncation tail {est:.3e} exceeds tolerance {tol:.3e}")
-    return ModelOperatorFamily(sample_id, R, box, members,
-                               (float(gl.min()), float(gl.max())), est)
-
-
 # ---------------------------------------------------------------------------
 # exact identity checks
 # ---------------------------------------------------------------------------
 
-def telescoping_check(family: Sequence[HermitianOperator],
-                      probe: ProjectionMask) -> float:
+def telescoping_check(family: Sequence[HermitianOperator], probe: np.ndarray) -> float:
     """Residual of the wedge-telescoping trace identity for a family f_0..f_d.
 
     Checks  sum_pi sum_n Tr( (probe & wedge_pi) {f_{n,pi} - f_{n-1,pi}} )
@@ -398,7 +305,8 @@ def telescoping_check(family: Sequence[HermitianOperator],
     middle members while f_{0,pi} = f_0 and f_{d,pi} = f_d (their domains are
     permutation invariant).  The identity is purely algebraic: the wedges
     partition every probe exactly and the middle terms telescope, so it holds
-    for arbitrary Hermitian input families.
+    for arbitrary Hermitian input families.  ``probe`` is a bool mask on the
+    family's box.
     """
     box = family[0].box
     d = box.d
@@ -406,15 +314,14 @@ def telescoping_check(family: Sequence[HermitianOperator],
         raise ConfigError(f"family must have d+1 = {d + 1} members")
     if any(f.box != box for f in family):
         raise ConfigError("family members live on different boxes")
-    if probe.box != box:
-        raise ConfigError("probe mask lives on a different box")
+    probe = check_mask(box, probe)
     if len(set(box.lo)) > 1 or len(set(box.hi)) > 1:
         raise ConfigError("telescoping needs a permutation-invariant (cubic) box")
     coords = box.sites()
     diags = [np.real(np.diagonal(f.matrix)) for f in family]
     lhs = 0.0
     for perm in itertools.permutations(range(d)):
-        wedge_bits = slot_chain(d, perm).evaluate(coords) & probe.bits
+        wedge_bits = slot_chain(d, perm).evaluate(coords) & probe
         if not wedge_bits.any():
             continue
         sel = np.flatnonzero(wedge_bits)
@@ -424,7 +331,7 @@ def telescoping_check(family: Sequence[HermitianOperator],
             upper = diags[n][sel] if n == d else diags[n][mapped]
             lower = diags[n - 1][sel] if n == 1 else diags[n - 1][mapped]
             lhs += float(np.sum(upper - lower))
-    sel = np.flatnonzero(probe.bits)
+    sel = np.flatnonzero(probe)
     rhs = float(np.sum(diags[d][sel] - diags[0][sel]))
     return abs(lhs - rhs)
 
@@ -456,7 +363,7 @@ def inclusion_exclusion_check(n: int, l: int, k: Tuple[int, ...], L: int, d: int
     rest = list(range(n, d))
     for j in range(0, d - n + 1):
         for m_set in itertools.combinations(rest, j):
-            bits = chi_lnm_region(d, n, m_set, L).evaluate(coords).astype(np.int64)
+            bits = corner_wedge(d, range(n), m_set, L).evaluate(coords).astype(np.int64)
             rhs += ((-1) ** j) * bits
     return int(np.max(np.abs(lhs - rhs)))
 
@@ -514,16 +421,6 @@ def _corner_error_for_sample(d: int, box: LatticeBox, u: np.ndarray, gl: np.ndar
     return total
 
 
-def error_term(spec: EnsembleSpec, d: int, sample_id: int, g: ScalarFunction,
-               h: ScalarFunction, L: int, R: int) -> float:
-    """Corner error term of one sample at scale L on the ambient box B_R."""
-    if 2 * L > R:
-        raise ConfigError(f"error term needs 2L <= R, got L={L}, R={R}")
-    box = big_box(d, R)
-    lam, u, gl = spectral_data(spec, box, sample_id, g)
-    return _corner_error_for_sample(d, box, u, gl, h, L)
-
-
 @dataclass
 class DecompositionProbeReport:
     """Pointwise master-identity check of one sample."""
@@ -535,10 +432,6 @@ class DecompositionProbeReport:
     scale: float
     truncation_budget: Optional[float] = None
     b_diagnostics: Dict[Tuple[int, int], float] = field(default_factory=dict)
-
-    @property
-    def rhs(self) -> float:
-        return sum(self.corner_terms.values()) + self.error_term
 
 
 def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
@@ -558,13 +451,12 @@ def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
     """
     if 4 * L > R:
         raise ConfigError(f"identity probe needs 2L <= R/2, got L={L}, R={R}")
-    box = big_box(d, R)
+    box = LatticeBox.centered(d, R)
     coords = box.sites()
     lam, u, gl = spectral_data(spec, box, sample_id, g)
     diag0_global = _restricted_diag(u, gl, np.ones(box.site_count, bool), h)
 
-    lam_region = Region(d, tuple(CoordRange(i, -L, L - 1) for i in range(d)))
-    lam_bits = lam_region.evaluate(coords)
+    lam_bits = box_region(d, -L, L - 1).evaluate(coords)
     diag_lam = _restricted_diag(u, gl, lam_bits, h)
     lhs = float(np.sum(diag_lam[lam_bits] - diag0_global[lam_bits]))
 
@@ -583,8 +475,7 @@ def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
             return diag0_global
         key = (sigma, axes)
         if key not in diag_cache:
-            region = Region(d, tuple(Orthant(i, +1) for i in axes))
-            bits = region.evaluate(pre_for(sigma))
+            bits = orthant_region(d, axes).evaluate(pre_for(sigma))
             diag_cache[key] = _restricted_diag(u, gl, bits, h)
         return diag_cache[key]
 
@@ -604,11 +495,7 @@ def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
                     dn1 = diag_for(sigma, axes_lower)
                     for j in range(0, d - n + 1):
                         for m_set in itertools.combinations(comp, j):
-                            region = (box_region(d, 0, L - 1)
-                                      & slot_chain(d, head))
-                            if m_set:
-                                region = region & slot_dominates(d, l, m_set)
-                            q_bits = region.evaluate(pre)
+                            q_bits = corner_wedge(d, head, m_set, L).evaluate(pre)
                             term = ((-1) ** j) * float(np.sum(dn[q_bits] - dn1[q_bits]))
                             corner[n + j] += term
                             b_diag[(n, j)] += term
@@ -665,7 +552,7 @@ def make_sweep_plan(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunc
     ells = tuple(int(v) for v in ells)
     error_L = tuple(int(v) for v in error_L)
     offset = tuple(int(v) for v in ell_offset) if ell_offset else (0,) * d
-    box = big_box(d, R)
+    box = LatticeBox.centered(d, R)
     coords = box.sites()
     for L in L_values:
         if L > R // 2:
@@ -673,14 +560,14 @@ def make_sweep_plan(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunc
     for L in error_L:
         if 2 * L > R:
             raise ConfigError(f"error-term scale L={L} needs 2L <= R={R}")
-    orthant_bits = [half_orthant_region(d, n).evaluate(coords) for n in range(d + 1)]
+    orthant_bits = [orthant_region(d, range(n)).evaluate(coords) for n in range(d + 1)]
     chi_masks = {}
     pf_masks = {}
     for L in L_values:
         for m in range(1, d + 1):
             pf_masks[(L, m)] = pf_region(d, m, L).evaluate(coords)
             for n in range(1, m + 1):
-                chi_masks[(L, m, n)] = chi_hat_region(d, m, n, L=L).evaluate(coords)
+                chi_masks[(L, m, n)] = chi_hat_region(d, m, n, L).evaluate(coords)
     ell_bits = {}
     for ell in ells:
         lo = [offset[i] - ell // 2 for i in range(d)]

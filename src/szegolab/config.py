@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, config_value
 from .lattices import EnsembleSpec, Symbol1D, symbol_fourier_coefficients
 from .spectral import ScalarFunction
 
@@ -38,44 +37,28 @@ def parse_scalar_function(text: str) -> ScalarFunction:
         if name == "entire":
             return ScalarFunction.entire(tuple(float(v) for v in vals))
         if name == "indicator":
-            lo = -math.inf if vals[0] in ("-inf", "nan") else float(vals[0])
-            hi = math.inf if vals[1] in ("inf", "+inf") else float(vals[1])
-            return ScalarFunction.indicator(lo, hi)
+            return ScalarFunction.indicator(float(vals[0]), float(vals[1]))
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"bad arguments in function spec {text!r}: {exc}") from exc
     raise ConfigError(f"unknown function form {name!r}")
 
 
-def function_spec_string(f: ScalarFunction) -> str:
-    if f.form in ("poly", "entire"):
-        return f"{f.form}({', '.join(repr(v) for v in f.params)})"
-    if f.form == "bump":
-        c, w, k = f.params
-        return f"bump({c!r}, {w!r}, {k})"
-    if f.form == "indicator":
-        return f"indicator({f.params[0]!r}, {f.params[1]!r})"
-    return f.form
-
-
 def parse_symbol(block: Dict[str, str], k_max: int = 32) -> Symbol1D:
     """Symbol from ``symbol.coeffs`` or a named form like ``expcos(0.5)``."""
     if "symbol.coeffs" in block:
-        coeffs = {}
-        for item in block["symbol.coeffs"].split():
-            k, v = item.split(":", 1)
-            coeffs[int(k)] = complex(v)
-        return Symbol1D.from_dict(coeffs)
+        return config_value("symbol.coeffs", block["symbol.coeffs"], Symbol1D.parse)
     form = block.get("symbol", "one").strip()
     if form == "one":
         return Symbol1D.from_dict({0: 1.0}, is_real_positive=True)
     if form.startswith("expcos(") and form.endswith(")"):
-        c = float(form[len("expcos("):-1])
+        c = config_value("symbol", form, lambda t: float(t[len("expcos("):-1]))
         n_quad = max(8 * k_max, 256)
         return symbol_fourier_coefficients(
             lambda th: np.exp(2.0 * c * np.cos(th)), k_max, n_quad)
     if form.startswith("coscoeff(") and form.endswith(")"):
         # coscoeff(a0, a1, ...): a(theta) = a0 + 2 sum_k a_k cos(k theta)
-        vals = [float(v) for v in form[len("coscoeff("):-1].split(",")]
+        vals = config_value("symbol", form, lambda t: [
+            float(v) for v in t[len("coscoeff("):-1].split(",")])
         coeffs = {0: complex(vals[0])}
         for k, v in enumerate(vals[1:], start=1):
             coeffs[k] = complex(v)
@@ -98,14 +81,14 @@ class ExperimentConfig:
     options: Dict[str, str] = field(default_factory=dict)
 
     def opt_ints(self, key: str, default: str = "") -> List[int]:
-        raw = self.options.get(key, default)
-        return [int(v) for v in raw.split()] if raw.strip() else []
+        return config_value(key, self.options.get(key, default),
+                            lambda t: [int(v) for v in t.split()])
 
     def opt_int(self, key: str, default: int) -> int:
-        return int(self.options.get(key, default))
+        return config_value(key, self.options.get(key, default), int)
 
     def opt_float(self, key: str, default: float) -> float:
-        return float(self.options.get(key, default))
+        return config_value(key, self.options.get(key, default), float)
 
     def opt_bool(self, key: str, default: bool = False) -> bool:
         raw = self.options.get(key, "").strip().lower()
@@ -147,7 +130,7 @@ def load_config(path: str, overrides: Optional[Dict[str, str]] = None) -> Experi
         raise ConfigError("missing experiment 'kind'")
 
     ensemble = None
-    d = int(exp.get("d", parser.get("ensemble", "d", fallback="1")))
+    d = config_value("d", exp.get("d", parser.get("ensemble", "d", fallback="1")), int)
     if "ensemble" in parser:
         block = {k: v for k, v in parser["ensemble"].items() if k != "d"}
         if "seed" not in block and "seed" in exp:
@@ -165,10 +148,10 @@ def load_config(path: str, overrides: Optional[Dict[str, str]] = None) -> Experi
 
     cfg = ExperimentConfig(
         kind=kind,
-        seed=int(exp.get("seed", 0)),
-        samples=int(exp.get("samples", 1)),
+        seed=config_value("seed", exp.get("seed", 0), int),
+        samples=config_value("samples", exp.get("samples", 1), int),
         out_dir=exp.get("out", "out"),
-        workers=int(exp.get("workers", 1)),
+        workers=config_value("workers", exp.get("workers", 1), int),
         d=d, ensemble=ensemble, g=g, h=h, options=options)
     cfg.validate()
     return cfg

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .errors import ConfigError, DegenerateFitError, ModelError, NumericError
 from .fitting import ols_line
 from .lattices import MEMORY_BUDGET_BYTES, EnsembleSpec, LatticeBox, operator_bytes
 from .mc import ordered_map
-from .regions import Region, boundary_distance, region_mask
+from .regions import Region, boundary_distance
 from .spectral import ScalarFunction
 
 VALUE_FLOOR = 1e-14
@@ -345,8 +345,7 @@ def combes_thomas_probe(stats: KernelBoxStats, theta: float = 1.0) -> DecayFitRe
 
 def trace_difference_probe(spec: EnsembleSpec, g: ScalarFunction, h: ScalarFunction,
                            inner: Region, outer: Region, box: LatticeBox,
-                           n_samples: int, workers: int = 1,
-                           probe_sites: Optional[np.ndarray] = None) -> DecayFitReport:
+                           n_samples: int, workers: int = 1) -> DecayFitReport:
     """Fit the decay exponent q~ of ||E[ chi_a {h(g(H)_G) - h(g(H)_G')} chi_a ]||_1.
 
     Values are averaged diagonal entries of the difference at sites a inside
@@ -355,15 +354,14 @@ def trace_difference_probe(spec: EnsembleSpec, g: ScalarFunction, h: ScalarFunct
     budgets and convergence-rate checks downstream.
     """
     coords = box.sites()
-    inner_mask = region_mask(inner, box)
-    outer_mask = region_mask(outer, box)
-    if not outer_mask.contains_mask(inner_mask):
+    inner_bits, outer_bits = inner.evaluate(coords), outer.evaluate(coords)
+    if np.any(inner_bits & ~outer_bits):
         raise ConfigError("inner region not contained in outer region on this box")
 
     def one(s):
         lam, u, gl = spectral_data(spec, box, s, g)
-        return (_restricted_diag(u, gl, inner_mask.bits, h)
-                - _restricted_diag(u, gl, outer_mask.bits, h))
+        return (_restricted_diag(u, gl, inner_bits, h)
+                - _restricted_diag(u, gl, outer_bits, h))
 
     n = box.site_count
     total = np.zeros(n)     # 0.0 + row == row: starting at zero adds no rounding
@@ -371,12 +369,8 @@ def trace_difference_probe(spec: EnsembleSpec, g: ScalarFunction, h: ScalarFunct
                   sample_bytes=operator_bytes(n, 8) + 8 * n, held_bytes=8 * n,
                   workers=workers)
     mean_diff = np.abs(total / n_samples)
-    if probe_sites is None:
-        sel = np.flatnonzero(inner_mask.bits)
-    else:
-        sel = np.asarray([box.index_of(tuple(s)) for s in probe_sites])
     ds, vs = [], []
-    for i in sel:
+    for i in np.flatnonzero(inner_bits):
         a_site = tuple(coords[i])
         r = boundary_distance(a_site, inner, outer, box)
         if not math.isfinite(r):

@@ -23,3 +23,11 @@ class DegenerateFitError(NumericError):
 
 class QuadratureError(NumericError):
     """Quadrature grid too coarse for the requested tolerance."""
+
+
+def config_value(key: str, raw, convert):
+    """``convert(raw)``, with a ``ValueError`` turned into a ``ConfigError`` naming ``key``."""
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {raw!r} is not valid: {exc}") from None

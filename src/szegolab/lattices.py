@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, ModelError, config_value
 
 # Bytes one dense step may hold: operators whose build and diagonalization
 # would need more are refused, and the resolvent quadrature sizes its solve
@@ -135,6 +135,13 @@ class Symbol1D:
     def from_dict(coeffs: Dict[int, complex], is_real_positive: bool = False) -> "Symbol1D":
         items = tuple(sorted((int(k), complex(v)) for k, v in coeffs.items()))
         return Symbol1D(items, is_real_positive)
+
+    @staticmethod
+    def parse(text: str) -> "Symbol1D":
+        """Symbol from ``k:a_k`` pairs such as ``0:1.0 1:0.25j -1:-0.25j`` (the
+        ``symbol.coeffs`` config value); ``ValueError`` if one is malformed."""
+        pairs = (item.split(":", 1) for item in text.split())
+        return Symbol1D.from_dict({int(k): complex(v) for k, v in pairs})
 
     def as_dict(self) -> Dict[int, complex]:
         return {k: v for k, v in self.coeffs}
@@ -264,21 +271,15 @@ class EnsembleSpec:
             kind = block["kind"].strip()
         except KeyError:
             raise ConfigError("ensemble block needs a 'kind' key")
-        period = tuple(int(v) for v in block["period"].split()) if "period" in block else None
-        cell = (tuple(float(v) for v in block["potential_cell"].split())
-                if "potential_cell" in block else None)
-        symbol = None
-        if "symbol.coeffs" in block:
-            coeffs = {}
-            for item in block["symbol.coeffs"].split():
-                k, v = item.split(":", 1)
-                coeffs[int(k)] = complex(v)
-            symbol = Symbol1D.from_dict(coeffs)
-        return EnsembleSpec(kind=kind,
-                            W=float(block.get("W", 0.0)),
-                            hopping=float(block.get("hopping", 1.0)),
-                            seed=int(block.get("seed", 0)),
-                            period=period, potential_cell=cell, symbol=symbol)
+        def value(key, convert, default=None):
+            return config_value(key, block[key], convert) if key in block else default
+
+        return EnsembleSpec(kind=kind, W=value("W", float, 0.0),
+                            hopping=value("hopping", float, 1.0), seed=value("seed", int, 0),
+                            period=value("period", lambda t: tuple(map(int, t.split()))),
+                            potential_cell=value("potential_cell",
+                                                 lambda t: tuple(map(float, t.split()))),
+                            symbol=value("symbol.coeffs", Symbol1D.parse))
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +336,6 @@ class HermitianOperator:
         n = self.box.site_count
         if self.matrix.shape != (n, n):
             raise ModelError(f"matrix shape {self.matrix.shape} != site count {n}")
-
-    @property
-    def n(self) -> int:
-        return self.box.site_count
 
     def hermiticity_defect(self) -> float:
         m = self.matrix

@@ -1,4 +1,4 @@
-"""Symbolic lattice regions, projection masks and traces.
+"""Symbolic lattice regions and their masks on boxes.
 
 Order-type regions are expressed through one fixed strict total order on
 coordinate slots ("slot order"):
@@ -21,8 +21,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigError, ModelError
-from .lattices import HermitianOperator, LatticeBox
+from .errors import ConfigError
+from .lattices import LatticeBox
 
 # ---------------------------------------------------------------------------
 # constraints
@@ -89,6 +89,9 @@ class Region:
     def evaluate(self, coords: np.ndarray) -> np.ndarray:
         """Boolean membership vector for an ``(N, d)`` coordinate array."""
         coords = np.asarray(coords)
+        if coords.ndim != 2 or coords.shape[1] != self.d:
+            raise ConfigError(f"a region in d={self.d} needs (N, {self.d}) coordinates, "
+                              f"got shape {coords.shape}")
         ok = np.ones(coords.shape[0], dtype=bool)
         for c in self.constraints:
             if isinstance(c, CoordRange):
@@ -129,81 +132,38 @@ def wedge_region(d: int, perm: Sequence[int], lo: int, hi: int) -> Region:
 
 
 # ---------------------------------------------------------------------------
-# masks
+# masks and boundary distance
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProjectionMask:
-    """Realized 0/1 diagonal of a region on a box (idempotent projection)."""
+def check_mask(box: LatticeBox, bits) -> np.ndarray:
+    """``bits`` if it is a bool array with one entry per site of ``box``.
 
-    box: LatticeBox
-    bits: np.ndarray
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=bool)
-        if self.bits.shape != (self.box.site_count,):
-            raise ModelError("mask length does not match the box")
-
-    @property
-    def count(self) -> int:
-        return int(self.bits.sum())
-
-    def __and__(self, other: "ProjectionMask") -> "ProjectionMask":
-        if other.box != self.box:
-            raise ModelError("mask boxes differ")
-        return ProjectionMask(self.box, self.bits & other.bits)
-
-    def __invert__(self) -> "ProjectionMask":
-        return ProjectionMask(self.box, ~self.bits)
-
-    def contains_mask(self, other: "ProjectionMask") -> bool:
-        return bool(np.all(self.bits | ~other.bits))
-
-    def sites(self) -> np.ndarray:
-        return self.box.sites()[self.bits]
+    A mask is the 0/1 diagonal of a region on a box, ``region.evaluate(box.sites())``.
+    """
+    bits = np.asarray(bits)
+    if bits.dtype != bool or bits.shape != (box.site_count,):
+        raise ConfigError(f"a mask on {box.site_count} sites must be a bool array of "
+                          f"that length, got {bits.dtype} of shape {bits.shape}")
+    return bits
 
 
-def region_mask(region: Region, box: LatticeBox) -> ProjectionMask:
-    if region.d != box.d:
-        raise ConfigError("region dimension does not match the box")
-    return ProjectionMask(box, region.evaluate(box.sites()))
-
-
-def full_mask(box: LatticeBox) -> ProjectionMask:
-    return ProjectionMask(box, np.ones(box.site_count, dtype=bool))
-
-
-# ---------------------------------------------------------------------------
-# traces
-# ---------------------------------------------------------------------------
-
-def trace(op: HermitianOperator) -> complex:
-    t = np.trace(op.matrix)
-    return complex(t)
-
-
-# ---------------------------------------------------------------------------
-# boundary distance
-# ---------------------------------------------------------------------------
-
-def _boundary_sites(inner: ProjectionMask, outer: ProjectionMask) -> np.ndarray:
+def _boundary_sites(inner: np.ndarray, outer: np.ndarray, box: LatticeBox) -> np.ndarray:
     """Sites of outer \\ inner with a nearest neighbor in inner (the cut)."""
-    box = inner.box
-    if not outer.contains_mask(inner):
+    inner, outer = check_mask(box, inner), check_mask(box, outer)
+    if np.any(inner & ~outer):
         raise ConfigError("inner region is not contained in outer on this box")
     sites = box.sites()
     strides = np.asarray(box.strides)
-    inner_bits = inner.bits
     cut = np.zeros(box.site_count, dtype=bool)
     flat = np.arange(box.site_count)
     for axis in range(box.d):
         fwd = sites[:, axis] < box.hi[axis]
         rows = flat[fwd]
         cols = rows + strides[axis]
-        disagree = inner_bits[rows] != inner_bits[cols]
-        cut[rows[disagree & ~inner_bits[rows]]] = True
-        cut[cols[disagree & ~inner_bits[cols]]] = True
-    cut &= outer.bits
+        disagree = inner[rows] != inner[cols]
+        cut[rows[disagree & ~inner[rows]]] = True
+        cut[cols[disagree & ~inner[cols]]] = True
+    cut &= outer
     return sites[cut]
 
 
@@ -214,7 +174,8 @@ def boundary_distance(a, inner: Region, outer: Region, box: LatticeBox) -> float
     that are nearest-neighbor adjacent to inner.  Returns inf if the boundary
     is empty on the box.
     """
-    bd = _boundary_sites(region_mask(inner, box), region_mask(outer, box))
+    coords = box.sites()
+    bd = _boundary_sites(inner.evaluate(coords), outer.evaluate(coords), box)
     if bd.shape[0] == 0:
         return math.inf
     a = np.asarray(a, dtype=np.int64)
@@ -238,18 +199,21 @@ def parse_region(d: int, text: str) -> Region:
         name, args = term[:-1].split("(", 1)
         name = name.strip()
         args = [a.strip() for a in args.split(",")]
-        if name == "orthant":
-            axis, sign = int(args[0]) - 1, args[1]
-            constraints.append(Orthant(axis, +1 if sign in ("+", "+1") else -1))
-        elif name == "layer":
-            constraints.append(Layer(int(args[0]) - 1, int(args[1])))
-        elif name == "range":
-            constraints.append(CoordRange(int(args[0]) - 1, int(args[1]), int(args[2])))
-        elif name == "order":
-            if len(args) != 1 or "<" not in args[0]:
-                raise ConfigError(f"order term must look like order(1<2), got {term!r}")
-            left, right = args[0].split("<")
-            constraints.append(SlotLess(int(left) - 1, int(right) - 1))
-        else:
-            raise ConfigError(f"unknown region constraint {name!r}")
+        if name == "order" and (len(args) != 1 or "<" not in args[0]):
+            raise ConfigError(f"order term must look like order(1<2), got {term!r}")
+        try:
+            if name == "orthant":
+                axis, sign = int(args[0]) - 1, args[1]
+                constraints.append(Orthant(axis, +1 if sign in ("+", "+1") else -1))
+            elif name == "layer":
+                constraints.append(Layer(int(args[0]) - 1, int(args[1])))
+            elif name == "range":
+                constraints.append(CoordRange(int(args[0]) - 1, int(args[1]), int(args[2])))
+            elif name == "order":
+                left, right = args[0].split("<")
+                constraints.append(SlotLess(int(left) - 1, int(right) - 1))
+            else:
+                raise ConfigError(f"unknown region constraint {name!r}")
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"cannot parse region term {term!r}: {exc}") from None
     return Region(d, tuple(constraints))

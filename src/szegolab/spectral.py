@@ -35,7 +35,8 @@ class ScalarFunction:
 
     Built-ins: ``poly``, ``bump`` (compactly supported piecewise-polynomial
     bump of prescribed smoothness class), ``indicator``, ``entire`` (truncated
-    power series).  A declared growth envelope ``|h(x)| <= C |x|^gamma`` is
+    power series).  Parameters must be finite, except that an indicator bound
+    may be infinite.  A declared growth envelope ``|h(x)| <= C |x|^gamma`` is
     verified by sampling at construction time.
     """
 
@@ -49,6 +50,10 @@ class ScalarFunction:
     params: Tuple = ()
 
     def __post_init__(self):
+        values = np.asarray(self.params, dtype=float)
+        if np.any(np.isnan(values) | (np.isinf(values) & (self.form != "indicator"))):
+            raise ConfigError(f"{self.form}{self.params}: parameters must be finite "
+                              "(only an indicator bound may be infinite)")
         if self.envelope is not None:
             c_h, gamma_h = self.envelope
             lo, hi = self.support if self.support else (-1.0, 1.0)

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -92,6 +94,58 @@ def test_non_finite_ensemble_is_exit_2(tmp_path, capsys, key, value):
         f"\n{key} = ", f"\n{key} = {value}\n# was ")
     assert run_experiment(write(tmp_path, "nonfinite.ini", text)) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+FORMULA_INI = """
+[experiment]
+kind = coefficient_formula
+seed = 7
+samples = 1
+out = {out}
+d = 1
+
+[ensemble]
+kind = anderson
+W = 8.0
+
+[g]
+form = bump(2.0, 3.0, 4)
+
+[h]
+form = poly(0, 0, 1)
+
+[coeff]
+L = 4
+R = 16
+"""
+
+
+@pytest.mark.parametrize("old, new", [
+    ("bump(2.0, 3.0, 4)", "bump(nan, 3.0, 4)"),         # was all-zero coefficients
+    ("bump(2.0, 3.0, 4)", "bump(2.0, inf, 4)"),         # was g = 1 near 2
+    ("poly(0, 0, 1)", "poly(0, nan, 1)"),               # was NaN coefficients
+    ("bump(2.0, 3.0, 4)", "indicator(nan, 2.0)"),       # was (-inf, 2]
+], ids=["bump-nan-center", "bump-inf-width", "poly-nan-coeff", "indicator-nan-bound"])
+def test_non_finite_function_parameter_is_exit_2(tmp_path, capsys, old, new):
+    text = FORMULA_INI.format(out=tmp_path / "o").replace(old, new)
+    assert run_experiment(write(tmp_path, "fn.ini", text)) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "coefficients.json").exists()
+
+
+@pytest.mark.parametrize("key, edits", [
+    ("W", [("W = 8.0", "W = abc")]),
+    ("L", [("L = 4", "L = five")]),
+    ("samples", [("samples = 1", "samples = x")]),
+    ("symbol.coeffs", [("kind = anderson\nW = 8.0", "kind = toeplitz1d\nsymbol.coeffs = 1:abc")]),
+    ("ct_z", [("coefficient_formula", "verify"), ("R = 16", "ct_z = 5+1j nope")]),
+], ids=["W", "L", "samples", "symbol.coeffs", "ct_z"])
+def test_malformed_number_is_exit_2_naming_the_key(tmp_path, capsys, key, edits):
+    text = FORMULA_INI.format(out=tmp_path / "o")
+    for old, new in edits:
+        text = text.replace(old, new)
+    assert run_experiment(write(tmp_path, "num.ini", text)) == 2
+    assert f"{key} = " in capsys.readouterr().err
 
 
 def test_library_import_does_not_load_scipy():
@@ -280,6 +334,21 @@ gate_at_l = 100
 gate_tol = 1e-3
 """)
     assert run_experiment(path) == 0
+
+
+def test_szego1d_gate_outside_the_grid_is_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "szgrid.ini", f"""
+[experiment]
+kind = szego_1d
+out = {tmp_path / "szgrid"}
+
+[szego1d]
+symbol = expcos(0.5)
+l_grid = 50 100
+gate_at_l = 75
+""")
+    assert run_experiment(path) == 2
+    assert "gate_at_l = 75 is not in l_grid = [50, 100]" in capsys.readouterr().err
 
 
 def test_numeric_failure_is_exit_3(tmp_path):
@@ -511,3 +580,26 @@ expect = enhanced
     assert run_experiment(path) == 0
     rep = json.loads((out / "log-enhancement.json").read_text())
     assert rep["classification"] == "enhanced"
+
+
+def test_benchmark_entry_points_resolve(monkeypatch):
+    # the benchmark wraps these names at run time; a deleted one would silently
+    # drop its layer from traced runs.  _restricted_diag_from_sub is the one
+    # name that was deleted before this guard existed.
+    bench = os.path.join(ROOT, "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    spec = importlib.util.spec_from_file_location("bench_layers",
+                                                  os.path.join(bench, "layers.py"))
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    stale = {("szegolab.coefficients", "_restricted_diag_from_sub")}
+    missing = {(mod, attr) for mod, attr, _name, _attrs in layers.HOOKS
+               if not hasattr(importlib.import_module(mod), attr)}
+    assert missing <= stale, missing
+    for mod in layers.ORDERED_MAP_OWNERS:
+        assert callable(importlib.import_module(mod).ordered_map), mod
+    from szegolab import lattices, spectral
+    for owner, attr in ((lattices.HermitianOperator, "from_matrix"),
+                        (spectral, "hs_extension"), (spectral, "hs_discrepancy"),
+                        (spectral.ScalarFunction, "bump")):
+        assert callable(getattr(owner, attr, None)), attr

@@ -8,16 +8,14 @@ import pytest
 from szegolab import mc
 from szegolab.errors import ConfigError
 from szegolab.lattices import EnsembleSpec, HermitianOperator, LatticeBox
-from szegolab.regions import full_mask, region_mask
+from szegolab.regions import orthant_region
 from szegolab.spectral import ScalarFunction
-from szegolab.coefficients import (CoefficientTable, big_box, c_constant,
+from szegolab.coefficients import (CoefficientTable, c_constant,
                                    c_tilde_printed, c_tilde_recurrence,
-                                   chi_hat_mask, chi_hat_region,
-                                   coefficient_sweep, comb_constants,
-                                   decomposition_identity_probe, error_term,
+                                   chi_hat_region, coefficient_sweep, comb_constants,
+                                   decomposition_identity_probe,
                                    inclusion_exclusion_check, k_vectors,
-                                   model_operators, partition_block_sizes,
-                                   perm_block, pi0_for_block,
+                                   partition_block_sizes, perm_block, pi0_for_block,
                                    sd_partition_residual, telescoping_check)
 from tests.conftest import rand_hermitian
 
@@ -25,6 +23,11 @@ G_BUMP = ScalarFunction.bump(2.0, 3.0, 4)
 H_SQUARE = ScalarFunction.poly((0.0, 0.0, 1.0))
 H_ID = ScalarFunction.identity()
 ANDERSON = EnsembleSpec("anderson", W=8.0, seed=7)
+
+
+def chi_hat_sites(m, n, box, L):
+    bits = chi_hat_region(box.d, m, n, L).evaluate(box.sites())
+    return {tuple(map(int, s)) for s in box.sites()[bits]}
 
 
 # ---------------------------------------------------------------------------
@@ -85,73 +88,41 @@ def test_pi0_inverse_lies_in_block():
 # ---------------------------------------------------------------------------
 
 def test_chi_hat_d1_is_orthant():
-    box = LatticeBox.interval(-3, 3)
-    mask = chi_hat_mask(1, 1, box)
-    assert {int(s[0]) for s in mask.sites()} == {0, 1, 2, 3}
+    assert chi_hat_sites(1, 1, LatticeBox.interval(-3, 3), 4) == {(0,), (1,), (2,), (3,)}
 
 
 def test_chi_hat_d2_m2_n1_strict_domination():
     # domination x_1 >= x_2 is the exact slot-order complement of the chain
     # constraint, which on the lattice is the strict inequality x_2 < x_1
-    box = LatticeBox.cube(2, 0, 2)
-    mask = chi_hat_mask(2, 1, box)
-    got = {tuple(map(int, s)) for s in mask.sites()}
-    assert got == {(1, 0), (2, 0), (2, 1)}
+    assert chi_hat_sites(2, 1, LatticeBox.cube(2, 0, 2), 3) == {(1, 0), (2, 0), (2, 1)}
 
 
 def test_chi_hat_d2_m1_layer_convention():
-    box = LatticeBox.cube(2, 0, 2)
-    mask = chi_hat_mask(1, 1, box)
-    got = {tuple(map(int, s)) for s in mask.sites()}
-    assert got == {(0, 0), (1, 0), (2, 0)}
+    assert chi_hat_sites(1, 1, LatticeBox.cube(2, 0, 2), 3) == {(0, 0), (1, 0), (2, 0)}
 
 
 def test_chi_hat_partition_with_complement():
     # for d = 2 the two m = 2 wedges tile the quadrant exactly
     box = LatticeBox.cube(2, 0, 4)
-    m21 = chi_hat_mask(2, 1, box).bits.astype(int)
-    m22 = chi_hat_mask(2, 2, box).bits.astype(int)
+    m21 = chi_hat_region(2, 2, 1, 5).evaluate(box.sites()).astype(int)
+    m22 = chi_hat_region(2, 2, 2, 5).evaluate(box.sites()).astype(int)
     assert np.array_equal(m21 + m22, np.ones(box.site_count, dtype=int))
 
 
 def test_chi_hat_rejects_bad_indices():
-    box = LatticeBox.cube(2, 0, 2)
     with pytest.raises(ConfigError):
-        chi_hat_mask(1, 2, box)
+        chi_hat_region(2, 1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
-# model operators
+# the per-sample spectral kernel
 # ---------------------------------------------------------------------------
-
-def test_model_operators_zero_h():
-    fam = model_operators(ANDERSON, 1, 0, G_BUMP, ScalarFunction.zero(), R=6)
-    assert all(np.max(np.abs(f.matrix)) == 0.0 for f in fam.f)
-
-
-def test_model_operators_off_spectrum_g():
-    g_off = ScalarFunction.bump(50.0, 2.0, 4)
-    fam = model_operators(ANDERSON, 1, 0, g_off, H_SQUARE, R=6)
-    assert all(np.max(np.abs(f.matrix)) < 1e-20 for f in fam.f)
-
-
-def test_model_operators_identity_h_wedge_nullity():
-    d = 2
-    fam = model_operators(ANDERSON, d, 0, G_BUMP, H_ID, R=6)
-    box = fam.box
-    for m in range(1, d + 1):
-        for n in range(1, m + 1):
-            bits = chi_hat_mask(m, n, box).bits
-            diff = fam.f[n].matrix - fam.f[n - 1].matrix
-            block = diff[np.ix_(bits, bits)]
-            assert np.max(np.abs(block)) == 0.0
-
 
 def test_block_of_gH_matches_eigen_route():
     from szegolab.coefficients import block_of_gH, spectral_data
     from szegolab.lattices import build_operator
     from szegolab.spectral import matrix_function
-    box = big_box(2, 6)
+    box = LatticeBox.centered(2, 6)
     lam, u, gl = spectral_data(ANDERSON, box, 0, G_BUMP)
     assert 0 < np.count_nonzero(gl) < gl.size      # zero-weight pairs are skipped
     ref = matrix_function(build_operator(ANDERSON, box, 0), G_BUMP).matrix
@@ -214,7 +185,7 @@ def test_dense_route_keeps_eighs_eigenvalues_and_g_of_H(d, R):
     from szegolab.coefficients import block_of_gH, spectral_data
     from szegolab.lattices import build_operator
     from szegolab.spectral import matrix_function
-    box = big_box(d, R)
+    box = LatticeBox.centered(d, R)
     lam, u, gl = spectral_data(ANDERSON, box, 2, G_BUMP)
     assert np.array_equal(lam, np.linalg.eigh(build_operator(ANDERSON, box, 2).matrix)[0])
     assert u.shape == (box.site_count, np.count_nonzero(gl)) and u.flags.c_contiguous
@@ -243,7 +214,7 @@ def test_only_complex_samples_call_eigh(monkeypatch):
     cplx = EnsembleSpec("toeplitz1d", symbol=Symbol1D.from_dict(
         {0: 1.0, 1: 0.25j, -1: -0.25j}))
     cases = [(ANDERSON, LatticeBox.interval(0, 63), 0, ["dstedc"]),
-             (ANDERSON, big_box(2, 4), 0, ["dsytrd", "dstedc", "dormtr"]),
+             (ANDERSON, LatticeBox.centered(2, 4), 0, ["dsytrd", "dstedc", "dormtr"]),
              (real, LatticeBox.interval(0, 15), 0, ["dsytrd", "dstedc", "dormtr"]),
              (cplx, LatticeBox.interval(0, 15), 1, [])]
     calls = _count_eigh(monkeypatch)
@@ -257,7 +228,7 @@ def test_only_complex_samples_call_eigh(monkeypatch):
 @pytest.mark.parametrize("d, R", [(1, 100), (2, 6)])
 def test_route_without_lapacke_gives_the_same_g_of_H(monkeypatch, d, R):
     from szegolab.coefficients import block_of_gH, spectral_data
-    box = big_box(d, R)
+    box = LatticeBox.centered(d, R)
     want = spectral_data(ANDERSON, box, 3, G_BUMP)
     monkeypatch.setattr(mc, "lapacke_eigensolver", lambda: None)
     calls = _count_eigh(monkeypatch)
@@ -283,7 +254,7 @@ def test_lapack_failure_is_linalg_error(monkeypatch, d):
         return op
     monkeypatch.setattr(coefficients, "build_operator", nan_band)
     with pytest.raises(np.linalg.LinAlgError):     # LAPACKE refuses NaN input
-        coefficients.spectral_data(ANDERSON, big_box(d, 4), 0, G_BUMP)
+        coefficients.spectral_data(ANDERSON, LatticeBox.centered(d, 4), 0, G_BUMP)
 
 
 @pytest.mark.parametrize("d, R", [(1, 40), (2, 5)])
@@ -292,7 +263,7 @@ def test_restricted_diag_completes_h_of_zero(d, R):
     from szegolab.coefficients import _restricted_diag, spectral_data
     from szegolab.lattices import build_operator
     h = ScalarFunction.poly((0.5, -1.0, 2.0))
-    box = big_box(d, R)
+    box = LatticeBox.centered(d, R)
     lam, full_u = np.linalg.eigh(build_operator(ANDERSON, box, 4).matrix)
     gl = np.real(G_BUMP(lam))
     _, u, got_gl = spectral_data(ANDERSON, box, 4, G_BUMP)
@@ -307,14 +278,6 @@ def test_restricted_diag_completes_h_of_zero(d, R):
     assert np.max(np.abs(_restricted_diag(u, got_gl, bits, h) - want)) <= 1e-12
 
 
-def test_model_operators_requires_certificate_with_tol():
-    with pytest.raises(ConfigError):
-        model_operators(ANDERSON, 1, 0, G_BUMP, H_SQUARE, R=8, tol=1e-6)
-    fam = model_operators(ANDERSON, 1, 0, G_BUMP, H_SQUARE, R=8,
-                          decay_rate=lambda r: math.exp(-0.5 * r), tol=1.0)
-    assert fam.truncation_estimate is not None
-
-
 # ---------------------------------------------------------------------------
 # telescoping and inclusion-exclusion
 # ---------------------------------------------------------------------------
@@ -323,7 +286,7 @@ def test_telescoping_equal_family_is_zero(rng):
     box = LatticeBox.cube(2, 0, 3)
     m = rand_hermitian(rng, box.site_count)
     fam = [HermitianOperator(box, m) for _ in range(3)]
-    assert telescoping_check(fam, full_mask(box)) == 0.0
+    assert telescoping_check(fam, np.ones(box.site_count, bool)) == 0.0
 
 
 def test_telescoping_random_families(rng):
@@ -332,23 +295,15 @@ def test_telescoping_random_families(rng):
     for _ in range(50):
         fam = [HermitianOperator(box, rand_hermitian(rng, n)) for _ in range(3)]
         scale = max(np.abs(f.matrix).max() for f in fam) * n
-        assert telescoping_check(fam, full_mask(box)) <= 1e-9 * scale
+        assert telescoping_check(fam, np.ones(box.site_count, bool)) <= 1e-9 * scale
 
 
 def test_telescoping_d1_single_wedge(rng):
     box = LatticeBox.interval(0, 5)
     fam = [HermitianOperator(box, rand_hermitian(rng, 6)) for _ in range(2)]
-    probe = full_mask(box)
+    probe = np.ones(box.site_count, bool)
     lhs = telescoping_check(fam, probe)
     assert lhs <= 1e-12
-
-
-def test_telescoping_model_family():
-    from szegolab.regions import box_region
-    fam = model_operators(ANDERSON, 2, 0, G_BUMP, H_SQUARE, R=5)
-    probe = region_mask(box_region(2, 0, 1), fam.box)
-    resid = telescoping_check(fam.f, probe)
-    assert resid <= 1e-10
 
 
 def test_inclusion_exclusion_d1():
@@ -445,15 +400,26 @@ def test_d3_coefficients_smoke():
         assert abs(tid.A_fv[m].mean) <= 1e-10
 
 
-def test_complex_toeplitz_through_model_operators():
-    # complex Hermitian symbol: a_1 = i/4, a_{-1} = -i/4
-    from szegolab.lattices import Symbol1D
-    sym = Symbol1D.from_dict({0: 1.0, 1: 0.25j, -1: -0.25j})
-    spec = EnsembleSpec("toeplitz1d", symbol=sym)
-    fam = model_operators(spec, 1, 0, ScalarFunction.poly((0.0, 1.0, 0.5)),
-                          H_SQUARE, R=8)
-    for f in fam.f:
-        assert f.hermiticity_defect() <= 1e-12
+def test_complex_toeplitz_restricted_diag_matches_dense_reference():
+    # complex Hermitian symbol a(theta) = 1 - sin(theta)/2: a_1 = i/4, a_{-1} = -i/4
+    from szegolab.coefficients import _restricted_diag, spectral_data
+    from szegolab.lattices import Symbol1D, build_operator
+    spec = EnsembleSpec("toeplitz1d", symbol=Symbol1D.from_dict({0: 1.0, 1: 0.25j, -1: -0.25j}))
+    g = ScalarFunction.bump(1.0, 0.6, 4)
+    box = LatticeBox.centered(1, 20)
+    bits = orthant_region(1).evaluate(box.sites())              # the half-line
+    lam, full_u = np.linalg.eigh(build_operator(spec, box, 0).matrix)
+    assert np.iscomplexobj(full_u)
+    gl = np.real(g(lam))
+    assert 0 < np.count_nonzero(gl) < box.site_count
+    g_of_h = (full_u * gl[None, :]) @ full_u.conj().T
+    mu, v = np.linalg.eigh(g_of_h[np.ix_(bits, bits)])
+    want = np.zeros(box.site_count)
+    want[bits] = (np.abs(v) ** 2) @ np.real(H_SQUARE(mu))
+    _, u, got_gl = spectral_data(spec, box, 0, g)
+    assert np.max(np.abs(_restricted_diag(u, got_gl, bits, H_SQUARE) - want)) <= 1e-12
+    res = coefficient_sweep(spec, 1, g, H_SQUARE, 20, [5], 2, ells=[4, 8], error_L=[5])
+    assert np.all(np.isfinite(res.mean)) and res.a_fv(5, 1).mean != 0.0
 
 
 def test_mc_determinism_bit_identical():
@@ -466,23 +432,17 @@ def test_mc_determinism_bit_identical():
 # error term
 # ---------------------------------------------------------------------------
 
-def test_error_term_identity_h_exact_zero():
-    assert error_term(ANDERSON, 1, 0, G_BUMP, H_ID, L=8, R=20) == 0.0
-    assert error_term(ANDERSON, 2, 0, G_BUMP, H_ID, L=3, R=8) == 0.0
-
-
 def test_error_term_zero_h():
-    assert error_term(ANDERSON, 1, 0, G_BUMP, ScalarFunction.zero(), L=8, R=20) == 0.0
+    res = coefficient_sweep(ANDERSON, 1, G_BUMP, ScalarFunction.zero(), 20, [], 1,
+                            error_L=[8])
+    assert res.stat("EL", 8).mean == 0.0
 
 
 def test_error_term_decreases_in_L():
     # localized chain: the averaged corner error shrinks with the scale
-    budget = 16
-    means = []
-    for L in (5, 10, 20):
-        vals = [error_term(ANDERSON, 1, s, G_BUMP, H_SQUARE, L=L, R=60)
-                for s in range(budget)]
-        means.append(abs(np.mean(vals)))
+    res = coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 60, [], 16,
+                            error_L=[5, 10, 20])
+    means = [abs(res.stat("EL", L).mean) for L in (5, 10, 20)]
     assert means[2] < means[0]
     assert means[1] < 3.0 * means[0] + 1e-12   # monotone within noise
 

@@ -202,10 +202,10 @@ def test_trace_difference_identity_h_deep_inside():
     rep_box = LatticeBox.interval(-20, 79)
     inner = Region(1, (CoordRange(0, 0, 29),))
     from szegolab.coefficients import spectral_data, _restricted_diag
-    from szegolab.regions import region_mask
     lam, u, gl = spectral_data(ANDERSON, rep_box, 0, G_BUMP)
-    d_in = _restricted_diag(u, gl, region_mask(inner, rep_box).bits, ScalarFunction.identity())
-    d_out = _restricted_diag(u, gl, region_mask(OUTER, rep_box).bits, ScalarFunction.identity())
+    coords = rep_box.sites()
+    d_in = _restricted_diag(u, gl, inner.evaluate(coords), ScalarFunction.identity())
+    d_out = _restricted_diag(u, gl, OUTER.evaluate(coords), ScalarFunction.identity())
     idx = [rep_box.index_of((10,)), rep_box.index_of((15,))]
     assert all(d_in[i] - d_out[i] == 0.0 for i in idx)
     with pytest.raises(DegenerateFitError):
@@ -228,11 +228,10 @@ def test_trace_difference_fit_quality():
 def test_trace_difference_pair_values_swap_symmetric():
     # the averaged kernel block of the Hermitian difference is symmetric in
     # (a, b) up to conjugation, so probe values cannot depend on the order
-    from szegolab.regions import region_mask
     box = LatticeBox.interval(-20, 79)
     inner = Region(1, (CoordRange(0, 0, 29),))
-    in_bits = region_mask(inner, box).bits
-    out_bits = region_mask(OUTER, box).bits
+    in_bits = inner.evaluate(box.sites())
+    out_bits = OUTER.evaluate(box.sites())
     total = None
     for s in range(6):
         gl, u = _eigh_g_of_H(ANDERSON, box, s)

@@ -7,8 +7,6 @@ from szegolab.lattices import (MEMORY_BUDGET_BYTES, EnsembleSpec, LatticeBox,
                                Symbol1D, build_operator, operator_bytes,
                                site_uniforms, symbol_fourier_coefficients,
                                toeplitz_matrix)
-from szegolab.regions import region_mask
-from szegolab.coefficients import big_box
 
 
 def test_box_index_map_is_bijection():
@@ -102,7 +100,7 @@ def test_trace_distribution_invariant_under_swap():
     spec = EnsembleSpec("anderson", W=4.0, seed=100)
     box = LatticeBox.cube(2, -5, 4)
     rect = Region(2, (CoordRange(0, -3, 1), CoordRange(1, -1, 3)))
-    bits = region_mask(rect, box).bits
+    bits = rect.evaluate(box.sites())
     swap = box.indices_of(box.sites()[:, ::-1])     # site (x, y) -> (y, x)
     t_plain, t_swapped = [], []
     for s in range(200):
@@ -200,7 +198,7 @@ def test_operator_byte_estimate_and_guard():
     assert operator_bytes(2304, 8) == 5 * 8 * 2304 ** 2
     assert operator_bytes(400, 16) == 5 * 16 * 400 ** 2
     # the largest shipped box (d = 2, R = 24) fits with room to spare
-    assert operator_bytes(big_box(2, 24).site_count, 8) < MEMORY_BUDGET_BYTES / 10
+    assert operator_bytes(LatticeBox.centered(2, 24).site_count, 8) < MEMORY_BUDGET_BYTES / 10
     # 8000 sites of float64 need 2.56e9 bytes; refused before any allocation
     assert operator_bytes(8000, 8) > MEMORY_BUDGET_BYTES
     with pytest.raises(ModelError, match="2560000000 bytes"):

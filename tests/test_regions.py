@@ -4,24 +4,24 @@ import numpy as np
 import pytest
 
 from szegolab.errors import ConfigError
+from szegolab.coefficients import telescoping_check
 from szegolab.lattices import HermitianOperator, LatticeBox
 from szegolab.regions import (CoordRange, Layer, Orthant, Region, SlotLess,
-                              boundary_distance, parse_region, region_mask,
-                              trace, wedge_region)
+                              _boundary_sites, boundary_distance, parse_region,
+                              wedge_region)
 from tests.conftest import rand_hermitian
 
 
 def test_slot_order_example_d2():
     box = LatticeBox.cube(2, 0, 1)
-    mask = region_mask(Region(2, (SlotLess(0, 1),)), box)
-    got = {tuple(s) for s in mask.sites()}
+    bits = Region(2, (SlotLess(0, 1),)).evaluate(box.sites())
+    got = {tuple(s) for s in box.sites()[bits]}
     assert got == {(0, 0), (0, 1), (1, 1)}
 
 
 def test_empty_constraints_give_all_ones():
     box = LatticeBox.cube(3, -1, 1)
-    mask = region_mask(Region(3, ()), box)
-    assert mask.count == box.site_count
+    assert Region(3, ()).evaluate(box.sites()).sum() == box.site_count
 
 
 @pytest.mark.parametrize("d,side", [(1, 6), (2, 5), (2, 6), (3, 4), (3, 6)])
@@ -29,13 +29,24 @@ def test_wedge_partition_exact(d, side):
     box = LatticeBox.cube(d, 0, side - 1)
     total = np.zeros(box.site_count, dtype=int)
     for perm in itertools.permutations(range(d)):
-        total += region_mask(wedge_region(d, perm, 0, side - 1), box).bits
+        total += wedge_region(d, perm, 0, side - 1).evaluate(box.sites())
     assert np.array_equal(total, np.ones(box.site_count, dtype=int))
 
 
-def test_trace_and_norms_diag():
-    op = HermitianOperator.from_matrix(np.diag([3.0, -4.0]))
-    assert trace(op) == -1.0
+def test_masks_are_bool_arrays_on_the_box():
+    box = LatticeBox.cube(2, 0, 2)
+    every = np.ones(box.site_count, bool)
+    fam = [HermitianOperator(box, np.eye(box.site_count)) for _ in range(3)]
+    assert telescoping_check(fam, every) == 0.0
+    for bad in (every[:-1], every.astype(int), np.flatnonzero(every)):
+        with pytest.raises(ConfigError):
+            telescoping_check(fam, bad)
+        with pytest.raises(ConfigError):
+            _boundary_sites(bad, every, box)
+    with pytest.raises(ConfigError):        # inner not inside outer
+        _boundary_sites(every, ~every, box)
+    with pytest.raises(ConfigError):        # a d=3 region on a d=2 box
+        Region(3, ()).evaluate(box.sites())
 
 
 def test_one_site_function_block_bound(rng):
@@ -80,8 +91,8 @@ def test_boundary_distance_d2_against_bruteforce(rng):
     box = LatticeBox.cube(2, -6, 6)
     inner = Region(2, (CoordRange(0, -2, 3), CoordRange(1, -1, 2)))
     outer = Region(2, (CoordRange(0, -5, 6), CoordRange(1, -4, 5)))
-    inner_bits = region_mask(inner, box).bits
-    outer_bits = region_mask(outer, box).bits
+    inner_bits = inner.evaluate(box.sites())
+    outer_bits = outer.evaluate(box.sites())
     sites = box.sites()
     # oracle: scan every outer-not-inner site for an inner nearest neighbor
     boundary = []
@@ -112,7 +123,7 @@ def test_region_grammar_roundtrip():
     assert region == Region(3, (Orthant(0, +1), Orthant(1, +1), Layer(2, 0),
                                 SlotLess(0, 1)))
     box = LatticeBox.cube(3, -2, 2)
-    bits = region_mask(region, box).bits
+    bits = region.evaluate(box.sites())
     sites = box.sites()[bits]
     for s in sites:
         assert s[0] >= 0 and s[1] >= 0 and s[2] == 0
@@ -124,3 +135,5 @@ def test_region_grammar_rejects_garbage():
         parse_region(2, "wedge(1,2)")
     with pytest.raises(ConfigError):
         parse_region(2, "order(1,2)")
+    with pytest.raises(ConfigError):
+        parse_region(2, "layer(1, x)")
