@@ -5,7 +5,9 @@ formatting.  Monte Carlo samples run on ``workers`` threads, each with
 OpenBLAS pinned to one thread (see ``mc.single_blas_thread``), so identical
 configurations and seeds of the sampled experiments produce byte-identical
 output whatever the worker count or BLAS thread setting, wherever OpenBLAS is
-found.  ``workers`` is the only parallelism.  A failed gate prints its
+found.  ``workers`` is the only parallelism.  It defaults to the CPUs the
+process may run on (``mc.usable_cpus``), and a coefficient sweep runs no more
+samples at once than the 2 GiB byte budget fits.  A failed gate prints its
 quantity, value, bound and artifact path on stderr.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numeric failure,

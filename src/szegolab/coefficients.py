@@ -39,8 +39,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .lattices import (EnsembleSpec, HermitianOperator, LatticeBox, build_operator,
-                       is_tridiagonal)
+from .lattices import (MEMORY_BUDGET_BYTES, EnsembleSpec, HermitianOperator, LatticeBox,
+                       build_operator, is_tridiagonal, operator_bytes)
 from . import mc
 from .mc import StatSummary, column_moments
 from .regions import (CoordRange, Layer, Region, box_region, check_mask,
@@ -709,9 +709,15 @@ def coefficient_sweep(spec: EnsembleSpec, d: int, g: ScalarFunction,
                       n_samples: int, ells: Sequence[int] = (),
                       ell_offset: Sequence[int] = (), error_L: Sequence[int] = (),
                       workers: int = 1) -> SweepResult:
-    """Monte Carlo sweep of all coefficient statistics over one ensemble."""
+    """Monte Carlo sweep of all coefficient statistics over one ensemble.
+
+    Runs on at most ``workers`` threads, and on no more than the byte budget
+    fits operators of the sweep's box: each thread holds one sample's operator.
+    """
     plan = make_sweep_plan(spec, d, g, h, R, L_values, ells, ell_offset, error_L)
+    itemsize = 16 if spec.kind == "toeplitz1d" else 8
+    fits = max(1, MEMORY_BUDGET_BYTES // operator_bytes(plan.box.site_count, itemsize))
     rows = mc.ordered_map(lambda s: _sample_stats(plan, s), range(n_samples),
-                          workers=workers)
+                          workers=min(workers, fits))
     samples = np.array(rows).reshape(n_samples, len(plan.columns))
     return SweepResult(plan, samples, *column_moments(samples))

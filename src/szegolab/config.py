@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import ConfigError, config_value
 from .lattices import EnsembleSpec, Symbol1D, symbol_fourier_coefficients
+from . import mc
 from .spectral import ScalarFunction
 
 EXPERIMENT_KINDS = ("expansion_fit", "coefficient_formula", "identity_checks",
@@ -112,15 +113,37 @@ class ExperimentConfig:
                 raise ConfigError("grid exceeds the ambient box: need max(ell) <= 2R")
 
 
+def _ini_error(path: str, exc: configparser.Error) -> ConfigError:
+    """``ConfigError`` naming the file and the line where the INI syntax broke."""
+    line = getattr(exc, "lineno", None)
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        reason = "a key comes before any [section] header"
+    elif isinstance(exc, configparser.ParsingError):
+        line, text = exc.errors[0]
+        reason = f"cannot parse {text}"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        reason = f"section [{exc.section}] appears twice"
+    elif isinstance(exc, configparser.DuplicateOptionError):
+        reason = f"key {exc.option!r} appears twice in [{exc.section}]"
+    else:
+        reason = str(exc)
+    where = f", line {line}" if line else ""
+    return ConfigError(f"config file {path!r}{where}: {reason}")
+
+
 def load_config(path: str, overrides: Optional[Dict[str, str]] = None) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive (W, formula_L, ...)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise _ini_error(path, exc) from None
     if not read:
         raise ConfigError(f"config file {path!r} not found or unreadable")
-    if "experiment" not in parser:
+    if "experiment" not in sections:
         raise ConfigError("config needs an [experiment] section")
-    exp = dict(parser["experiment"])
+    exp = dict(sections["experiment"])
     overrides = overrides or {}
     exp.update({k: v for k, v in overrides.items() if v is not None})
 
@@ -130,28 +153,26 @@ def load_config(path: str, overrides: Optional[Dict[str, str]] = None) -> Experi
         raise ConfigError("missing experiment 'kind'")
 
     ensemble = None
-    d = config_value("d", exp.get("d", parser.get("ensemble", "d", fallback="1")), int)
-    if "ensemble" in parser:
-        block = {k: v for k, v in parser["ensemble"].items() if k != "d"}
+    d = config_value("d", exp.get("d", sections.get("ensemble", {}).get("d", "1")), int)
+    if "ensemble" in sections:
+        block = {k: v for k, v in sections["ensemble"].items() if k != "d"}
         if "seed" not in block and "seed" in exp:
             block["seed"] = exp["seed"]
         ensemble = EnsembleSpec.from_config(block)
-    g = parse_scalar_function(parser["g"]["form"]) if "g" in parser else None
-    h = parse_scalar_function(parser["h"]["form"]) if "h" in parser else None
+    g = parse_scalar_function(sections["g"]["form"]) if "g" in sections else None
+    h = parse_scalar_function(sections["h"]["form"]) if "h" in sections else None
 
     options: Dict[str, str] = {}
-    for section in parser.sections():
-        if section in ("experiment", "ensemble", "g", "h"):
-            continue
-        for k, v in parser[section].items():
-            options[k] = v
+    for section, block in sections.items():
+        if section not in ("experiment", "ensemble", "g", "h"):
+            options.update(block)
 
     cfg = ExperimentConfig(
         kind=kind,
         seed=config_value("seed", exp.get("seed", 0), int),
         samples=config_value("samples", exp.get("samples", 1), int),
         out_dir=exp.get("out", "out"),
-        workers=config_value("workers", exp.get("workers", 1), int),
+        workers=config_value("workers", exp.get("workers", mc.usable_cpus()), int),
         d=d, ensemble=ensemble, g=g, h=h, options=options)
     cfg.validate()
     return cfg

@@ -250,21 +250,6 @@ class EnsembleSpec:
         if self.kind == "periodic" and len(self.period) != box.d:
             raise ModelError("period vector dimension does not match the box")
 
-    # -- flat key/value serialization (config files) -----------------------
-    # keys: kind, W, hopping, seed, period, potential_cell, symbol.coeffs
-
-    def to_config(self) -> Dict[str, str]:
-        out = {"kind": self.kind, "W": repr(float(self.W)),
-               "hopping": repr(float(self.hopping)), "seed": str(int(self.seed))}
-        if self.period:
-            out["period"] = " ".join(str(p) for p in self.period)
-        if self.potential_cell:
-            out["potential_cell"] = " ".join(repr(float(v)) for v in self.potential_cell)
-        if self.symbol is not None:
-            out["symbol.coeffs"] = " ".join(
-                f"{k}:{v.real!r}{v.imag:+}j" for k, v in self.symbol.coeffs)
-        return out
-
     @staticmethod
     def from_config(block: Dict[str, str]) -> "EnsembleSpec":
         try:
@@ -336,11 +321,6 @@ class HermitianOperator:
         n = self.box.site_count
         if self.matrix.shape != (n, n):
             raise ModelError(f"matrix shape {self.matrix.shape} != site count {n}")
-
-    def hermiticity_defect(self) -> float:
-        m = self.matrix
-        scale = max(np.abs(m).max(), 1e-300)
-        return float(np.abs(m - m.conj().T).max() / scale)
 
     @staticmethod
     def from_matrix(matrix: np.ndarray, label: str = "", box: Optional[LatticeBox] = None

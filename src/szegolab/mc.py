@@ -6,7 +6,8 @@ rows in ascending sample order whatever the worker count.
 columns at once, so each column gets exactly the numbers of a scalar update
 over its samples.  Every sample runs with OpenBLAS pinned to one thread, so a
 given (seed, budget) produces bit-identical statistics whatever the worker
-count or the BLAS thread setting.  Parallelism comes from ``workers`` alone.
+count or the BLAS thread setting.  Parallelism comes from ``workers`` alone;
+a config that does not set it runs on :func:`usable_cpus` threads.
 The OpenBLAS that numpy loaded also lends the LAPACKE stages of ``dsyevd``
 (``dsytrd``, ``dstedc``, ``dormtr``) to :func:`szegolab.coefficients.spectral_data`,
 which back-transforms only the eigenvectors with g(lambda) != 0; functions of
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -152,6 +154,14 @@ def single_blas_thread() -> Iterator[None]:
     finally:
         for (_, set_), n in zip(controls, previous):
             set_(n)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def ordered_map(fn: Callable, args: Iterable, workers: int = 1) -> List:

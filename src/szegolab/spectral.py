@@ -147,15 +147,6 @@ class ScalarFunction:
         sup = (lo if math.isfinite(lo) else -1e30, hi if math.isfinite(hi) else 1e30)
         return ScalarFunction("indicator", f, None, support=sup, params=(lo, hi))
 
-    @staticmethod
-    def compose_poly(outer: "ScalarFunction", inner: "ScalarFunction") -> "ScalarFunction":
-        """Polynomial composition outer(inner(x)) for polynomial built-ins."""
-        if outer.form not in ("poly", "entire") or inner.form not in ("poly", "entire"):
-            raise ConfigError("compose_poly needs polynomial built-ins")
-        po = Polynomial(list(outer.params))
-        pi = Polynomial(list(inner.params))
-        return ScalarFunction.poly((po(pi)).coef)
-
 
 # ---------------------------------------------------------------------------
 # spectral route

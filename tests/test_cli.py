@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from szegolab import mc
 from szegolab.cli import main, run_experiment
 from szegolab.config import load_config, parse_scalar_function, parse_symbol
 from szegolab.errors import ConfigError
@@ -79,6 +80,18 @@ def test_missing_config_is_exit_2(tmp_path):
 def test_invalid_kind_is_exit_2(tmp_path):
     path = write(tmp_path, "bad.ini", "[experiment]\nkind = frobnicate\n")
     assert run_experiment(path) == 2
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    ("kind = verify\n", 1, "a key comes before any [section] header"),
+    ("[experiment]\nkind = verify\n\n[experiment]\nseed = 3\n", 4,
+     "section [experiment] appears twice"),
+], ids=["no-section-header", "repeated-section"])
+def test_malformed_ini_is_exit_2_naming_file_and_line(tmp_path, capsys, text, line, reason):
+    path = write(tmp_path, "bad.ini", text)
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: config file {path!r}, line {line}: {reason}\n"
 
 
 def test_decreasing_grid_is_exit_2(tmp_path):
@@ -182,6 +195,68 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert run_experiment(p4) == 0
     for name in ("fit-report.json", "sweep.csv", "coefficients.json"):
         assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
+
+
+def without_workers(text):
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("workers ="))
+
+
+def test_workers_default_to_the_usable_cpus(tmp_path, monkeypatch, capsys):
+    assert mc.usable_cpus() == len(os.sched_getaffinity(0))
+    path = write(tmp_path, "exp.ini", without_workers(
+        EXPANSION_INI.format(out=tmp_path / "o", workers=1)))
+    assert load_config(path).workers == mc.usable_cpus()
+    monkeypatch.setattr(mc, "usable_cpus", lambda: 3)
+    assert load_config(path).workers == 3
+    assert load_config(path, {"workers": "1"}).workers == 1       # --workers 1
+    one = write(tmp_path, "one.ini", EXPANSION_INI.format(out=tmp_path / "o", workers=1))
+    assert load_config(one).workers == 1
+    zero = write(tmp_path, "zero.ini", EXPANSION_INI.format(out=tmp_path / "o", workers=0))
+    assert main(["run", zero]) == 2
+    assert main(["run", path, "--workers", "0"]) == 2
+    assert capsys.readouterr().err.count("workers must be >= 1") == 2
+
+
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert mc.usable_cpus() == (os.cpu_count() or 1)
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_sweep_workers_are_capped_by_the_byte_budget(tmp_path, monkeypatch):
+    # the d = 2 reference box: ten 2304-site operators fit the 2 GiB budget;
+    # the map is stopped before it starts a thread or a sample
+    from szegolab.lattices import MEMORY_BUDGET_BYTES, operator_bytes
+    seen = []
+
+    def recorded_map(fn, args, workers=1):
+        seen.append(workers)
+        raise _Stop
+    monkeypatch.setattr(mc, "ordered_map", recorded_map)
+    with pytest.raises(_Stop):
+        run_experiment(os.path.join(CONFIGS, "expansion_d2.ini"),
+                       {"workers": "64", "out": str(tmp_path / "d2")})
+    cap = MEMORY_BUDGET_BYTES // operator_bytes(48 ** 2, 8)
+    assert seen == [cap] and cap == 10
+
+
+def test_default_workers_do_not_change_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(mc, "usable_cpus", lambda: 2)   # parallel on any host
+    cases = [("run", EXPANSION_INI.format(out="unused", workers=1),
+              ("fit-report.json", "sweep.csv", "coefficients.json", "coefficients.csv")),
+             ("verify", VERIFY_INI.format(samples=40, out="unused", workers=1, d=1, side=32),
+              ("decay-report.json",))]
+    for command, text, names in cases:
+        path = write(tmp_path, f"{command}.ini", without_workers(text))
+        outs = [tmp_path / f"{command}-{flag}" for flag in ("default", "w1")]
+        assert main([command, path, "--out", str(outs[0])]) == 0
+        assert main([command, path, "--out", str(outs[1]), "--workers", "1"]) == 0
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 # smallest d = 2 sweep whose bytes moved with the BLAS thread count before

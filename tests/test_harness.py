@@ -296,5 +296,5 @@ def test_toeplitz_ensemble_through_build_and_trace():
     sym = symbol_fourier_coefficients(lambda th: np.exp(np.cos(th)), 16, 128)
     spec = EnsembleSpec("toeplitz1d", symbol=sym)
     op = build_operator(spec, LatticeBox.interval(0, 49), 0)
-    assert op.hermiticity_defect() <= 1e-12
+    assert np.abs(op.matrix - op.matrix.conj().T).max() <= 1e-12
     assert abs(np.trace(op.matrix) - 50 * sym.as_dict()[0].real) < 1e-10

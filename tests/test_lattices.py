@@ -89,7 +89,7 @@ def test_hermiticity_of_constructors():
     box = LatticeBox.cube(2, -3, 3)
     for spec in (EnsembleSpec("free"), EnsembleSpec("anderson", W=10.0, seed=2)):
         op = build_operator(spec, box, 1)
-        assert op.hermiticity_defect() <= 1e-12
+        assert np.abs(op.matrix - op.matrix.conj().T).max() <= 1e-12
 
 
 def test_trace_distribution_invariant_under_swap():
@@ -169,16 +169,6 @@ def test_toeplitz_requires_d1():
     spec = EnsembleSpec("toeplitz1d", symbol=sym)
     with pytest.raises(ModelError):
         build_operator(spec, LatticeBox.cube(2, 0, 3), 0)
-
-
-def test_ensemble_config_roundtrip():
-    spec = EnsembleSpec("anderson", W=8.0, hopping=1.0, seed=42)
-    again = EnsembleSpec.from_config(spec.to_config())
-    assert again == spec
-    sym = Symbol1D.from_dict({0: 1.0, 1: 0.25 + 0.5j, -1: 0.25 - 0.5j})
-    spec2 = EnsembleSpec("toeplitz1d", symbol=sym)
-    again2 = EnsembleSpec.from_config(spec2.to_config())
-    assert again2.symbol.as_dict() == sym.as_dict()
 
 
 @pytest.mark.parametrize("block", [

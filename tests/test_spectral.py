@@ -59,16 +59,6 @@ def test_spectral_mapping(rng):
     assert np.max(np.abs(got - np.sort(f(lam)))) < 1e-9
 
 
-def test_composition_of_polynomials(rng):
-    op = HermitianOperator.from_matrix(rand_hermitian(rng, 6))
-    inner = ScalarFunction.poly((0.0, 0.0, 1.0))          # x^2
-    outer = ScalarFunction.poly((1.0, 2.0))               # 1 + 2x
-    combined = ScalarFunction.compose_poly(outer, inner)  # 1 + 2x^2
-    oneshot = matrix_function(op, combined)
-    twostep = matrix_function(matrix_function(op, inner), outer)
-    assert np.max(np.abs(oneshot.matrix - twostep.matrix)) < 1e-9
-
-
 def test_resolvent_scalar_cases():
     op = HermitianOperator.from_matrix(np.zeros((1, 1)))
     assert abs(resolvent(op, 1j)[0, 0] - 1j) < 1e-14
