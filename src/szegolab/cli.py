@@ -7,8 +7,9 @@ configurations and seeds of the sampled experiments produce byte-identical
 output whatever the worker count or BLAS thread setting, wherever OpenBLAS is
 found.  ``workers`` is the only parallelism.  It defaults to the CPUs the
 process may run on (``mc.usable_cpus``), and a coefficient sweep runs no more
-samples at once than the 2 GiB byte budget fits.  A failed gate prints its
-quantity, value, bound and artifact path on stderr.
+samples at once than the 2 GiB byte budget fits.  The command line keeps freed
+heap memory mapped from one sample to the next (``mc.retain_freed_heap``).
+A failed gate prints its quantity, value, bound and artifact path on stderr.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numeric failure,
 4 identity-check failure, 5 gated tolerance exceeded.
@@ -26,6 +27,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import coefficients as coeff
+from . import mc
 from .config import ExperimentConfig, load_config, parse_symbol
 from .decay import (certify_a1, combes_thomas_probe, fit_kernel_decay,
                     kernel_box_stats, trace_difference_probe)
@@ -328,6 +330,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ids.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
+    mc.retain_freed_heap()
     if args.command == "identities":
         cfg = ExperimentConfig(kind="identity_checks", seed=args.seed,
                                out_dir=args.out,

@@ -172,6 +172,36 @@ def test_library_import_does_not_load_scipy():
     assert proc.returncode == 0, proc.stderr or "importing szegolab loaded scipy"
 
 
+def test_freed_heap_stays_mapped():
+    # three 2 MiB arrays freed together leave more free heap than glibc's
+    # default trim threshold, so each round page-faulted all 6 MiB in again
+    pythonpath = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from szegolab import mc\n"
+        "def faults():\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    for _ in range(20):\n"
+        "        blocks = [np.ones(1 << 18) for _ in range(3)]\n"
+        "        del blocks\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "mc.retain_freed_heap()\n"
+        "faults()\n"
+        "print(faults())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100       # 19840 without the call
+
+
+def test_command_line_retains_freed_heap(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(mc, "retain_freed_heap", lambda: calls.append(1))
+    assert main(["run", str(tmp_path / "missing.ini")]) == 2
+    assert calls == [1]
+
+
 def test_expansion_fit_run_and_artifacts(tmp_path):
     out = tmp_path / "out_a"
     path = write(tmp_path, "exp.ini", EXPANSION_INI.format(out=out, workers=1))
