@@ -157,9 +157,9 @@ def single_blas_thread() -> Iterator[None]:
 
 
 # glibc ``mallopt`` parameters, and what ``retain_freed_heap`` sets them to
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-HEAP_MMAP_THRESHOLD = 4 << 20   # smaller blocks come from the heap
-HEAP_TRIM_THRESHOLD = 64 << 20  # free heap kept mapped before any goes back
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+_HEAP_MMAP_THRESHOLD = 4 << 20   # smaller blocks come from the heap
+_HEAP_TRIM_THRESHOLD = 64 << 20  # free heap kept mapped before any goes back
 
 
 def retain_freed_heap() -> None:
@@ -170,18 +170,22 @@ def retain_freed_heap() -> None:
     the next sample (the eigenvector buffer, LAPACK workspaces) are built on
     freshly zeroed pages: a 700-sample ``verify_d1.ini`` run took about
     190 000 page faults and 0.3-0.7 s of system time (now about 9 000 and
-    0.1 s).  Blocks under ``HEAP_MMAP_THRESHOLD`` now come from the heap, and
-    up to ``HEAP_TRIM_THRESHOLD`` of free heap stays mapped; larger blocks
-    (d=2 operators) are still mapped and unmapped on their own.  Results do
-    not change.  Does nothing where the C library has no ``mallopt``.
+    0.1 s).  Blocks under ``_HEAP_MMAP_THRESHOLD`` now come from the heap, and
+    up to ``_HEAP_TRIM_THRESHOLD`` of free heap stays mapped; larger blocks
+    (d=2 operators) are still mapped and unmapped on their own.  Worker
+    threads share the one heap: with an arena per thread each kept its own
+    high-water mark, and the peak RSS of identical 2-worker runs varied
+    from 43 to 49 MB (41 MB with one).  Results do not change.  Does
+    nothing where the C library has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
         return
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def usable_cpus() -> int:
