@@ -24,8 +24,7 @@ from .lattices import (EnsembleSpec, HermitianOperator, LatticeBox, Symbol1D,
 from .mc import StatSummary, column_moments
 from .regions import Region, boundary_distance, parse_region
 from .spectral import (QuadratureGrid, QuasiAnalyticExtension, ScalarFunction,
-                       SpectralDecomposition, apply_scalar_function,
                        hs_apply, hs_discrepancy, hs_extension, matrix_function,
-                       resolvent, spectral_decompose)
+                       resolvent)
 
 __version__ = "0.1.0"

@@ -262,7 +262,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     if "ct_z" in cfg.options:
         ct = combes_thomas_probe(stats, cfg.opt_float("ct_theta", 1.0))
         payload["combes_thomas"] = ct.to_jsonable()
-    if "trace_inner" in cfg.options and "trace_outer" in cfg.options:
+    if cfg.has_trace_probe:
         inner = parse_region(cfg.d, cfg.options["trace_inner"])
         outer = parse_region(cfg.d, cfg.options["trace_outer"])
         tbox_lo = cfg.opt_int("trace_box_lo", -side // 2)

@@ -40,11 +40,11 @@ import numpy as np
 
 from .errors import ConfigError
 from .lattices import (MEMORY_BUDGET_BYTES, EnsembleSpec, HermitianOperator, LatticeBox,
-                       build_operator, is_tridiagonal, operator_bytes)
+                       build_operator, is_tridiagonal, operator_bytes, sample_itemsize)
 from . import mc
 from .mc import StatSummary, column_moments
 from .regions import (CoordRange, Layer, Region, box_region, check_mask,
-                      orthant_region, slot_chain, slot_dominates, wedge_region)
+                      orthant_region, slot_chain, slot_dominates)
 from .spectral import ScalarFunction
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def inclusion_exclusion_check(n: int, l: int, k: Tuple[int, ...], L: int, d: int
     lhs = np.zeros(box.site_count, dtype=np.int64)
     for pi in perm_block(d, n, k, l):
         relabelled = tuple(pi0[a] for a in pi)  # wedge of the ordering pi0 o pi
-        lhs += wedge_region(d, relabelled, 0, L - 1).evaluate(coords).astype(np.int64)
+        lhs += corner_wedge(d, relabelled, (), L).evaluate(coords).astype(np.int64)
     rhs = np.zeros(box.site_count, dtype=np.int64)
     rest = list(range(n, d))
     for j in range(0, d - n + 1):
@@ -372,10 +372,11 @@ def sd_partition_residual(box: LatticeBox, lo: int, hi: int) -> int:
     """0 iff the d! wedge masks of {lo..hi}^d cover the cube exactly once."""
     d = box.d
     coords = box.sites()
+    cube = box_region(d, lo, hi)
     total = np.zeros(box.site_count, dtype=np.int64)
     for perm in itertools.permutations(range(d)):
-        total += wedge_region(d, perm, lo, hi).evaluate(coords).astype(np.int64)
-    expected = box_region(d, lo, hi).evaluate(coords).astype(np.int64)
+        total += (cube & slot_chain(d, perm)).evaluate(coords).astype(np.int64)
+    expected = cube.evaluate(coords).astype(np.int64)
     return int(np.max(np.abs(total - expected)))
 
 
@@ -533,7 +534,6 @@ class SweepPlan:
     h: ScalarFunction
     L_values: Tuple[int, ...]
     ells: Tuple[int, ...]
-    ell_offset: Tuple[int, ...]
     orthant_bits: List[np.ndarray]
     chi_masks: Dict[Tuple[int, int, int], np.ndarray]
     pf_masks: Dict[Tuple[int, int], np.ndarray]
@@ -584,7 +584,7 @@ def make_sweep_plan(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunc
             names += [("Apf_printed", L, m), ("Apf_recurrence", L, m)]
     names += [("sweep", ell) for ell in ells] + [("EL", L) for L in error_L]
     columns = {name: j for j, name in enumerate(dict.fromkeys(names))}
-    return SweepPlan(spec, d, R, box, g, h, L_values, ells, offset,
+    return SweepPlan(spec, d, R, box, g, h, L_values, ells,
                      orthant_bits, chi_masks, pf_masks, ell_bits,
                      box.index_of((0,) * d), columns, error_L, comb_constants(d))
 
@@ -681,13 +681,14 @@ class SweepResult:
             out["raw_terms"][m] = {n: self.stat("pf", L, m, n) for n in range(0, m + 1)}
         return out
 
-    def adjudicate(self, L: int, m: int, sigma_factor: float = 3.0) -> Dict:
-        """Which c~ variant reproduces the wedge-route coefficient A_m."""
+    def adjudicate(self, L: int, m: int) -> Dict:
+        """Which c~ variant reproduces the wedge-route coefficient A_m within
+        3 combined standard errors."""
         ref = self.a_fv(L, m)
         verdicts = {}
         for name in ("printed", "recurrence"):
             cand = self.stat(f"Apf_{name}", L, m)
-            tol = sigma_factor * math.hypot(ref.stderr, cand.stderr)
+            tol = 3.0 * math.hypot(ref.stderr, cand.stderr)
             verdicts[name] = {
                 "value": cand.mean, "stderr": cand.stderr,
                 "reference": ref.mean, "tolerance": tol,
@@ -715,8 +716,8 @@ def coefficient_sweep(spec: EnsembleSpec, d: int, g: ScalarFunction,
     fits operators of the sweep's box: each thread holds one sample's operator.
     """
     plan = make_sweep_plan(spec, d, g, h, R, L_values, ells, ell_offset, error_L)
-    itemsize = 16 if spec.kind == "toeplitz1d" else 8
-    fits = max(1, MEMORY_BUDGET_BYTES // operator_bytes(plan.box.site_count, itemsize))
+    fits = max(1, MEMORY_BUDGET_BYTES // operator_bytes(plan.box.site_count,
+                                                         sample_itemsize(spec.kind)))
     rows = mc.ordered_map(lambda s: _sample_stats(plan, s), range(n_samples),
                           workers=min(workers, fits))
     samples = np.array(rows).reshape(n_samples, len(plan.columns))

@@ -15,6 +15,8 @@ from .spectral import ScalarFunction
 
 EXPERIMENT_KINDS = ("expansion_fit", "coefficient_formula", "identity_checks",
                     "szego_1d", "log_enhancement", "verify")
+# kinds that draw ensemble samples: they need [ensemble] and [g], and [h] where they apply h
+SAMPLED_KINDS = ("expansion_fit", "coefficient_formula", "log_enhancement", "verify")
 
 
 def parse_scalar_function(text: str) -> ScalarFunction:
@@ -50,12 +52,11 @@ def parse_symbol(block: Dict[str, str], k_max: int = 32) -> Symbol1D:
         return config_value("symbol.coeffs", block["symbol.coeffs"], Symbol1D.parse)
     form = block.get("symbol", "one").strip()
     if form == "one":
-        return Symbol1D.from_dict({0: 1.0}, is_real_positive=True)
+        return Symbol1D.from_dict({0: 1.0})
     if form.startswith("expcos(") and form.endswith(")"):
         c = config_value("symbol", form, lambda t: float(t[len("expcos("):-1]))
-        n_quad = max(8 * k_max, 256)
         return symbol_fourier_coefficients(
-            lambda th: np.exp(2.0 * c * np.cos(th)), k_max, n_quad)
+            lambda th: np.exp(2.0 * c * np.cos(th)), k_max, max(8 * k_max, 256))
     if form.startswith("coscoeff(") and form.endswith(")"):
         # coscoeff(a0, a1, ...): a(theta) = a0 + 2 sum_k a_k cos(k theta)
         vals = config_value("symbol", form, lambda t: [
@@ -91,15 +92,22 @@ class ExperimentConfig:
     def opt_float(self, key: str, default: float) -> float:
         return config_value(key, self.options.get(key, default), float)
 
-    def opt_bool(self, key: str, default: bool = False) -> bool:
-        raw = self.options.get(key, "").strip().lower()
-        if not raw:
-            return default
-        return raw in ("1", "true", "yes", "on")
+    def opt_bool(self, key: str) -> bool:
+        return self.options.get(key, "").strip().lower() in ("1", "true", "yes", "on")
+
+    @property
+    def has_trace_probe(self) -> bool:
+        """Whether a verify run also fits the boundary trace exponent q~."""
+        return "trace_inner" in self.options and "trace_outer" in self.options
 
     def validate(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if self.kind in SAMPLED_KINDS:
+            applies_h = self.kind != "verify" or self.has_trace_probe
+            for name in ("ensemble", "g", "h") if applies_h else ("ensemble", "g"):
+                if getattr(self, name) is None:
+                    raise ConfigError(f"a {self.kind} experiment needs a [{name}] section")
         if self.samples < 1:
             raise ConfigError("sample budget must be >= 1")
         if self.workers < 1:

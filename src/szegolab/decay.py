@@ -17,9 +17,10 @@ depend on ``workers``.  Inputs whose one sample would not fit the byte budget
 beside the accumulators are refused before the first sample.
 
 Fits are ordinary least squares on transformed coordinates (log-log for the
-polynomial mode, log-linear for exponential and stretched modes); distances
-|a-b| <= 2 are excluded to suppress near-field effects, and values below the
-1e-14 floor are dropped.
+polynomial mode, log-linear for exponential and stretched modes) of one point
+per distance, the largest value there (``_envelope``).  ``_usable`` drops
+distances |a-b| <= 2, to suppress near-field effects, and values at or below
+the 1e-14 floor.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import numpy as np
 from .coefficients import block_of_gH, spectral_data, _restricted_diag
 from .errors import ConfigError, DegenerateFitError, ModelError, NumericError
 from .fitting import ols_line
-from .lattices import MEMORY_BUDGET_BYTES, EnsembleSpec, LatticeBox, operator_bytes
+from .lattices import (MEMORY_BUDGET_BYTES, EnsembleSpec, LatticeBox, operator_bytes,
+                       sample_itemsize)
 from .mc import ordered_map
 from .regions import Region, boundary_distance
 from .spectral import ScalarFunction
@@ -103,9 +105,21 @@ class DecayFitReport:
         return lambda r: self.prefactor * math.exp(-mu * r ** th)
 
 
+def _envelope(dist, vals) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct finite distances, ascending, and the largest value at each."""
+    dist, vals = np.ravel(dist), np.ravel(vals)
+    rs = np.unique(dist[np.isfinite(dist)]).astype(float)
+    return rs, np.array([vals[dist == r].max() for r in rs], dtype=float)
+
+
+def _usable(dist: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Which (distance, value) points a fit uses: off the near field, over the floor."""
+    return (dist >= DISTANCE_FLOOR) & (vals > VALUE_FLOOR)
+
+
 def _fit_pairs(dist: np.ndarray, vals: np.ndarray, mode: str, n_samples: int,
                theta: float = 1.0) -> DecayFitReport:
-    keep = (dist >= DISTANCE_FLOOR) & (vals > VALUE_FLOOR)
+    keep = _usable(dist, vals)
     dist, vals = dist[keep], vals[keep]
     if dist.size < 3:
         raise DegenerateFitError("fewer than 3 usable (distance, value) pairs")
@@ -226,7 +240,7 @@ def kernel_box_stats(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
     # a sample: the diagonalization, g(H) and |g(H)|, then what it returns; held: the
     # running sum and max of |g(H)| and one resolvent sum per z
     _fold_samples(one, n_samples, fold,
-                  sample_bytes=operator_bytes(n, 8) + 16 * n * n + kept,
+                  sample_bytes=operator_bytes(n, sample_itemsize(spec.kind)) + 16 * n * n + kept,
                   held_bytes=(16 + 16 * len(zs)) * n * n, workers=workers)
     return stats
 
@@ -255,8 +269,7 @@ def certify_a1(stats: KernelBoxStats, p: float) -> A1Certificate:
     return A1Certificate(stats.a1_value, p, stats.a1_argmax, stats.n_samples)
 
 
-def fit_kernel_decay(stats: KernelBoxStats, mode: str = "exponential",
-                     envelope: bool = True) -> DecayFitReport:
+def fit_kernel_decay(stats: KernelBoxStats, mode: str = "exponential") -> DecayFitReport:
     """Fit the decay of one-site kernel blocks of g(H) against distance.
 
     Polynomial mode fits the per-distance max over samples and site pairs
@@ -267,22 +280,9 @@ def fit_kernel_decay(stats: KernelBoxStats, mode: str = "exponential",
     """
     if min(stats.box.shape) < 16:
         raise ConfigError("kernel-decay fits need box side >= 16")
-    dists = _sup_distances(stats.box.sites())
+    stat = stats.abs_max if mode == "polynomial" else stats.abs_sum / stats.n_samples
+    rs, vs = _envelope(_sup_distances(stats.box.sites()), stat)
     if mode == "polynomial":
-        stat = stats.abs_max
-    else:
-        stat = stats.abs_sum / stats.n_samples
-    rmax = int(dists.max())
-    rs, vs = [], []
-    for r in range(rmax + 1):
-        sel = dists == r
-        if sel.any():
-            rs.append(float(r))
-            vs.append(float(stat[sel].max()))
-    rs, vs = np.asarray(rs), np.asarray(vs)
-    if np.all(vs <= VALUE_FLOOR):
-        raise DegenerateFitError("all kernel blocks below the numerical floor")
-    if mode == "polynomial" and envelope:
         vs = np.maximum.accumulate(vs[::-1])[::-1]  # monotone upper envelope
     return _fit_pairs(rs, vs, mode, stats.n_samples)
 
@@ -308,15 +308,9 @@ def combes_thomas_probe(stats: KernelBoxStats, theta: float = 1.0) -> DecayFitRe
         dz = window.distance(z)
         if dz <= 0:
             raise ConfigError(f"z={z} lies in the observed spectral window")
-        mean_abs = np.abs(total / stats.n_samples)
-        rmax = int(dists.max())
-        for r in range(DISTANCE_FLOOR, rmax + 1):
-            sel = dists == r
-            if not sel.any():
-                continue
-            v = float(mean_abs[sel].max())
-            if v <= VALUE_FLOOR:
-                continue
+        rs, vs = _envelope(dists, np.abs(total / stats.n_samples))
+        keep = _usable(rs, vs)
+        for r, v in zip(rs[keep].astype(int).tolist(), vs[keep].tolist()):
             # model: log v = log C - log dz - mu * dz * r^theta
             xs.append(dz * r ** theta)
             ys.append(math.log(v) + math.log(dz))
@@ -355,8 +349,7 @@ def trace_difference_probe(spec: EnsembleSpec, g: ScalarFunction, h: ScalarFunct
     """
     coords = box.sites()
     inner_bits, outer_bits = inner.evaluate(coords), outer.evaluate(coords)
-    if np.any(inner_bits & ~outer_bits):
-        raise ConfigError("inner region not contained in outer region on this box")
+    dist = boundary_distance(coords[inner_bits], inner, outer, box)
 
     def one(s):
         lam, u, gl = spectral_data(spec, box, s, g)
@@ -366,24 +359,10 @@ def trace_difference_probe(spec: EnsembleSpec, g: ScalarFunction, h: ScalarFunct
     n = box.site_count
     total = np.zeros(n)     # 0.0 + row == row: starting at zero adds no rounding
     _fold_samples(one, n_samples, lambda s, row: np.add(total, row, out=total),
-                  sample_bytes=operator_bytes(n, 8) + 8 * n, held_bytes=8 * n,
-                  workers=workers)
-    mean_diff = np.abs(total / n_samples)
-    ds, vs = [], []
-    for i in np.flatnonzero(inner_bits):
-        a_site = tuple(coords[i])
-        r = boundary_distance(a_site, inner, outer, box)
-        if not math.isfinite(r):
-            continue
-        ds.append(r)
-        vs.append(float(mean_diff[i]))
-    ds, vs = np.asarray(ds, dtype=float), np.asarray(vs)
-    # collapse to the per-distance max so the fit sees one envelope point each
-    uniq = np.unique(ds)
-    env = np.asarray([vs[ds == r].max() for r in uniq])
-    if np.all(env <= VALUE_FLOOR):
-        raise DegenerateFitError("trace differences below the numerical floor")
-    rep = _fit_pairs(uniq, env, "polynomial", n_samples)
+                  sample_bytes=operator_bytes(n, sample_itemsize(spec.kind)) + 8 * n,
+                  held_bytes=8 * n, workers=workers)
+    rs, env = _envelope(dist, np.abs(total / n_samples)[inner_bits])
+    rep = _fit_pairs(rs, env, "polynomial", n_samples)
     rep.params["q_tilde"] = rep.params.pop("q")
     rep.params["q_tilde_stderr"] = rep.params.pop("q_stderr")
     return rep

@@ -15,19 +15,12 @@ class LineFit:
     slope: float
     intercept: float
     stderr_slope: float
-    stderr_intercept: float
     r2: float
-    n: int
-
-    def to_dict(self):
-        return {"slope": self.slope, "intercept": self.intercept,
-                "stderr_slope": self.stderr_slope,
-                "stderr_intercept": self.stderr_intercept,
-                "r2": self.r2, "n": self.n}
 
 
 def ols_line(x, y) -> LineFit:
-    """Ordinary least squares line with residual-based standard errors."""
+    """Ordinary least squares line with the residual-based standard error of
+    its slope."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.size
@@ -45,9 +38,7 @@ def ols_line(x, y) -> LineFit:
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     dof = max(n - 2, 1)
     s2 = ss_res / dof
-    se_slope = float(np.sqrt(s2 / sxx))
-    se_inter = float(np.sqrt(s2 * (1.0 / n + xm ** 2 / sxx)))
-    return LineFit(slope, intercept, se_slope, se_inter, r2, n)
+    return LineFit(slope, intercept, float(np.sqrt(s2 / sxx)), r2)
 
 
 def weighted_lstsq(design: np.ndarray, y: np.ndarray, sigma: Optional[np.ndarray] = None

@@ -138,6 +138,8 @@ def szego_1d_suite(symbol: Symbol1D, h: Optional[ScalarFunction],
     out: Dict = {"L_grid": [int(L) for L in L_grid], "k_max": k_max}
     if symbol.min_real_on_grid() <= 0 or not symbol.is_hermitian():
         raise ConfigError("determinant branch needs a positive real symbol")
+    if h is not None and abs(h.value_at_zero) > 1e-12:
+        raise ConfigError("trace branch needs h(0) = 0")
     lg = symbol.log_coeffs(k_max)
     const = lg[0].real
     terms = [l * (lg[l] * lg[-l]).real for l in range(1, k_max + 1)]
@@ -146,26 +148,20 @@ def szego_1d_suite(symbol: Symbol1D, h: Optional[ScalarFunction],
     out["log_a_0"] = const
     out["strong_szego_sum"] = strong
     out["strong_szego_tail_estimate"] = tail
-    logdets, gaps = [], []
+    logdets, gaps, traces = [], [], []
     with single_blas_thread():
         for L in L_grid:
-            t = toeplitz_matrix(symbol, int(L))
-            sign, logdet = np.linalg.slogdet(t.matrix)
+            t = toeplitz_matrix(symbol, int(L)).matrix
+            sign, logdet = np.linalg.slogdet(t)
             if sign <= 0:
                 raise NumericError(f"non-positive determinant at L={L}")
             logdets.append(float(logdet))
             gaps.append(float(logdet - L * const - strong))
+            if h is not None:
+                traces.append(float(np.sum(np.real(h(np.linalg.eigvalsh(t))))))
     out["logdet"] = logdets
     out["logdet_minus_prediction"] = gaps
     if h is not None:
-        if abs(h.value_at_zero) > 1e-12:
-            raise ConfigError("trace branch needs h(0) = 0")
-        traces = []
-        with single_blas_thread():
-            for L in L_grid:
-                t = toeplitz_matrix(symbol, int(L))
-                mu = np.linalg.eigvalsh(t.matrix)
-                traces.append(float(np.sum(np.real(h(mu)))))
         out["trace_h"] = traces
         # leading coefficient (h o a)_0 by quadrature
         theta = 2 * np.pi * np.arange(4096) / 4096

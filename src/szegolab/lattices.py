@@ -129,12 +129,10 @@ class Symbol1D:
     """Function on the torus given by finitely many Fourier coefficients a_k."""
 
     coeffs: Tuple[Tuple[int, complex], ...]
-    is_real_positive: bool = False
 
     @staticmethod
-    def from_dict(coeffs: Dict[int, complex], is_real_positive: bool = False) -> "Symbol1D":
-        items = tuple(sorted((int(k), complex(v)) for k, v in coeffs.items()))
-        return Symbol1D(items, is_real_positive)
+    def from_dict(coeffs: Dict[int, complex]) -> "Symbol1D":
+        return Symbol1D(tuple(sorted((int(k), complex(v)) for k, v in coeffs.items())))
 
     @staticmethod
     def parse(text: str) -> "Symbol1D":
@@ -153,52 +151,49 @@ class Symbol1D:
             out += a * np.exp(1j * k * theta)
         return out
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """True iff a_{-k} = conj(a_k), i.e. the symbol is real-valued."""
+    def is_hermitian(self) -> bool:
+        """True iff a_{-k} = conj(a_k) to 1e-12, i.e. the symbol is real-valued."""
         table = self.as_dict()
         scale = max((abs(v) for v in table.values()), default=1.0)
         for k, a in table.items():
-            if abs(table.get(-k, 0.0) - np.conj(a)) > tol * max(scale, 1.0):
+            if abs(table.get(-k, 0.0) - np.conj(a)) > 1e-12 * max(scale, 1.0):
                 return False
         return True
 
-    def min_real_on_grid(self, n: int = 4096) -> float:
-        vals = self.eval(2 * np.pi * np.arange(n) / n)
+    def min_real_on_grid(self) -> float:
+        """Smallest real part of the symbol on 4096 equispaced angles."""
+        vals = self.eval(2 * np.pi * np.arange(4096) / 4096)
         return float(vals.real.min())
 
-    def log_coeffs(self, k_max: int, n_quad: int = 0) -> Dict[int, complex]:
+    def log_coeffs(self, k_max: int) -> Dict[int, complex]:
         """Fourier coefficients of log(symbol); requires a positive symbol."""
-        n_quad = n_quad or max(4 * k_max, 256)
-        theta = 2 * np.pi * np.arange(n_quad) / n_quad
-        vals = self.eval(theta)
-        if vals.real.min() <= 0 or np.abs(vals.imag).max() > 1e-9 * max(1.0, np.abs(vals).max()):
-            raise ConfigError("log of a symbol requires a positive real symbol")
-        lg = np.log(vals.real)
-        return {k: complex(np.mean(lg * np.exp(-1j * k * theta)))
-                for k in range(-k_max, k_max + 1)}
+        def log_symbol(theta):
+            vals = self.eval(theta)
+            if (vals.real.min() <= 0
+                    or np.abs(vals.imag).max() > 1e-9 * max(1.0, np.abs(vals).max())):
+                raise ConfigError("log of a symbol requires a positive real symbol")
+            return np.log(vals.real)
+
+        return symbol_fourier_coefficients(log_symbol, k_max, max(4 * k_max, 256)).as_dict()
 
 
-def symbol_fourier_coefficients(eval_fn: Callable, k_max: int, n_quad: int) -> Symbol1D:
-    """Fourier coefficients of a periodic function by uniform quadrature.
+def symbol_fourier_coefficients(eval_fn: Callable, k_max: int, nodes: int) -> Symbol1D:
+    """Fourier coefficients of a periodic function, which ``eval_fn`` evaluates
+    on an array of angles, by uniform quadrature.
 
-    The uniform rule on ``[0, 2pi)`` is exact for band-limited inputs with
-    bandwidth below ``n_quad - k_max``; the precondition ``n_quad >= 4*k_max``
-    refuses grids that would silently alias.
+    The uniform rule on ``nodes`` points of ``[0, 2pi)`` is exact for
+    band-limited inputs with bandwidth below ``nodes - k_max``; the
+    precondition ``nodes >= 4*k_max`` refuses grids that would silently alias.
     """
     if k_max < 0:
         raise ConfigError("k_max must be >= 0")
-    if n_quad < max(4 * k_max, 4):
-        raise ConfigError(f"n_quad={n_quad} too small for k_max={k_max} (need >= {4 * k_max})")
-    theta = 2 * np.pi * np.arange(n_quad) / n_quad
+    if nodes < max(4 * k_max, 4):
+        raise ConfigError(f"{nodes} quadrature nodes are too few for k_max={k_max} "
+                          f"(need >= {4 * k_max})")
+    theta = 2 * np.pi * np.arange(nodes) / nodes
     vals = np.asarray(eval_fn(theta), dtype=complex)
-    if vals.shape != theta.shape:
-        vals = np.array([eval_fn(t) for t in theta], dtype=complex)
-    coeffs = {}
-    for k in range(-k_max, k_max + 1):
-        coeffs[k] = complex(np.mean(vals * np.exp(-1j * k * theta)))
-    real = bool(np.abs(vals.imag).max() <= 1e-12 * max(1.0, np.abs(vals).max()))
-    positive = real and vals.real.min() > 0
-    return Symbol1D.from_dict(coeffs, is_real_positive=positive)
+    return Symbol1D.from_dict({k: complex(np.mean(vals * np.exp(-1j * k * theta)))
+                               for k in range(-k_max, k_max + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +309,6 @@ class HermitianOperator:
 
     box: LatticeBox
     matrix: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix)
@@ -323,12 +317,9 @@ class HermitianOperator:
             raise ModelError(f"matrix shape {self.matrix.shape} != site count {n}")
 
     @staticmethod
-    def from_matrix(matrix: np.ndarray, label: str = "", box: Optional[LatticeBox] = None
-                    ) -> "HermitianOperator":
-        matrix = np.asarray(matrix)
-        if box is None:
-            box = LatticeBox.interval(0, matrix.shape[0] - 1)
-        return HermitianOperator(box, matrix, label)
+    def from_matrix(matrix: np.ndarray) -> "HermitianOperator":
+        """The matrix as an operator on the interval ``{0..n-1}``."""
+        return HermitianOperator(LatticeBox.interval(0, len(matrix) - 1), matrix)
 
 
 def potential_values(spec: EnsembleSpec, box: LatticeBox, sample_id: int) -> np.ndarray:
@@ -361,9 +352,15 @@ def operator_bytes(n: int, itemsize: int) -> int:
     return 5 * itemsize * n * n
 
 
-def _refuse_oversized(n: int, itemsize: int) -> None:
+def sample_itemsize(kind: str) -> int:
+    """Bytes per entry of one sample's operator of ensemble ``kind``: a Toeplitz
+    matrix is assembled complex (16), a Schroedinger operator real (8)."""
+    return 16 if kind == "toeplitz1d" else 8
+
+
+def _refuse_oversized(n: int, kind: str) -> None:
     """Raise ``ModelError``, before allocating, for an operator over the budget."""
-    need = operator_bytes(n, itemsize)
+    need = operator_bytes(n, sample_itemsize(kind))
     if need > MEMORY_BUDGET_BYTES:
         raise ModelError(f"{n} sites need an estimated {need / 2 ** 30:.2f} GiB "
                          f"({need} bytes) to build and diagonalize, over the "
@@ -380,11 +377,9 @@ def build_operator(spec: EnsembleSpec, box: LatticeBox, sample_id: int) -> Hermi
     spec.validate_for(box)
     n = box.site_count
     if spec.kind == "toeplitz1d":
-        op = toeplitz_matrix(spec.symbol, n)
-        return HermitianOperator(box, op.matrix,
-                                 label=f"toeplitz1d L={n} sample={sample_id}")
+        return HermitianOperator(box, toeplitz_matrix(spec.symbol, n).matrix)
 
-    _refuse_oversized(n, 8)
+    _refuse_oversized(n, spec.kind)
     m = np.zeros((n, n), dtype=float)
     sites = box.sites()
     strides = box.strides
@@ -398,8 +393,7 @@ def build_operator(spec: EnsembleSpec, box: LatticeBox, sample_id: int) -> Hermi
         m[cols, rows] = -hop
     diag = 2.0 * box.d * hop + potential_values(spec, box, sample_id)
     m[flat, flat] = diag
-    label = f"{spec.kind}(W={spec.W},hop={spec.hopping}) seed={spec.seed} sample={sample_id}"
-    return HermitianOperator(box, m, label)
+    return HermitianOperator(box, m)
 
 
 def is_tridiagonal(spec: EnsembleSpec, box: LatticeBox) -> bool:
@@ -414,7 +408,7 @@ def toeplitz_matrix(symbol: Symbol1D, L: int) -> HermitianOperator:
         raise ConfigError("L must be >= 1")
     if not symbol.is_hermitian():
         raise ModelError("symbol is not real-valued; matrix would not be Hermitian")
-    _refuse_oversized(L, 16)
+    _refuse_oversized(L, "toeplitz1d")
     kernel = np.zeros(2 * L - 1, dtype=complex)
     for k, a in symbol.coeffs:
         if -(L - 1) <= k <= L - 1:
@@ -423,4 +417,4 @@ def toeplitz_matrix(symbol: Symbol1D, L: int) -> HermitianOperator:
     m = kernel[idx[:, None] - idx[None, :] + L - 1]
     if np.abs(m.imag).max() <= 1e-15 * max(1.0, np.abs(m).max()):
         m = m.real.copy()
-    return HermitianOperator(LatticeBox.interval(0, L - 1), m, label=f"toeplitz L={L}")
+    return HermitianOperator(LatticeBox.interval(0, L - 1), m)

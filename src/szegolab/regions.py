@@ -126,11 +126,6 @@ def slot_dominates(d: int, top: int, below: Iterable[int]) -> Region:
     return Region(d, tuple(SlotLess(t, top) for t in below))
 
 
-def wedge_region(d: int, perm: Sequence[int], lo: int, hi: int) -> Region:
-    """Box wedge: sites of ``{lo..hi}^d`` whose slots sort as ``perm``."""
-    return box_region(d, lo, hi) & slot_chain(d, perm)
-
-
 # ---------------------------------------------------------------------------
 # masks and boundary distance
 # ---------------------------------------------------------------------------
@@ -167,19 +162,20 @@ def _boundary_sites(inner: np.ndarray, outer: np.ndarray, box: LatticeBox) -> np
     return sites[cut]
 
 
-def boundary_distance(a, inner: Region, outer: Region, box: LatticeBox) -> float:
-    """Sup-norm distance from site ``a`` to the boundary of inner in outer.
+def boundary_distance(sites, inner: Region, outer: Region, box: LatticeBox) -> np.ndarray:
+    """Sup-norm distance from each of the ``(N, d)`` sites to the boundary of
+    inner in outer.
 
     The boundary is realized at site resolution: sites of outer outside inner
-    that are nearest-neighbor adjacent to inner.  Returns inf if the boundary
-    is empty on the box.
+    that are nearest-neighbor adjacent to inner.  It is found once for all
+    sites; where it is empty on the box, every distance is inf.
     """
+    sites = np.asarray(sites, dtype=np.int64)
     coords = box.sites()
-    bd = _boundary_sites(inner.evaluate(coords), outer.evaluate(coords), box)
-    if bd.shape[0] == 0:
-        return math.inf
-    a = np.asarray(a, dtype=np.int64)
-    return float(np.min(np.max(np.abs(bd - a[None, :]), axis=1)))
+    out = np.full(sites.shape[0], math.inf)
+    for b in _boundary_sites(inner.evaluate(coords), outer.evaluate(coords), box):
+        np.minimum(out, np.max(np.abs(sites - b), axis=1), out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

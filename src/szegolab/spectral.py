@@ -1,11 +1,11 @@
 """Functional calculus: spectral route and the resolvent-integral route.
 
-``apply_scalar_function`` is the direct route through the eigendecomposition.
+``matrix_function`` is the direct route through the eigendecomposition.
 ``hs_apply`` evaluates the same operator function as a two-dimensional
 quadrature of resolvents against the d-bar derivative of a quasi-analytic
 extension, built from a Taylor sum with a smooth cutoff in the imaginary
 direction.  The quadrature is a tensor Gauss-Legendre panel rule whose seams
-sit where the integrand loses smoothness or changes scale: at the support
+sit where the integrand loses regularity or changes scale: at the support
 edges of f in x; at dyadic heights below y = 1/2, where the resolvent grows
 like 1/y; and at y = 1/2, where the cutoff begins (see ``QuadratureGrid``).
 The two routes are kept algorithmically independent (the quadrature solves
@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import ConfigError, NumericError, QuadratureError
-from .lattices import MEMORY_BUDGET_BYTES, HermitianOperator, LatticeBox
+from .lattices import MEMORY_BUDGET_BYTES, HermitianOperator
 
 # ---------------------------------------------------------------------------
 # scalar functions with derivative data
@@ -34,7 +34,7 @@ class ScalarFunction:
     """Real scalar function with optional derivatives, support and envelope.
 
     Built-ins: ``poly``, ``bump`` (compactly supported piecewise-polynomial
-    bump of prescribed smoothness class), ``indicator``, ``entire`` (truncated
+    bump of a prescribed class C^k), ``indicator``, ``entire`` (truncated
     power series).  Parameters must be finite, except that an indicator bound
     may be infinite.  A declared growth envelope ``|h(x)| <= C |x|^gamma`` is
     verified by sampling at construction time.
@@ -44,7 +44,6 @@ class ScalarFunction:
     eval_fn: Callable = field(repr=False)
     deriv_fn: Optional[Callable] = field(default=None, repr=False)  # order -> callable
     support: Optional[Tuple[float, float]] = None
-    smoothness: Optional[int] = None  # C^k class; None means C^infinity or none
     envelope: Optional[Tuple[float, float]] = None  # (C_h, gamma_h)
     is_identity: bool = False
     params: Tuple = ()
@@ -89,7 +88,7 @@ class ScalarFunction:
             return lambda x: q(np.asarray(x, dtype=float))
 
         return ScalarFunction("poly", lambda x: p(x), deriv, support=support,
-                              smoothness=None, envelope=envelope,
+                              envelope=envelope,
                               is_identity=is_id, params=tuple(float(c) for c in coeffs))
 
     @staticmethod
@@ -107,17 +106,17 @@ class ScalarFunction:
         return ScalarFunction.poly((0.0,))
 
     @staticmethod
-    def bump(center: float, width: float, smoothness: int) -> "ScalarFunction":
+    def bump(center: float, width: float, k: int) -> "ScalarFunction":
         """Bump ``(1 - t^2)^(k+1)`` on ``|t| <= 1``, ``t = (x-center)/(width/2)``.
 
         The power k+1 makes the function exactly of class C^k across the
         support edges; all derivatives are evaluated from the exact polynomial
         piece, one-sided at the seam.
         """
-        if width <= 0 or smoothness < 0:
-            raise ConfigError("bump needs width > 0 and smoothness >= 0")
+        if width <= 0 or k < 0:
+            raise ConfigError("bump needs width > 0 and k >= 0")
         half = width / 2.0
-        p = Polynomial([1.0, 0.0, -1.0]) ** (smoothness + 1)
+        p = Polynomial([1.0, 0.0, -1.0]) ** (k + 1)
 
         def make(q, scale):
             def f(x):
@@ -133,8 +132,7 @@ class ScalarFunction:
 
         return ScalarFunction("bump", make(p, 1.0), deriv,
                               support=(center - half, center + half),
-                              smoothness=smoothness,
-                              params=(float(center), float(width), int(smoothness)))
+                              params=(float(center), float(width), int(k)))
 
     @staticmethod
     def indicator(a: float, b: float) -> "ScalarFunction":
@@ -152,45 +150,22 @@ class ScalarFunction:
 # spectral route
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SpectralDecomposition:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    box: LatticeBox
-    label: str = ""
-
-
-def spectral_decompose(op: HermitianOperator) -> SpectralDecomposition:
-    """Eigendecomposition with ascending eigenvalues."""
-    try:
-        w, u = np.linalg.eigh(op.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed on {op.label!r}: {exc}") from exc
-    return SpectralDecomposition(w, u, op.box, op.label)
-
-
-def apply_scalar_function(dec: SpectralDecomposition, f: ScalarFunction) -> HermitianOperator:
+def matrix_function(op: HermitianOperator, f: ScalarFunction) -> HermitianOperator:
     """U f(lambda) U^dagger; Hermitian whenever f is real on the spectrum."""
-    vals = np.asarray(f(dec.eigenvalues))
+    lam, u = np.linalg.eigh(op.matrix)
+    vals = np.asarray(f(lam))
     if not np.all(np.isfinite(vals)):
         raise NumericError("function undefined (non-finite) at an eigenvalue")
-    u = dec.eigenvectors
-    m = (u * vals[None, :]) @ u.conj().T
-    return HermitianOperator(dec.box, m, label=f"{f.form}({dec.label})")
-
-
-def matrix_function(op: HermitianOperator, f: ScalarFunction) -> HermitianOperator:
-    return apply_scalar_function(spectral_decompose(op), f)
+    return HermitianOperator(op.box, (u * vals[None, :]) @ u.conj().T)
 
 
 def resolvent(op: HermitianOperator, z: complex) -> np.ndarray:
     """(M - z)^(-1) through the eigendecomposition."""
-    dec = spectral_decompose(op)
-    gap = np.min(np.abs(dec.eigenvalues - z))
+    lam, u = np.linalg.eigh(op.matrix)
+    gap = np.min(np.abs(lam - z))
     if gap < 1e-12:
         raise NumericError(f"z={z} within 1e-12 of the spectrum")
-    u = dec.eigenvectors
-    return (u * (1.0 / (dec.eigenvalues - z))[None, :]) @ u.conj().T
+    return (u * (1.0 / (lam - z))[None, :]) @ u.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +230,10 @@ class QuasiAnalyticExtension:
         lead = self.f.derivative(n + 1)(x) * iy ** n / math.factorial(n)
         return lead * self.tau(y) + 1j * taylor * self.tau_prime(y)
 
-    def certify(self, nx: int = 200, ny: int = 200) -> float:
-        """Grid maximum of |omega| / |y|^(n-1); stored and returned."""
-        xs = np.linspace(self.x_support[0], self.x_support[1], nx)
-        ys = np.linspace(1e-6, 1.0, ny)
+    def certify(self) -> float:
+        """Maximum of |omega| / |y|^(n-1) on a 200 x 200 grid; stored and returned."""
+        xs = np.linspace(self.x_support[0], self.x_support[1], 200)
+        ys = np.linspace(1e-6, 1.0, 200)
         w = self.omega(xs[None, :], ys[:, None])
         c = float(np.max(np.abs(w) / np.abs(ys[:, None]) ** (self.order - 1)))
         self.bound_constant = c
@@ -388,7 +363,7 @@ def hs_apply(op: HermitianOperator, ext: QuasiAnalyticExtension,
                 f"grid too coarse: refinement discrepancy {err:.3e} > rtol {rtol:.3e}")
     if np.abs(result.imag).max() <= 1e-13 * max(1.0, np.abs(result).max()):
         result = result.real.copy()
-    return HermitianOperator(op.box, result, label=f"hs[{ext.f.form}]({op.label})")
+    return HermitianOperator(op.box, result)
 
 
 def hs_discrepancy(op: HermitianOperator, ext: QuasiAnalyticExtension,

@@ -1,3 +1,4 @@
+import glob
 import importlib
 import importlib.util
 import json
@@ -80,6 +81,33 @@ def test_missing_config_is_exit_2(tmp_path):
 def test_invalid_kind_is_exit_2(tmp_path):
     path = write(tmp_path, "bad.ini", "[experiment]\nkind = frobnicate\n")
     assert run_experiment(path) == 2
+
+
+_ENSEMBLE = "[ensemble]\nkind = anderson\nW = 8.0\n"
+_G = "[g]\nform = bump(2.0, 3.0, 4)\n"
+_H = "[h]\nform = poly(0, 0, 1)\n"
+_TRACE = "[verify]\ntrace_inner = range(1,0,9)\ntrace_outer = orthant(1,+)\n"
+
+
+@pytest.mark.parametrize("kind, sections, missing", [
+    ("verify", [_G, _H], "ensemble"),
+    ("expansion_fit", [_G, _H, "[sweep]\nells = 4 6 8\nR = 8\n"], "ensemble"),
+    ("verify", [_ENSEMBLE, _H], "g"),
+    ("verify", [_ENSEMBLE, _G, _TRACE], "h"),
+], ids=["verify-no-ensemble", "expansion-no-ensemble", "verify-no-g", "trace-no-h"])
+def test_sampled_config_without_its_sections_is_exit_2(tmp_path, capsys, kind, sections,
+                                                       missing):
+    text = f"[experiment]\nkind = {kind}\nsamples = 2\nd = 1\n\n" + "\n".join(sections)
+    path = write(tmp_path, "bad.ini", text)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: a {kind} experiment needs a [{missing}] section\n"
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.ini"))),
+                         ids=os.path.basename)
+def test_shipped_config_validates(path):
+    load_config(path).validate()
 
 
 @pytest.mark.parametrize("text, line, reason", [

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from szegolab.errors import ConfigError, DegenerateFitError
-from szegolab.lattices import EnsembleSpec, LatticeBox
+from szegolab import decay
+from szegolab.errors import ConfigError, DegenerateFitError, ModelError
+from szegolab.lattices import EnsembleSpec, LatticeBox, Symbol1D, operator_bytes
 from szegolab.regions import CoordRange, Orthant, Region
 from szegolab.spectral import ScalarFunction
 from szegolab.decay import (SpectralWindow, certify_a1, combes_thomas_probe,
@@ -256,3 +257,86 @@ def test_trace_difference_requires_containment():
     with pytest.raises(ConfigError):
         trace_difference_probe(ANDERSON, G_BUMP, H_SQUARE, bad_inner, OUTER, TBOX, 2)
 
+
+
+# ---------------------------------------------------------------------------
+# one fit path: the raw pairs of every probe
+# ---------------------------------------------------------------------------
+
+def _usable_envelope(dist, vals, monotone=False):
+    """Per-distance maxima over the finite distances, optionally made monotone,
+    then the points at distance >= 3 above 1e-14; written out with loops."""
+    best = {}
+    for r, v in zip(np.ravel(dist).tolist(), np.ravel(vals).tolist()):
+        if math.isfinite(r):
+            best[float(r)] = max(best.get(float(r), -math.inf), v)
+    rs = sorted(best)
+    vs = [best[r] for r in rs]
+    if monotone:
+        vs = [max(vs[i:]) for i in range(len(vs))]
+    kept = [(r, v) for r, v in zip(rs, vs) if r >= 3 and v > 1e-14]
+    return [r for r, _ in kept], [v for _, v in kept]
+
+
+def test_raw_pairs_are_the_usable_envelope_points():
+    box = LatticeBox.interval(0, 47)
+    stats = kernel_box_stats(ANDERSON, G_BUMP, box, 10, [complex(2.5, 0.0), complex(3.0, 0.0)])
+    x = box.sites()[:, 0]
+    dist = np.abs(x[:, None] - x[None, :])
+    floored = 0
+    for mode in ("polynomial", "exponential", "stretched"):
+        stat = stats.abs_max if mode == "polynomial" else stats.abs_sum / stats.n_samples
+        rep = fit_kernel_decay(stats, mode=mode)
+        want = _usable_envelope(dist, stat, monotone=mode == "polynomial")
+        assert (rep.raw_distances, rep.raw_values) == want
+        floored += len(np.unique(dist[dist >= 3])) - len(want[0])
+    for theta in (1.0, 0.5):
+        rep = combes_thomas_probe(stats, theta=theta)
+        want_d, want_v = [], []
+        for total in stats.resolvent_sums.values():
+            d_z, v_z = _usable_envelope(dist, np.abs(total / stats.n_samples))
+            want_d += d_z
+            want_v += v_z
+        assert (rep.raw_distances, rep.raw_values) == (want_d, want_v)
+    assert floored > 0      # the floor did drop points: the check is not vacuous
+
+    from szegolab.coefficients import _restricted_diag, spectral_data
+    coords = TBOX.sites()
+    in_bits, out_bits = INNER.evaluate(coords), OUTER.evaluate(coords)
+    rows = []
+    for s in range(4):
+        lam, u, gl = spectral_data(ANDERSON, TBOX, s, G_BUMP)
+        rows.append(_restricted_diag(u, gl, in_bits, H_SQUARE)
+                    - _restricted_diag(u, gl, out_bits, H_SQUARE))
+    mean = np.abs(sum(rows) / 4)
+    rep = trace_difference_probe(ANDERSON, G_BUMP, H_SQUARE, INNER, OUTER, TBOX, 4)
+    # the boundary of [0, 59] in the half line is the site 60
+    want = _usable_envelope(60 - coords[in_bits, 0], mean[in_bits])
+    assert (rep.raw_distances, rep.raw_values) == want
+
+
+COMPLEX_TOEPLITZ = EnsembleSpec("toeplitz1d",
+                                symbol=Symbol1D.from_dict({0: 2.0, 1: 0.5j, -1: -0.5j}))
+
+
+@pytest.mark.parametrize("probe", ["kernel", "trace"])
+def test_complex_toeplitz_samples_are_sized_at_16_bytes(monkeypatch, probe):
+    # a budget between the 8- and 16-byte sample estimates refuses a complex sample
+    box = LatticeBox.interval(0, 19)
+    n = box.site_count
+    if probe == "kernel":
+        rest = (16 + 8 + 16) * n * n        # g(H) and |g(H)|, then the held sum and max
+        run = lambda: kernel_box_stats(COMPLEX_TOEPLITZ, G_BUMP, box, 2)
+    else:
+        rest = 16 * n                       # the returned row and the held total
+        inner = Region(1, (CoordRange(0, 0, 9),))
+        run = lambda: trace_difference_probe(COMPLEX_TOEPLITZ, G_BUMP, H_SQUARE, inner,
+                                             Region(1, ()), box, 2)
+    budget = (operator_bytes(n, 8) + operator_bytes(n, 16)) // 2 + rest
+    monkeypatch.setattr(decay, "MEMORY_BUDGET_BYTES", budget)
+    sampled = []
+    real = decay.spectral_data
+    monkeypatch.setattr(decay, "spectral_data", lambda *a: sampled.append(a) or real(*a))
+    with pytest.raises(ModelError):
+        run()
+    assert sampled == []

@@ -198,7 +198,7 @@ def test_fit_covariance_shrinks_with_budget():
 # ---------------------------------------------------------------------------
 
 def test_szego_constant_symbol_all_zero():
-    sym = Symbol1D.from_dict({0: 1.0}, is_real_positive=True)
+    sym = Symbol1D.from_dict({0: 1.0})
     rep = szego_1d_suite(sym, None, [5, 10, 20])
     assert all(abs(v) < 1e-12 for v in rep["logdet"])
     assert abs(rep["strong_szego_sum"]) < 1e-20

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from szegolab.errors import ConfigError
 from szegolab.coefficients import telescoping_check
 from szegolab.lattices import HermitianOperator, LatticeBox
 from szegolab.regions import (CoordRange, Layer, Orthant, Region, SlotLess,
-                              _boundary_sites, boundary_distance, parse_region,
-                              wedge_region)
+                              _boundary_sites, box_region, boundary_distance,
+                              parse_region, slot_chain)
 from tests.conftest import rand_hermitian
 
 
@@ -29,7 +30,7 @@ def test_wedge_partition_exact(d, side):
     box = LatticeBox.cube(d, 0, side - 1)
     total = np.zeros(box.site_count, dtype=int)
     for perm in itertools.permutations(range(d)):
-        total += wedge_region(d, perm, 0, side - 1).evaluate(box.sites())
+        total += (box_region(d, 0, side - 1) & slot_chain(d, perm)).evaluate(box.sites())
     assert np.array_equal(total, np.ones(box.site_count, dtype=int))
 
 
@@ -75,8 +76,10 @@ def test_boundary_distance_halfline_example():
     box = LatticeBox.interval(-10, 40)
     inner = Region(1, (CoordRange(0, 0, 2 * L - 1),))
     outer = Region(1, (Orthant(0, +1),))
-    assert boundary_distance((L,), inner, outer, box) == float(L)
-    assert boundary_distance((2 * L,), inner, outer, box) == 0.0
+    got = boundary_distance([(L,), (2 * L,)], inner, outer, box)
+    assert got.tolist() == [float(L), 0.0]
+    far = Region(1, (CoordRange(0, -10, 40),))      # outer = inner: the cut is empty
+    assert boundary_distance([(L,)], far, far, box).tolist() == [math.inf]
 
 
 def test_boundary_distance_requires_containment():
@@ -84,10 +87,10 @@ def test_boundary_distance_requires_containment():
     inner = Region(1, (CoordRange(0, 0, 12),))
     outer = Region(1, (CoordRange(0, 0, 5),))
     with pytest.raises(ConfigError):
-        boundary_distance((1,), inner, outer, box)
+        boundary_distance([(1,)], inner, outer, box)
 
 
-def test_boundary_distance_d2_against_bruteforce(rng):
+def test_boundary_distance_d2_against_bruteforce():
     box = LatticeBox.cube(2, -6, 6)
     inner = Region(2, (CoordRange(0, -2, 3), CoordRange(1, -1, 2)))
     outer = Region(2, (CoordRange(0, -5, 6), CoordRange(1, -4, 5)))
@@ -112,10 +115,9 @@ def test_boundary_distance_d2_against_bruteforce(rng):
                 continue
             break
     assert boundary
-    for _ in range(20):
-        a = sites[int(rng.integers(0, len(sites)))]
-        oracle = min(max(abs(a[0] - b[0]), abs(a[1] - b[1])) for b in boundary)
-        assert boundary_distance(tuple(a), inner, outer, box) == float(oracle)
+    oracle = [float(min(max(abs(a[0] - b[0]), abs(a[1] - b[1])) for b in boundary))
+              for a in sites]
+    assert boundary_distance(sites, inner, outer, box).tolist() == oracle
 
 
 def test_region_grammar_roundtrip():

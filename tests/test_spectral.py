@@ -5,31 +5,18 @@ from szegolab.errors import ConfigError, NumericError, QuadratureError
 from szegolab.lattices import (MEMORY_BUDGET_BYTES, EnsembleSpec, HermitianOperator,
                                LatticeBox, build_operator)
 from szegolab.spectral import (DEFAULT_GRID, QuadratureGrid, ScalarFunction, _chunk_nodes,
-                               apply_scalar_function, hs_apply, hs_discrepancy,
-                               hs_extension, matrix_function, resolvent,
-                               spectral_decompose)
+                               hs_apply, hs_discrepancy, hs_extension, matrix_function,
+                               resolvent)
 from tests.conftest import rand_hermitian
-
-
-def test_decompose_sorts_eigenvalues():
-    dec = spectral_decompose(HermitianOperator.from_matrix(np.diag([3.0, 1.0, 2.0])))
-    assert np.allclose(dec.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
-
-
-def test_decompose_identity():
-    dec = spectral_decompose(HermitianOperator.from_matrix(np.eye(5)))
-    assert np.allclose(dec.eigenvalues, np.ones(5), atol=1e-14)
-    u = dec.eigenvectors
-    assert np.max(np.abs(u.conj().T @ u - np.eye(5))) < 1e-10
 
 
 def test_decompose_free_chain_matches_closed_form():
     op = build_operator(EnsembleSpec("free"), LatticeBox.interval(1, 8), 0)
-    dec = spectral_decompose(op)
     expected = np.sort(2.0 - 2.0 * np.cos(np.arange(1, 9) * np.pi / 9))
-    assert np.max(np.abs(dec.eigenvalues - expected)) < 1e-10
-    recon = (dec.eigenvectors * dec.eigenvalues[None, :]) @ dec.eigenvectors.conj().T
-    assert np.max(np.abs(recon - op.matrix)) < 1e-9 * np.abs(op.matrix).max()
+    assert np.max(np.abs(np.linalg.eigvalsh(op.matrix) - expected)) < 1e-10
+    recon = matrix_function(op, ScalarFunction.identity())
+    assert recon.box == op.box
+    assert np.max(np.abs(recon.matrix - op.matrix)) < 1e-9 * np.abs(op.matrix).max()
 
 
 def test_apply_identity_reconstructs(rng):
@@ -39,8 +26,8 @@ def test_apply_identity_reconstructs(rng):
 
 
 def test_apply_indicator_diag():
-    dec = spectral_decompose(HermitianOperator.from_matrix(np.diag([1.0, 2.0, 3.0])))
-    out = apply_scalar_function(dec, ScalarFunction.indicator(-np.inf, 2.0))
+    op = HermitianOperator.from_matrix(np.diag([1.0, 2.0, 3.0]))
+    out = matrix_function(op, ScalarFunction.indicator(-np.inf, 2.0))
     assert np.allclose(out.matrix, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
