@@ -29,8 +29,8 @@ import numpy as np
 from . import coefficients as coeff
 from . import mc
 from .config import ExperimentConfig, load_config, parse_symbol
-from .decay import (certify_a1, combes_thomas_probe, fit_kernel_decay,
-                    kernel_box_stats, trace_difference_probe)
+from .decay import (certify_a1, check_kernel_fit, check_schatten_p, combes_thomas_probe,
+                    fit_kernel_decay, kernel_box_stats, trace_difference_probe)
 from .errors import ConfigError, ModelError, NumericError, SzegolabError, config_value
 from .harness import log_enhancement_probe, sweep_and_fit, szego_1d_suite
 from .lattices import HermitianOperator, LatticeBox
@@ -248,32 +248,34 @@ def _run_log_enhancement(cfg: ExperimentConfig) -> int:
 def _run_verify(cfg: ExperimentConfig) -> int:
     side = cfg.opt_int("box_side", 64)
     box = LatticeBox.cube(cfg.d, 0, side - 1) if cfg.d > 1 else LatticeBox.interval(0, side - 1)
-    payload: Dict = {"box_side": side, "d": cfg.d, "n_samples": cfg.samples}
     mode = cfg.options.get("kernel_mode", "exponential").strip()
+    check_kernel_fit(box, mode)
+    p = cfg.opt_float("a1_p", 1.0)
+    check_schatten_p(p)
+    theta = cfg.opt_float("ct_theta", 1.0)
+    min_mu = cfg.opt_float("gate_min_mu", 0.0)
     zs = config_value("ct_z", cfg.options.get("ct_z", ""),
                       lambda t: [complex(v) for v in t.split()])
+    if cfg.has_trace_probe:
+        inner = parse_region(cfg.d, cfg.options["trace_inner"])
+        outer = parse_region(cfg.d, cfg.options["trace_outer"])
+        tbox = LatticeBox.cube(cfg.d, cfg.opt_int("trace_box_lo", -side // 2),
+                               cfg.opt_int("trace_box_hi", 3 * side // 2))
+    payload: Dict = {"box_side": side, "d": cfg.d, "n_samples": cfg.samples}
     stats = kernel_box_stats(cfg.ensemble, cfg.g, box, cfg.samples, zs,
                              workers=cfg.workers)
     kernel = fit_kernel_decay(stats, mode=mode)
     payload["kernel_decay"] = kernel.to_jsonable()
     if "a1_p" in cfg.options:
-        cert = certify_a1(stats, cfg.opt_float("a1_p", 1.0))
-        payload["a1_certificate"] = cert.to_jsonable()
+        payload["a1_certificate"] = certify_a1(stats, p).to_jsonable()
     if "ct_z" in cfg.options:
-        ct = combes_thomas_probe(stats, cfg.opt_float("ct_theta", 1.0))
-        payload["combes_thomas"] = ct.to_jsonable()
+        payload["combes_thomas"] = combes_thomas_probe(stats, theta).to_jsonable()
     if cfg.has_trace_probe:
-        inner = parse_region(cfg.d, cfg.options["trace_inner"])
-        outer = parse_region(cfg.d, cfg.options["trace_outer"])
-        tbox_lo = cfg.opt_int("trace_box_lo", -side // 2)
-        tbox_hi = cfg.opt_int("trace_box_hi", 3 * side // 2)
-        tbox = LatticeBox.cube(cfg.d, tbox_lo, tbox_hi)
         td = trace_difference_probe(cfg.ensemble, cfg.g, cfg.h, inner, outer, tbox,
                                     cfg.samples, workers=cfg.workers)
         payload["trace_difference"] = td.to_jsonable()
     path = os.path.join(cfg.out_dir, "decay-report.json")
     write_json(path, payload)
-    min_mu = cfg.opt_float("gate_min_mu", 0.0)
     mu = kernel.params.get("mu", 0.0)
     if min_mu and mu <= min_mu:
         return _gate_failed(EXIT_GATE, "kernel decay mu", mu, f"> {min_mu!r}", path)

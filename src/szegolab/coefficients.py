@@ -18,9 +18,10 @@ telescoping identity and the inclusion-exclusion expansion exact at integer
 level on the lattice.
 
 A second, partition-free route expresses the same coefficients through plain
-traces ``E[Tr(f_n chi_box chi_layers)]`` with constants ``c~_{m,n}``; two
-candidate normalizations of ``c~`` (differing by 4^m) are tabulated and
-adjudicated numerically, never assumed.
+traces ``E[Tr(f_n chi_box chi_layers)]`` with constants ``c~_{m,n}``.  Two
+candidate normalizations of ``c~`` are tabulated and adjudicated numerically,
+never assumed.  They differ by exactly 4^m, so a sample computes only the
+recurrence sum and the printed estimate is derived from it (``a_pf``).
 
 Everything here is desk-scale: the ambient space is the even symmetric box
 B_R = {-R..R-1}^d and model operators are computed on it, so ensemble
@@ -522,8 +523,8 @@ class SweepPlan:
     ``columns`` maps each per-sample statistic to its column of the sweep's
     samples x statistics array: ``("A0",)``, ``("window_lo",)``,
     ``("window_hi",)``, then per probe depth L ``("Amn", L, m, n)``,
-    ``("Afv", L, m)``, ``("pf", L, m, n)``, ``("Apf_printed", L, m)`` and
-    ``("Apf_recurrence", L, m)``, then ``("sweep", ell)`` and ``("EL", L)``.
+    ``("Afv", L, m)``, ``("pf", L, m, n)`` and ``("Apf_recurrence", L, m)``,
+    then ``("sweep", ell)`` and ``("EL", L)``.
     """
 
     spec: EnsembleSpec
@@ -581,7 +582,7 @@ def make_sweep_plan(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunc
         for m in range(1, d + 1):
             names += [("Amn", L, m, n) for n in range(1, m + 1)] + [("Afv", L, m)]
             names += [("pf", L, m, n) for n in range(0, m + 1)]
-            names += [("Apf_printed", L, m), ("Apf_recurrence", L, m)]
+            names += [("Apf_recurrence", L, m)]
     names += [("sweep", ell) for ell in ells] + [("EL", L) for L in error_L]
     columns = {name: j for j, name in enumerate(dict.fromkeys(names))}
     return SweepPlan(spec, d, R, box, g, h, L_values, ells,
@@ -609,14 +610,12 @@ def _sample_stats(plan: SweepPlan, sample_id: int) -> np.ndarray:
                 row[col["Amn", L, m, n]] = t
                 a_m += float(cst.c[m][n]) * t
             row[col["Afv", L, m]] = a_m
-            printed = rec = 0.0
+            rec = 0.0
             for n in range(0, m + 1):
                 bits = plan.pf_masks[(L, m)]
                 t = float(np.sum(diag[n][bits]))
                 row[col["pf", L, m, n]] = t
-                printed += float(cst.c_tilde_printed[m][n]) * t
                 rec += float(cst.c_tilde_recurrence[m][n]) * t
-            row[col["Apf_printed", L, m]] = printed
             row[col["Apf_recurrence", L, m]] = rec
     for ell in plan.ells:
         bits = plan.ell_bits[ell]
@@ -672,12 +671,20 @@ class SweepResult:
         t.extras["window"] = list(self.window)
         return t
 
+    def a_pf(self, L: int, m: int) -> Dict[str, StatSummary]:
+        """Partition-free A_m under each c~ table.  c~_printed = c~_recurrence / 4^m,
+        and a power-of-two scale commutes with every rounding of the per-sample sum
+        and of Welford's update, so the printed summary has a printed column's bits."""
+        rec, scale = self.stat("Apf_recurrence", L, m), 4.0 ** -m
+        return {"printed": StatSummary(rec.mean * scale, rec.stderr * scale, rec.count),
+                "recurrence": rec}
+
     def partition_free(self, L: int) -> Dict:
         d = self.plan.d
         out = {"L": L, "printed": {}, "recurrence": {}, "raw_terms": {}}
         for m in range(1, d + 1):
-            out["printed"][m] = self.stat("Apf_printed", L, m)
-            out["recurrence"][m] = self.stat("Apf_recurrence", L, m)
+            for name, s in self.a_pf(L, m).items():
+                out[name][m] = s
             out["raw_terms"][m] = {n: self.stat("pf", L, m, n) for n in range(0, m + 1)}
         return out
 
@@ -686,8 +693,7 @@ class SweepResult:
         3 combined standard errors."""
         ref = self.a_fv(L, m)
         verdicts = {}
-        for name in ("printed", "recurrence"):
-            cand = self.stat(f"Apf_{name}", L, m)
+        for name, cand in self.a_pf(L, m).items():
             tol = 3.0 * math.hypot(ref.stderr, cand.stderr)
             verdicts[name] = {
                 "value": cand.mean, "stderr": cand.stderr,

@@ -108,6 +108,8 @@ class ExperimentConfig:
             for name in ("ensemble", "g", "h") if applies_h else ("ensemble", "g"):
                 if getattr(self, name) is None:
                     raise ConfigError(f"a {self.kind} experiment needs a [{name}] section")
+        if self.kind == "log_enhancement" and self.d != 1:
+            raise ConfigError(f"log_enhancement runs in d = 1 only, got d = {self.d}")
         if self.samples < 1:
             raise ConfigError("sample budget must be >= 1")
         if self.workers < 1:

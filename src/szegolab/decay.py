@@ -14,13 +14,14 @@ probe, maps its samples through ``ordered_map`` in chunks of at most
 ``CHUNK_SAMPLES`` and folds each chunk in ascending sample order, so memory is
 O(chunk n^2) whatever the sample count and the bytes of a report do not
 depend on ``workers``.  Inputs whose one sample would not fit the byte budget
-beside the accumulators are refused before the first sample.
+beside the accumulators are refused before the first sample, and so are the
+options the reducers would refuse (``check_kernel_fit``, ``check_schatten_p``).
 
 Fits are ordinary least squares on transformed coordinates (log-log for the
-polynomial mode, log-linear for exponential and stretched modes) of one point
-per distance, the largest value there (``_envelope``).  ``_usable`` drops
-distances |a-b| <= 2, to suppress near-field effects, and values at or below
-the 1e-14 floor.
+polynomial mode, log-linear for the exponential mode and for Combes-Thomas'
+stretched law) of one point per distance, the largest value there
+(``_envelope``).  ``_usable`` drops distances |a-b| <= 2, to suppress
+near-field effects, and values at or below the 1e-14 floor.
 """
 
 from __future__ import annotations
@@ -65,11 +66,7 @@ class SpectralWindow:
 
 @dataclass
 class DecayFitReport:
-    """Fitted decay law with the raw pairs it was computed from.
-
-    ``refit()`` reproduces the parameters bit-identically from the stored
-    pairs, so reports regenerate from their own raw data.
-    """
+    """Fitted decay law with the raw pairs it was computed from."""
 
     mode: str                      # polynomial | exponential | stretched
     params: Dict[str, float]
@@ -90,10 +87,6 @@ class DecayFitReport:
                 "theta": self.theta,
                 "raw": {"distances": self.raw_distances, "values": self.raw_values},
                 "notes": self.notes}
-
-    def refit(self) -> "DecayFitReport":
-        return _fit_pairs(np.asarray(self.raw_distances), np.asarray(self.raw_values),
-                          self.mode, self.n_samples, theta=self.theta)
 
     def rate_bound(self) -> Callable[[float], float]:
         """Certified bound value(r) usable as a truncation-tail integrand."""
@@ -117,8 +110,8 @@ def _usable(dist: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return (dist >= DISTANCE_FLOOR) & (vals > VALUE_FLOOR)
 
 
-def _fit_pairs(dist: np.ndarray, vals: np.ndarray, mode: str, n_samples: int,
-               theta: float = 1.0) -> DecayFitReport:
+def _fit_pairs(dist: np.ndarray, vals: np.ndarray, mode: str, n_samples: int) -> DecayFitReport:
+    """Log value against log(1 + distance) (polynomial) or distance (exponential)."""
     keep = _usable(dist, vals)
     dist, vals = dist[keep], vals[keep]
     if dist.size < 3:
@@ -127,18 +120,26 @@ def _fit_pairs(dist: np.ndarray, vals: np.ndarray, mode: str, n_samples: int,
     if mode == "polynomial":
         fit = ols_line(np.log1p(dist), logs)
         params = {"q": -fit.slope, "q_stderr": fit.stderr_slope}
-    elif mode == "exponential":
+    else:
         fit = ols_line(dist, logs)
         params = {"mu": -fit.slope, "mu_stderr": fit.stderr_slope}
-    elif mode == "stretched":
-        fit = ols_line(dist ** theta, logs)
-        params = {"mu": -fit.slope, "mu_stderr": fit.stderr_slope, "theta": theta}
-    else:
-        raise ConfigError(f"unknown fit mode {mode!r}")
     return DecayFitReport(mode, params, float(np.exp(fit.intercept)), fit.r2,
                           n_samples, (float(dist.min()), float(dist.max())),
                           raw_distances=[float(v) for v in dist],
-                          raw_values=[float(v) for v in vals], theta=theta)
+                          raw_values=[float(v) for v in vals])
+
+
+def check_kernel_fit(box: LatticeBox, mode: str) -> None:
+    """Refuse a kernel fit mode, or a box too small to fit, before any sample."""
+    if mode not in ("polynomial", "exponential"):
+        raise ConfigError(f"unknown kernel fit mode {mode!r}: use polynomial or exponential")
+    if min(box.shape) < 16:
+        raise ConfigError("kernel-decay fits need box side >= 16")
+
+
+def check_schatten_p(p: float) -> None:
+    if p <= 0:
+        raise ConfigError("Schatten exponent must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +265,7 @@ def certify_a1(stats: KernelBoxStats, p: float) -> A1Certificate:
     With one-site cells every Schatten-p norm of a block equals the entry
     modulus, so the estimate is the max |g(H)[a,b]| over sites and samples.
     """
-    if p <= 0:
-        raise ConfigError("Schatten exponent must be positive")
+    check_schatten_p(p)
     return A1Certificate(stats.a1_value, p, stats.a1_argmax, stats.n_samples)
 
 
@@ -273,13 +273,12 @@ def fit_kernel_decay(stats: KernelBoxStats, mode: str = "exponential") -> DecayF
     """Fit the decay of one-site kernel blocks of g(H) against distance.
 
     Polynomial mode fits the per-distance max over samples and site pairs
-    (the uniform hypothesis); exponential and stretched modes fit the
-    per-distance max over pairs of the sample mean |g(H)[a,b]| (the averaged
-    hypothesis).  In polynomial mode a monotone upper envelope is applied
-    before the log-log fit to tame oscillatory kernels.
+    (the uniform hypothesis); exponential mode fits the per-distance max over
+    pairs of the sample mean |g(H)[a,b]| (the averaged hypothesis).  In
+    polynomial mode a monotone upper envelope is applied before the log-log
+    fit to tame oscillatory kernels.
     """
-    if min(stats.box.shape) < 16:
-        raise ConfigError("kernel-decay fits need box side >= 16")
+    check_kernel_fit(stats.box, mode)
     stat = stats.abs_max if mode == "polynomial" else stats.abs_sum / stats.n_samples
     rs, vs = _envelope(_sup_distances(stats.box.sites()), stat)
     if mode == "polynomial":

@@ -200,6 +200,8 @@ def parse_region(d: int, text: str) -> Region:
         try:
             if name == "orthant":
                 axis, sign = int(args[0]) - 1, args[1]
+                if sign not in ("+", "+1", "-", "-1"):
+                    raise ConfigError(f"orthant sign must be +, +1, - or -1 in {term!r}")
                 constraints.append(Orthant(axis, +1 if sign in ("+", "+1") else -1))
             elif name == "layer":
                 constraints.append(Layer(int(args[0]) - 1, int(args[1])))

