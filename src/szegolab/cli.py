@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,8 +30,9 @@ import numpy as np
 from . import coefficients as coeff
 from . import mc
 from .config import ExperimentConfig, load_config, parse_symbol
-from .decay import (certify_a1, check_kernel_fit, check_schatten_p, combes_thomas_probe,
-                    fit_kernel_decay, kernel_box_stats, trace_difference_probe)
+from .decay import (certify_a1, check_ct_theta, check_kernel_fit, check_schatten_p,
+                    combes_thomas_probe, fit_kernel_decay, kernel_box_stats,
+                    trace_difference_probe)
 from .errors import ConfigError, ModelError, NumericError, SzegolabError, config_value
 from .harness import log_enhancement_probe, sweep_and_fit, szego_1d_suite
 from .lattices import HermitianOperator, LatticeBox
@@ -48,6 +50,8 @@ def _jsonable(obj):
         return _jsonable(obj.to_jsonable())
     if hasattr(obj, "to_dict"):
         return _jsonable(obj.to_dict())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -119,11 +123,12 @@ def _run_expansion_fit(cfg: ExperimentConfig) -> int:
     r = cfg.opt_int("R", 2 * max(ells))
     formula_l = cfg.opt_int("formula_L", 0) or None
     offset = cfg.opt_ints("offset")
+    gate = cfg.opt_bool("gate_crosscheck")
     report, res = sweep_and_fit(cfg.ensemble, cfg.d, cfg.g, cfg.h, ells, r,
                                 cfg.samples, formula_L=formula_l,
                                 ell_offset=offset, workers=cfg.workers)
     fit_path = os.path.join(cfg.out_dir, "fit-report.json")
-    write_json(fit_path, report.to_jsonable())
+    write_json(fit_path, report)
     rows = [[e, m, s, cfg.samples] for e, m, s in
             zip(report.ells, report.trace_means, report.trace_stderrs)]
     write_csv(os.path.join(cfg.out_dir, "sweep.csv"),
@@ -131,7 +136,7 @@ def _run_expansion_fit(cfg: ExperimentConfig) -> int:
     if formula_l:
         write_coefficients(cfg.out_dir, res, formula_l)
     check = report.cross_check
-    if cfg.opt_bool("gate_crosscheck") and check is not None and not check["within_3_sigma"]:
+    if gate and check is not None and not check["within_3_sigma"]:
         return _gate_failed(EXIT_GATE, "|A1_fit - A1_formula|", check["gap"],
                             f"<= 3 x combined stderr = {3.0 * check['combined_stderr']!r}",
                             fit_path)
@@ -158,18 +163,16 @@ def _run_identity_checks(cfg: ExperimentConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     results: Dict = {"side": side, "max_d": max_d, "inclusion_exclusion": {},
                      "partition": {}, "telescoping": {}, "constants": {}}
-    worst_ie = 0
     for d in range(1, max_d + 1):
         box = LatticeBox.cube(d, 0, side - 1)
         results["partition"][d] = coeff.sd_partition_residual(box, 0, side - 1)
+        worst_d = 0
         for n in range(1, d + 1):
-            ok_sizes = coeff.partition_block_sizes(d, n)
-            results["constants"].setdefault(d, {})[n] = ok_sizes
+            results["constants"].setdefault(d, {})[n] = coeff.partition_block_sizes(d, n)
             for l in range(d):
                 for k in coeff.k_vectors(d, n, l):
-                    res = coeff.inclusion_exclusion_check(n, l, k, side, d)
-                    worst_ie = max(worst_ie, res)
-        results["inclusion_exclusion"][d] = worst_ie
+                    worst_d = max(worst_d, coeff.inclusion_exclusion_check(n, l, k, side, d))
+        results["inclusion_exclusion"][d] = worst_d
     worst_tel = 0.0
     for d in range(1, max_d + 1):
         box = LatticeBox.cube(d, 0, side - 1)
@@ -179,20 +182,16 @@ def _run_identity_checks(cfg: ExperimentConfig) -> int:
             for _n in range(d + 1):
                 m = rng.standard_normal((n_sites, n_sites))
                 fam.append(HermitianOperator(box, (m + m.T) / 2))
-            resid = coeff.telescoping_check(fam, np.ones(n_sites, bool))
-            worst_tel = max(worst_tel, resid)
+            worst_tel = max(worst_tel, coeff.telescoping_check(fam, np.ones(n_sites, bool)))
     results["telescoping"]["max_residual"] = worst_tel
     results["telescoping"]["families_per_d"] = n_families
     # exact c recurrence over all dimensions
-    rec_ok = True
-    for d in range(1, max_d + 1):
-        for m in range(1, d + 1):
-            for n in range(0, m):
-                if coeff.c_constant(d, m, n + 1) != -(m - n) * coeff.c_constant(d, m, n):
-                    rec_ok = False
+    rec_ok = all(coeff.c_constant(d, m, n + 1) == -(m - n) * coeff.c_constant(d, m, n)
+                 for d in range(1, max_d + 1) for m in range(1, d + 1) for n in range(m))
     results["c_recurrence_exact"] = rec_ok
     path = os.path.join(cfg.out_dir, "identities.json")
     write_json(path, results)
+    worst_ie = max(results["inclusion_exclusion"].values(), default=0)
     worst_part = max(results["partition"].values(), default=0)
     for quantity, value, bound, failed in (
             ("inclusion-exclusion defect", worst_ie, "== 0", worst_ie != 0),
@@ -247,12 +246,13 @@ def _run_log_enhancement(cfg: ExperimentConfig) -> int:
 
 def _run_verify(cfg: ExperimentConfig) -> int:
     side = cfg.opt_int("box_side", 64)
-    box = LatticeBox.cube(cfg.d, 0, side - 1) if cfg.d > 1 else LatticeBox.interval(0, side - 1)
+    box = LatticeBox.cube(cfg.d, 0, side - 1)
     mode = cfg.options.get("kernel_mode", "exponential").strip()
     check_kernel_fit(box, mode)
     p = cfg.opt_float("a1_p", 1.0)
     check_schatten_p(p)
     theta = cfg.opt_float("ct_theta", 1.0)
+    check_ct_theta(theta)
     min_mu = cfg.opt_float("gate_min_mu", 0.0)
     zs = config_value("ct_z", cfg.options.get("ct_z", ""),
                       lambda t: [complex(v) for v in t.split()])
@@ -299,6 +299,11 @@ def run_experiment(config_path: str, overrides: Optional[Dict[str, str]] = None)
     except SzegolabError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return _run(cfg)
+
+
+def _run(cfg: ExperimentConfig) -> int:
+    """Run a loaded experiment in its out dir; map its failures to exit codes."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     try:
         return _RUNNERS[cfg.kind](cfg)
@@ -334,15 +339,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     mc.retain_freed_heap()
     if args.command == "identities":
-        cfg = ExperimentConfig(kind="identity_checks", seed=args.seed,
-                               out_dir=args.out,
-                               options={"max_d": str(args.d), "side": str(args.side)})
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        try:
-            return _run_identity_checks(cfg)
-        except SzegolabError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        return _run(ExperimentConfig(kind="identity_checks", seed=args.seed,
+                                     out_dir=args.out,
+                                     options={"max_d": str(args.d), "side": str(args.side)}))
 
     overrides = {"seed": None if args.seed is None else str(args.seed),
                  "samples": None if args.samples is None else str(args.samples),

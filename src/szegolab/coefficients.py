@@ -385,14 +385,13 @@ def sd_partition_residual(box: LatticeBox, lo: int, hi: int) -> int:
 # corner transforms (pullback coordinates)
 # ---------------------------------------------------------------------------
 
-def _pullback_coords(coords: np.ndarray, sigma: Tuple[int, ...], L: int,
-                     pi0: Optional[Tuple[int, ...]] = None) -> np.ndarray:
+def _pullback_coords(coords: np.ndarray, sigma: Tuple[int, ...], L: int) -> np.ndarray:
     """Coordinates w^{-1}(x') of the corner transform, for x' in B_R.
 
-    The transformed operator A^T with T = (translate by L) o (permute pi0) o
-    (reflect sigma) has entries A^T[x, y] = A[w(x), w(y)], so a
-    standard-coordinate region Q conjugates to the mask {x' : w^{-1}(x') in Q}
-    on B_R; this returns w^{-1}(coords).  Reflection of coordinate i is about
+    The transformed operator A^T with T = (translate by L) o (reflect sigma)
+    has entries A^T[x, y] = A[w(x), w(y)], so a standard-coordinate region Q
+    conjugates to the mask {x' : w^{-1}(x') in Q} on B_R; this returns
+    w^{-1}(coords).  Reflection of coordinate i is about
     -1/2 (site map s -> -1-s), the realization of the continuum flip under the
     cell convention.
     """
@@ -400,9 +399,6 @@ def _pullback_coords(coords: np.ndarray, sigma: Tuple[int, ...], L: int,
     for i, b in enumerate(sigma):
         if b:
             out[:, i] = -1 - out[:, i]
-    if pi0 is not None:
-        inv = np.argsort(np.asarray(pi0, dtype=np.int64))
-        out = out[:, inv]
     return out + L
 
 
@@ -561,7 +557,9 @@ def make_sweep_plan(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunc
     for L in error_L:
         if 2 * L > R:
             raise ConfigError(f"error-term scale L={L} needs 2L <= R={R}")
-    orthant_bits = [orthant_region(d, range(n)).evaluate(coords) for n in range(d + 1)]
+    # half-orthants n >= 1 feed only the probe-depth columns
+    orthant_bits = [orthant_region(d, range(n)).evaluate(coords)
+                    for n in range(d + 1 if L_values else 1)]
     chi_masks = {}
     pf_masks = {}
     for L in L_values:

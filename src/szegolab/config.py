@@ -8,7 +8,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import ConfigError, config_value
+from .errors import ConfigError, check_keys, config_value
 from .lattices import EnsembleSpec, Symbol1D, symbol_fourier_coefficients
 from . import mc
 from .spectral import ScalarFunction
@@ -21,7 +21,7 @@ SAMPLED_KINDS = ("expansion_fit", "coefficient_formula", "log_enhancement", "ver
 
 def parse_scalar_function(text: str) -> ScalarFunction:
     """Parse ``bump(c,w,k)`` / ``poly(c0,c1,...)`` / ``indicator(a,b)`` /
-    ``entire(c0,c1,...)`` / ``identity`` / ``zero``."""
+    ``identity`` / ``zero``."""
     text = text.strip()
     if text == "identity":
         return ScalarFunction.identity()
@@ -37,8 +37,6 @@ def parse_scalar_function(text: str) -> ScalarFunction:
             return ScalarFunction.bump(float(vals[0]), float(vals[1]), int(vals[2]))
         if name == "poly":
             return ScalarFunction.poly(tuple(float(v) for v in vals))
-        if name == "entire":
-            return ScalarFunction.entire(tuple(float(v) for v in vals))
         if name == "indicator":
             return ScalarFunction.indicator(float(vals[0]), float(vals[1]))
     except (ValueError, IndexError) as exc:
@@ -93,7 +91,11 @@ class ExperimentConfig:
         return config_value(key, self.options.get(key, default), float)
 
     def opt_bool(self, key: str) -> bool:
-        return self.options.get(key, "").strip().lower() in ("1", "true", "yes", "on")
+        word = self.options.get(key, "false").strip().lower()
+        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ConfigError(f"{key} = {word!r} is not a boolean: use true/false, "
+                              "yes/no, on/off or 1/0")
+        return word in ("1", "true", "yes", "on")
 
     @property
     def has_trace_probe(self) -> bool:
@@ -141,6 +143,17 @@ def _ini_error(path: str, exc: configparser.Error) -> ConfigError:
     return ConfigError(f"config file {path!r}{where}: {reason}")
 
 
+def _function_section(sections: Dict, name: str) -> Optional[ScalarFunction]:
+    """The function of the ``[g]`` or ``[h]`` section, if the file has one."""
+    if name not in sections:
+        return None
+    block = sections[name]
+    check_keys(name, block, ("form",))
+    if "form" not in block:
+        raise ConfigError(f"[{name}] needs a 'form' key")
+    return parse_scalar_function(block["form"])
+
+
 def load_config(path: str, overrides: Optional[Dict[str, str]] = None) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive (W, formula_L, ...)
@@ -154,6 +167,7 @@ def load_config(path: str, overrides: Optional[Dict[str, str]] = None) -> Experi
     if "experiment" not in sections:
         raise ConfigError("config needs an [experiment] section")
     exp = dict(sections["experiment"])
+    check_keys("experiment", exp, ("kind", "seed", "samples", "out", "workers", "d"))
     overrides = overrides or {}
     exp.update({k: v for k, v in overrides.items() if v is not None})
 
@@ -165,12 +179,12 @@ def load_config(path: str, overrides: Optional[Dict[str, str]] = None) -> Experi
     ensemble = None
     d = config_value("d", exp.get("d", sections.get("ensemble", {}).get("d", "1")), int)
     if "ensemble" in sections:
-        block = {k: v for k, v in sections["ensemble"].items() if k != "d"}
+        block = dict(sections["ensemble"])
         if "seed" not in block and "seed" in exp:
             block["seed"] = exp["seed"]
         ensemble = EnsembleSpec.from_config(block)
-    g = parse_scalar_function(sections["g"]["form"]) if "g" in sections else None
-    h = parse_scalar_function(sections["h"]["form"]) if "h" in sections else None
+    g = _function_section(sections, "g")
+    h = _function_section(sections, "h")
 
     options: Dict[str, str] = {}
     for section, block in sections.items():

@@ -142,6 +142,11 @@ def check_schatten_p(p: float) -> None:
         raise ConfigError("Schatten exponent must be positive")
 
 
+def check_ct_theta(theta: float) -> None:
+    if not 0 < theta < math.inf:
+        raise ConfigError(f"ct_theta = {theta!r} must be finite and > 0")
+
+
 # ---------------------------------------------------------------------------
 # one pass over the kernel box
 # ---------------------------------------------------------------------------
@@ -299,6 +304,7 @@ def combes_thomas_probe(stats: KernelBoxStats, theta: float = 1.0) -> DecayFitRe
     is the deterministic default; random ensembles may fit better with
     theta < 1/2, which the caller can scan over one pass.
     """
+    check_ct_theta(theta)
     dists = _sup_distances(stats.box.sites())
     window = stats.window
     xs, ys = [], []

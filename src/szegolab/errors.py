@@ -31,3 +31,10 @@ def config_value(key: str, raw, convert):
         return convert(raw)
     except ValueError as exc:
         raise ConfigError(f"{key} = {raw!r} is not valid: {exc}") from None
+
+
+def check_keys(section: str, block, known) -> None:
+    """Refuse a key of ``[section]`` outside ``known``, naming the section and the key."""
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"[{section}] has no key {key!r} (known: {' '.join(known)})")

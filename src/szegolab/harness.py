@@ -22,7 +22,7 @@ from .lattices import EnsembleSpec, Symbol1D, toeplitz_matrix
 from .mc import single_blas_thread
 from .spectral import ScalarFunction
 
-__all__ = ["FitReport", "fit_expansion", "sweep_and_fit", "szego_1d_suite",
+__all__ = ["FitReport", "check_fit_grid", "fit_expansion", "sweep_and_fit", "szego_1d_suite",
            "log_enhancement_probe"]
 
 
@@ -43,17 +43,13 @@ class FitReport:
     condition_number: float
     cross_check: Optional[Dict] = None
 
-    def to_jsonable(self) -> Dict:
-        return {
-            "d": self.d, "ells": self.ells,
-            "trace_means": self.trace_means, "trace_stderrs": self.trace_stderrs,
-            "n_samples": self.n_samples,
-            "A_hat": self.A_hat, "A_stderr": self.A_stderr,
-            "covariance": self.covariance, "residuals": self.residuals,
-            "residual_order": self.residual_order,
-            "condition_number": self.condition_number,
-            "cross_check": self.cross_check,
-        }
+
+def check_fit_grid(ells: Sequence[int], d: int) -> None:
+    """Refuse a grid that cannot fit the d+1 coefficients A_0..A_d."""
+    if len(ells) < d + 2:
+        raise ConfigError(f"need at least d+2 = {d + 2} grid points, got {len(ells)}")
+    if sorted(set(ells)) != list(ells):
+        raise ConfigError("ell grid must be strictly increasing")
 
 
 def fit_expansion(ells: Sequence[int], means: Sequence[float],
@@ -61,10 +57,7 @@ def fit_expansion(ells: Sequence[int], means: Sequence[float],
                   n_samples: int = 0) -> FitReport:
     """Fit means(ell) = sum_{m=0..d} A_m ell^(d-m) with optional noise weights."""
     ells = [int(e) for e in ells]
-    if len(ells) < d + 2:
-        raise ConfigError(f"need at least d+2 = {d + 2} grid points, got {len(ells)}")
-    if sorted(set(ells)) != ells:
-        raise ConfigError("ell grid must be strictly increasing")
+    check_fit_grid(ells, d)
     x = np.asarray(ells, dtype=float)
     design = np.stack([x ** (d - m) for m in range(d + 1)], axis=1)
     sigma = None
@@ -95,6 +88,7 @@ def sweep_and_fit(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFuncti
     coefficient A_m^(L) table and the fit report carries a cross-check block
     comparing the fitted subleading coefficient with the formula value.
     """
+    check_fit_grid(ells, d)
     L_values = [formula_L] if formula_L else []
     res = coefficient_sweep(spec, d, g, h, R, L_values, n_samples, ells=ells,
                             ell_offset=ell_offset, workers=workers)

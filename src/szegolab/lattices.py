@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ModelError, config_value
+from .errors import ConfigError, ModelError, check_keys, config_value
 
 # Bytes one dense step may hold: operators whose build and diagonalization
 # would need more are refused, and the resolvent quadrature sizes its solve
@@ -79,21 +79,15 @@ class LatticeBox:
         return _box_sites(self)
 
     def index_of(self, site) -> int:
-        site = tuple(int(v) for v in site)
-        if not self.contains(site):
-            raise ConfigError(f"site {site} outside box {self.lo}..{self.hi}")
-        return int(sum((s - l) * st for s, l, st in zip(site, self.lo, self.strides)))
+        return int(self.indices_of([site])[0])
 
     def indices_of(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized row-major index of an ``(N, d)`` coordinate array."""
         coords = np.asarray(coords, dtype=np.int64)
         rel = coords - np.asarray(self.lo, dtype=np.int64)
         if np.any(rel < 0) or np.any(rel >= np.asarray(self.shape)):
-            raise ConfigError("coordinates outside box")
+            raise ConfigError(f"coordinates outside box {self.lo}..{self.hi}")
         return rel @ np.asarray(self.strides, dtype=np.int64)
-
-    def contains(self, site) -> bool:
-        return all(l <= s <= h for s, l, h in zip(site, self.lo, self.hi))
 
     # common constructions -------------------------------------------------
 
@@ -247,6 +241,9 @@ class EnsembleSpec:
 
     @staticmethod
     def from_config(block: Dict[str, str]) -> "EnsembleSpec":
+        # ``d`` sets the lattice dimension, which ``config.load_config`` reads
+        check_keys("ensemble", block, ("kind", "W", "hopping", "seed", "period",
+                                       "potential_cell", "symbol.coeffs", "d"))
         try:
             kind = block["kind"].strip()
         except KeyError:
@@ -330,14 +327,7 @@ def potential_values(spec: EnsembleSpec, box: LatticeBox, sample_id: int) -> np.
         u = site_uniforms(spec.seed, sample_id, coords)
         return spec.W * (u - 0.5)
     if spec.kind == "periodic":
-        period = np.asarray(spec.period, dtype=np.int64)
-        rel = np.mod(coords, period)
-        strides = []
-        acc = 1
-        for n in reversed(spec.period):
-            strides.append(acc)
-            acc *= n
-        idx = rel @ np.asarray(strides[::-1], dtype=np.int64)
+        idx = np.ravel_multi_index(tuple(np.mod(coords, spec.period).T), spec.period)
         return np.asarray(spec.potential_cell, dtype=float)[idx]
     raise ModelError(f"no potential for ensemble kind {spec.kind!r}")
 

@@ -59,16 +59,10 @@ class Layer:
 
 Constraint = Union[CoordRange, Orthant, SlotLess, Layer]
 
-_KIND_ORDER = {CoordRange: 0, Orthant: 1, Layer: 2, SlotLess: 3}
-
-
-def _constraint_key(c: Constraint):
-    return (_KIND_ORDER[type(c)],) + tuple(getattr(c, f) for f in c.__dataclass_fields__)
-
 
 @dataclass(frozen=True)
 class Region:
-    """Conjunction of constraints over sites of Z^d, canonically sorted."""
+    """Conjunction of constraints over sites of Z^d."""
 
     d: int
     constraints: Tuple[Constraint, ...]
@@ -78,8 +72,6 @@ class Region:
             axes = [c.axis] if hasattr(c, "axis") else [c.left, c.right]
             if any(not 0 <= a < self.d for a in axes):
                 raise ConfigError(f"constraint {c} references axis outside 0..{self.d - 1}")
-        object.__setattr__(self, "constraints",
-                           tuple(sorted(self.constraints, key=_constraint_key)))
 
     def __and__(self, other: "Region") -> "Region":
         if other.d != self.d:

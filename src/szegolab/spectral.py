@@ -31,20 +31,17 @@ from .lattices import MEMORY_BUDGET_BYTES, HermitianOperator
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """Real scalar function with optional derivatives, support and envelope.
+    """Real scalar function with optional derivatives and support.
 
     Built-ins: ``poly``, ``bump`` (compactly supported piecewise-polynomial
-    bump of a prescribed class C^k), ``indicator``, ``entire`` (truncated
-    power series).  Parameters must be finite, except that an indicator bound
-    may be infinite.  A declared growth envelope ``|h(x)| <= C |x|^gamma`` is
-    verified by sampling at construction time.
+    bump of a prescribed class C^k) and ``indicator``.  Parameters must be
+    finite, except that an indicator bound may be infinite.
     """
 
     form: str
     eval_fn: Callable = field(repr=False)
     deriv_fn: Optional[Callable] = field(default=None, repr=False)  # order -> callable
     support: Optional[Tuple[float, float]] = None
-    envelope: Optional[Tuple[float, float]] = None  # (C_h, gamma_h)
     is_identity: bool = False
     params: Tuple = ()
 
@@ -53,14 +50,6 @@ class ScalarFunction:
         if np.any(np.isnan(values) | (np.isinf(values) & (self.form != "indicator"))):
             raise ConfigError(f"{self.form}{self.params}: parameters must be finite "
                               "(only an indicator bound may be infinite)")
-        if self.envelope is not None:
-            c_h, gamma_h = self.envelope
-            lo, hi = self.support if self.support else (-1.0, 1.0)
-            xs = np.linspace(lo, hi, 1000)
-            vals = np.abs(self(xs))
-            bound = c_h * np.abs(xs) ** gamma_h
-            if np.any(vals > bound + 1e-12 * max(1.0, vals.max())):
-                raise ConfigError("declared envelope (C_h, gamma_h) violated on samples")
 
     def __call__(self, x):
         return self.eval_fn(np.asarray(x, dtype=float))
@@ -79,7 +68,7 @@ class ScalarFunction:
     # -- built-ins ----------------------------------------------------------
 
     @staticmethod
-    def poly(coeffs, envelope=None, support=None) -> "ScalarFunction":
+    def poly(coeffs, support=None) -> "ScalarFunction":
         p = Polynomial(list(coeffs))
         is_id = list(p.coef) == [0.0, 1.0]
 
@@ -88,14 +77,7 @@ class ScalarFunction:
             return lambda x: q(np.asarray(x, dtype=float))
 
         return ScalarFunction("poly", lambda x: p(x), deriv, support=support,
-                              envelope=envelope,
                               is_identity=is_id, params=tuple(float(c) for c in coeffs))
-
-    @staticmethod
-    def entire(series, support=None) -> "ScalarFunction":
-        f = ScalarFunction.poly(series, support=support)
-        return ScalarFunction("entire", f.eval_fn, f.deriv_fn, support=support,
-                              params=tuple(float(c) for c in series))
 
     @staticmethod
     def identity() -> "ScalarFunction":

@@ -13,7 +13,7 @@ import pytest
 from szegolab import mc
 from szegolab.cli import main, run_experiment
 from szegolab.config import load_config, parse_scalar_function, parse_symbol
-from szegolab.errors import ConfigError
+from szegolab.errors import ConfigError, NumericError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -187,6 +187,53 @@ def test_malformed_number_is_exit_2_naming_the_key(tmp_path, capsys, key, edits)
         text = text.replace(old, new)
     assert run_experiment(write(tmp_path, "num.ini", text)) == 2
     assert f"{key} = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("W = 8.0", "w = 8.0", "[ensemble] has no key 'w'"),
+    ("samples = 80", "sample = 80", "[experiment] has no key 'sample'"),
+    ("form = bump(2.0, 3.0, 4)", "shape = bump(2.0, 3.0, 4)", "[g] has no key 'shape'"),
+    ("form = poly(0, 0, 1)", "", "[h] needs a 'form' key"),
+    ("form = poly(0, 0, 1)", "form = entire(0, 0, 1)", "unknown function form 'entire'"),
+    ("gate_crosscheck = true", "gate_crosscheck = ture", "gate_crosscheck = 'ture'"),
+], ids=["ensemble-key", "experiment-key", "g-key-without-form", "h-without-form",
+        "entire-form", "boolean-typo"])
+def test_fixed_section_typo_is_exit_2_before_the_first_sample(tmp_path, monkeypatch, capsys,
+                                                               old, new, message):
+    # [experiment], [ensemble], [g] and [h] are closed: a misspelt key would
+    # otherwise leave its value at the default (W = 0, one sample)
+    import szegolab.coefficients as coefficients
+    calls = []
+
+    def counted(*args, _orig=coefficients.spectral_data):
+        calls.append(args[2])
+        return _orig(*args)
+    monkeypatch.setattr(coefficients, "spectral_data", counted)
+    text = EXPANSION_INI.format(out=tmp_path / "o", workers=1)
+    assert old in text
+    assert run_experiment(write(tmp_path, "typo.ini", text.replace(old, new))) == 2
+    assert calls == []
+    assert message in capsys.readouterr().err
+
+
+def test_short_fit_grid_is_exit_2_before_the_first_sample(tmp_path, monkeypatch, capsys):
+    import szegolab.coefficients as coefficients
+
+    def no_sample(*args):
+        raise AssertionError("a sample ran before the refusal")
+    monkeypatch.setattr(coefficients, "spectral_data", no_sample)
+    text = EXPANSION_INI.format(out=tmp_path / "o", workers=1).replace(
+        "ells = 20 40 60", "ells = 20 40")
+    assert run_experiment(write(tmp_path, "short.ini", text)) == 2
+    assert "need at least d+2 = 3 grid points, got 2" in capsys.readouterr().err
+
+
+def test_readme_reference_config_loads(tmp_path):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = load_config(write(tmp_path, "readme.ini", block))
+    assert cfg.kind == "expansion_fit" and cfg.ensemble.W == 8.0
+    assert cfg.opt_bool("gate_crosscheck")
 
 
 def test_library_import_does_not_load_scipy():
@@ -437,6 +484,27 @@ def test_identities_cli_writes_zero_residuals(tmp_path):
     assert ids["telescoping"]["max_residual"] <= 1e-9
 
 
+def test_identities_records_each_dimensions_own_defect(tmp_path, monkeypatch, capsys):
+    import szegolab.coefficients as coefficients
+    monkeypatch.setattr(coefficients, "inclusion_exclusion_check",
+                        lambda n, l, k, side, d: int(d == 1))
+    out = tmp_path / "ids"
+    assert main(["identities", "--d", "3", "--side", "3", "--out", str(out)]) == 4
+    ids = json.loads((out / "identities.json").read_text())
+    assert ids["inclusion_exclusion"] == {"1": 1, "2": 0, "3": 0}
+    assert "inclusion-exclusion defect = 1" in capsys.readouterr().err
+
+
+def test_identities_numeric_failure_is_exit_3(tmp_path, monkeypatch, capsys):
+    import szegolab.coefficients as coefficients
+
+    def broken(*args):
+        raise NumericError("telescoping family is singular")
+    monkeypatch.setattr(coefficients, "telescoping_check", broken)
+    assert main(["identities", "--d", "1", "--out", str(tmp_path / "ids")]) == 3
+    assert capsys.readouterr().err == "numeric failure: telescoping family is singular\n"
+
+
 def test_szego1d_cli_trivial_symbol(tmp_path):
     out = tmp_path / "sz"
     path = write(tmp_path, "sz.ini", f"""
@@ -626,7 +694,11 @@ def test_verify_samples_all_run_inside_decay_ordered_map(tmp_path, monkeypatch):
     ("a1_p = 1.0", "a1_p = -1"),
     ("box_side = 32", "box_side = 12"),
     ("trace_inner = range(1,0,29)", "trace_inner = rnage(1,0,29)"),
-], ids=["kernel_mode-typo", "kernel_mode-stretched", "a1_p", "box_side", "trace_inner"])
+    ("a1_p = 1.0", "a1_p = 1.0\nct_theta = 0"),
+    ("a1_p = 1.0", "a1_p = 1.0\nct_theta = -1"),
+    ("a1_p = 1.0", "a1_p = 1.0\nct_theta = nan"),
+], ids=["kernel_mode-typo", "kernel_mode-stretched", "a1_p", "box_side", "trace_inner",
+        "ct_theta-zero", "ct_theta-negative", "ct_theta-nan"])
 def test_verify_refuses_bad_options_before_the_first_sample(tmp_path, monkeypatch, capsys,
                                                             old, new):
     import szegolab.decay as decay

@@ -371,6 +371,20 @@ def test_coefficient_l_stability_d1():
     assert abs(a20.mean - a40.mean) <= 3.0 * max(combined, 1e-12)
 
 
+def test_sweep_without_probe_depth_restricts_only_the_box_and_the_ells(monkeypatch):
+    # with no probe depth L no column reads a half-orthant n >= 1: each sample
+    # restricts h to the whole box B_R (for A0) and to each sweep box
+    import szegolab.coefficients as coefficients
+    calls = []
+
+    def counted(*args, _orig=coefficients._restricted_diag):
+        calls.append(args[2])
+        return _orig(*args)
+    monkeypatch.setattr(coefficients, "_restricted_diag", counted)
+    coefficient_sweep(ANDERSON, 2, G_BUMP, H_SQUARE, 4, [], 3, ells=(2, 4, 6))
+    assert len(calls) == 3 * (1 + 3)
+
+
 def test_finite_volume_requires_L_within_R():
     with pytest.raises(ConfigError):
         coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 40, [30], 1).table(30)

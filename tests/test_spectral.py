@@ -69,12 +69,6 @@ def test_resolvent_rejects_spectrum_point():
         resolvent(op, 1.0 + 1e-14)
 
 
-def test_envelope_verified_on_construction():
-    ScalarFunction.poly((0.0, 1.0), envelope=(1.0, 1.0), support=(-1.0, 1.0))
-    with pytest.raises(ConfigError):
-        ScalarFunction.poly((0.0, 3.0), envelope=(1.0, 1.0), support=(-1.0, 1.0))
-
-
 def test_bump_smoothness_class():
     # (1 - t^2)^(k+1) has vanishing derivatives up to order k at the seam
     f = ScalarFunction.bump(0.0, 2.0, 4)
