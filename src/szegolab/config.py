@@ -118,8 +118,6 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         ells = self.opt_ints("ells")
         if ells:
-            if sorted(set(ells)) != ells:
-                raise ConfigError("ell grid must be strictly increasing")
             r = self.opt_int("R", 0)
             if r and 2 * max(ells) > 4 * r:
                 raise ConfigError("grid exceeds the ambient box: need max(ell) <= 2R")

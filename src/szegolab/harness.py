@@ -45,7 +45,10 @@ class FitReport:
 
 
 def check_fit_grid(ells: Sequence[int], d: int) -> None:
-    """Refuse a grid that cannot fit the d+1 coefficients A_0..A_d."""
+    """Refuse a grid that cannot fit the d+1 coefficients A_0..A_d: one that
+    is not strictly increasing or has fewer than d+2 points.
+    ``sweep_and_fit`` and ``log_enhancement_probe`` call it before their
+    first sample, and ``fit_expansion`` before its fit."""
     if len(ells) < d + 2:
         raise ConfigError(f"need at least d+2 = {d + 2} grid points, got {len(ells)}")
     if sorted(set(ells)) != list(ells):
@@ -190,7 +193,8 @@ def log_enhancement_probe(spec: EnsembleSpec, g: ScalarFunction, h: ScalarFuncti
     h(g(H))).  Classification: ``enhanced`` if alpha exceeds twice its
     standard error, ``flat`` if |alpha| lies below it, else ``inconclusive``.
     """
-    ells = sorted(int(e) for e in ells)
+    ells = [int(e) for e in ells]
+    check_fit_grid(ells, 1)
     if R is None:
         R = ells[-1] // 2 + 64
     res = coefficient_sweep(spec, 1, g, h, R, [], budget, ells=ells, workers=workers)

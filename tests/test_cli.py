@@ -228,6 +228,24 @@ def test_short_fit_grid_is_exit_2_before_the_first_sample(tmp_path, monkeypatch,
     assert "need at least d+2 = 3 grid points, got 2" in capsys.readouterr().err
 
 
+def test_non_increasing_grid_is_exit_2_before_the_first_sample(tmp_path, monkeypatch, capsys):
+    import szegolab.coefficients as coefficients
+    calls = []
+
+    def counted(*args, _orig=coefficients.spectral_data):
+        calls.append(args[2])
+        return _orig(*args)
+    monkeypatch.setattr(coefficients, "spectral_data", counted)
+    with open(os.path.join(CONFIGS, "expansion_d1.ini"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "ells = 20 40 60 80" in text
+    text = text.replace("ells = 20 40 60 80", "ells = 40 20 60 80").replace(
+        "out = out/expansion_d1", f"out = {tmp_path / 'o'}")
+    assert run_experiment(write(tmp_path, "unsorted.ini", text)) == 2
+    assert calls == []
+    assert "ell grid must be strictly increasing" in capsys.readouterr().err
+
+
 def test_readme_reference_config_loads(tmp_path):
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
@@ -860,8 +878,17 @@ def test_traced_benchmark_job_records_every_expected_layer(tmp_path, monkeypatch
     monkeypatch.setitem(sys.modules, "bench_workloads", workloads)   # for its dataclasses
     spec.loader.exec_module(workloads)
     expected = workloads.WORKLOADS[workload].layers - {"coefficients._restricted_diag_from_sub"}
-    recorded = {row[1] for row in json.loads(report.read_text())["spans"]}
+
+    def non_finite(word):
+        raise ValueError(f"job report holds {word}")
+    # json.dump writes a NaN or infinite value as a bare word that strict
+    # JSON refuses, and a non-finite span value turns into a non-finite metric
+    spans = json.loads(report.read_text(), parse_constant=non_finite)["spans"]
+    recorded = {row[1] for row in spans}
     assert expected <= recorded, expected - recorded
+    for row in spans:
+        for key, value in row[6].items():
+            assert np.isfinite(value), (row[1], key, value)
 
 
 def test_benchmark_entry_points_resolve(monkeypatch):

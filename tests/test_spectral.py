@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from szegolab.errors import ConfigError, NumericError, QuadratureError
 from szegolab.lattices import (MEMORY_BUDGET_BYTES, EnsembleSpec, HermitianOperator,
                                LatticeBox, build_operator)
-from szegolab.spectral import (DEFAULT_GRID, QuadratureGrid, ScalarFunction, _chunk_nodes,
-                               hs_apply, hs_discrepancy, hs_extension, matrix_function,
-                               resolvent)
+from szegolab.spectral import (DEFAULT_GRID, HS_WORKING_SET_BYTES, QuadratureGrid,
+                               ScalarFunction, _chunk_nodes, hs_apply, hs_discrepancy,
+                               hs_extension, matrix_function, resolvent)
 from tests.conftest import rand_hermitian
 
 
@@ -187,8 +189,8 @@ def test_hs_apply_coarse_grid_detected():
         hs_apply(op, ext, QuadratureGrid(2, 2, 2), rtol=1e-10)
 
 
-def _criterion_8_operator(rng):
-    m = rand_hermitian(rng, 16, complex_entries=True)
+def _criterion_8_operator(rng, n=16):
+    m = rand_hermitian(rng, n, complex_entries=True)
     return HermitianOperator.from_matrix(m * (0.8 / np.abs(np.linalg.eigvalsh(m)).max()))
 
 
@@ -216,9 +218,26 @@ def test_hs_halved_default_rule_is_a_usable_guard(rng):
 
 
 def test_hs_chunk_fits_memory_budget():
-    # each node holds a shifted matrix, a right-hand side and a solution
-    per_node = 3 * 16 * 128 ** 2
-    assert _chunk_nodes(128) * per_node <= MEMORY_BUDGET_BYTES
-    assert (_chunk_nodes(128) + 1) * per_node > MEMORY_BUDGET_BYTES
+    # each node holds a shifted matrix, a right-hand side and a solution; a
+    # chunk fills the fixed working set, not the whole memory budget
+    for n in (16, 128):
+        per_node = 3 * 16 * n ** 2
+        chunk = _chunk_nodes(n)
+        assert chunk * per_node <= MEMORY_BUDGET_BYTES
+        assert chunk * per_node <= HS_WORKING_SET_BYTES
+        assert chunk == 1 or (chunk + 1) * per_node > HS_WORKING_SET_BYTES
     xs, _, ys, _ = DEFAULT_GRID.nodes(hs_extension(ScalarFunction.bump(0.0, 2.0, 6), 4))
-    assert xs.size * ys.size <= _chunk_nodes(16)
+    assert xs.size * ys.size > _chunk_nodes(16)
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_hs_apply_working_set_does_not_grow_with_n(rng, n):
+    ext = hs_extension(ScalarFunction.bump(0.0, 2.0, 6), 4)
+    op = _criterion_8_operator(rng, n)
+    tracemalloc.start()
+    try:
+        hs_apply(op, ext)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20, peak
