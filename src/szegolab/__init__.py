@@ -8,9 +8,9 @@ independent functional-calculus routes, and empirical certification of the
 kernel-decay hypotheses the expansion rests on.
 """
 
-from .coefficients import (CoefficientTable, chi_hat_region, coefficient_sweep,
-                           comb_constants, decomposition_identity_probe,
-                           inclusion_exclusion_check, telescoping_check)
+from .coefficients import (chi_hat_region, coefficient_sweep,
+                           decomposition_identity_probe, inclusion_exclusion_check,
+                           telescoping_check)
 from .decay import (DecayFitReport, KernelBoxStats, SpectralWindow, certify_a1,
                     combes_thomas_probe, fit_kernel_decay, kernel_box_stats,
                     trace_difference_probe)

@@ -46,10 +46,6 @@ EXIT_GATE = 5
 
 
 def _jsonable(obj):
-    if hasattr(obj, "to_jsonable"):
-        return _jsonable(obj.to_jsonable())
-    if hasattr(obj, "to_dict"):
-        return _jsonable(obj.to_dict())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -69,40 +65,63 @@ def _jsonable(obj):
     return obj
 
 
+def _create(path: str):
+    """Open ``path`` for writing, making its directory first: a run that is
+    refused before its first artifact leaves no output directory behind."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    return open(path, "w", encoding="utf-8")
+
+
 def write_json(path: str, obj):
     text = json.dumps(_jsonable(obj), indent=2)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         fh.write(text + "\n")
 
 
 def write_csv(path: str, header: List[str], rows: List[List]):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
                               for v in row) + "\n")
 
 
-def write_coefficient_csv(path: str, table) -> None:
-    rows = []
-    for m, s in table.A_fv.items():
-        rows.append(["A_fv", table.L, m, "", s.mean, s.stderr])
-    for (m, n), s in table.A_mn.items():
-        rows.append(["A_mn", table.L, m, n, s.mean, s.stderr])
-    if table.E_L is not None:
-        rows.append(["E_L", table.L, "", "", table.E_L.mean, table.E_L.stderr])
-    write_csv(path, ["quantity", "L", "m", "n", "mean", "stderr"], rows)
+def write_coefficient_csv(path: str, res: coeff.SweepResult, L: int) -> None:
+    d = res.plan.d
+    stats = [("A_fv", m, "", res.a_fv(L, m)) for m in range(d + 1)]
+    stats += [("A_mn", m, n, res.stat("Amn", L, m, n))
+              for m in range(1, d + 1) for n in range(1, m + 1)]
+    if L in res.plan.error_L:
+        stats.append(("E_L", "", "", res.stat("EL", L)))
+    write_csv(path, ["quantity", "L", "m", "n", "mean", "stderr"],
+              [[q, L, m, n, s.mean, s.stderr] for q, m, n, s in stats])
 
 
-def write_coefficients(out_dir: str, res, L: int) -> None:
+def _constants(const, d: int, m_values) -> Dict:
+    return {m: {n: const(d, m, n) for n in range(m + 1)} for m in m_values}
+
+
+def write_coefficients(out_dir: str, res: coeff.SweepResult, L: int) -> None:
     """coefficients.json and coefficients.csv of a sweep's probe depth L."""
-    table = res.table(L)
-    payload = table.to_jsonable()
-    payload["partition_free"] = _jsonable(res.partition_free(L))
-    payload["c_tilde_adjudication"] = _jsonable(
-        [res.adjudicate(L, m) for m in range(1, res.plan.d + 1)])
+    d = res.plan.d
+    tilde_rows = (*range(1, d + 1), 0)      # each c~ table ends with its m = 0 row
+    payload = {
+        "d": d, "L": L, "R": res.plan.R,
+        "c": _constants(coeff.c_constant, d, range(1, d + 1)),
+        "c_tilde_printed": _constants(coeff.c_tilde_printed, d, tilde_rows),
+        "c_tilde_recurrence": _constants(coeff.c_tilde_recurrence, d, tilde_rows),
+        "A_fv": {m: res.a_fv(L, m) for m in range(d + 1)},
+        "A_mn": {f"{m},{n}": res.stat("Amn", L, m, n)
+                 for m in range(1, d + 1) for n in range(1, m + 1)},
+        "E_L": res.stat("EL", L) if L in res.plan.error_L else None,
+        "n_samples": res.n_samples,
+        "seed": res.plan.spec.seed,
+        "window": res.window,
+        "partition_free": res.partition_free(L),
+        "c_tilde_adjudication": [res.adjudicate(L, m) for m in range(1, d + 1)],
+    }
     write_json(os.path.join(out_dir, "coefficients.json"), payload)
-    write_coefficient_csv(os.path.join(out_dir, "coefficients.csv"), table)
+    write_coefficient_csv(os.path.join(out_dir, "coefficients.csv"), res, L)
 
 
 def _gate_failed(code: int, quantity: str, value, bound: str, artifact: str) -> int:
@@ -254,6 +273,9 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     theta = cfg.opt_float("ct_theta", 1.0)
     check_ct_theta(theta)
     min_mu = cfg.opt_float("gate_min_mu", 0.0)
+    if min_mu and mode == "polynomial":
+        raise ConfigError(f"gate_min_mu = {min_mu!r} gates the exponential rate mu, "
+                          "which kernel_mode = polynomial does not fit")
     zs = config_value("ct_z", cfg.options.get("ct_z", ""),
                       lambda t: [complex(v) for v in t.split()])
     if cfg.has_trace_probe:
@@ -265,20 +287,19 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     stats = kernel_box_stats(cfg.ensemble, cfg.g, box, cfg.samples, zs,
                              workers=cfg.workers)
     kernel = fit_kernel_decay(stats, mode=mode)
-    payload["kernel_decay"] = kernel.to_jsonable()
+    payload["kernel_decay"] = kernel
     if "a1_p" in cfg.options:
-        payload["a1_certificate"] = certify_a1(stats, p).to_jsonable()
+        payload["a1_certificate"] = certify_a1(stats, p)
     if "ct_z" in cfg.options:
-        payload["combes_thomas"] = combes_thomas_probe(stats, theta).to_jsonable()
+        payload["combes_thomas"] = combes_thomas_probe(stats, theta)
     if cfg.has_trace_probe:
-        td = trace_difference_probe(cfg.ensemble, cfg.g, cfg.h, inner, outer, tbox,
-                                    cfg.samples, workers=cfg.workers)
-        payload["trace_difference"] = td.to_jsonable()
+        payload["trace_difference"] = trace_difference_probe(
+            cfg.ensemble, cfg.g, cfg.h, inner, outer, tbox, cfg.samples, workers=cfg.workers)
     path = os.path.join(cfg.out_dir, "decay-report.json")
     write_json(path, payload)
-    mu = kernel.params.get("mu", 0.0)
-    if min_mu and mu <= min_mu:
-        return _gate_failed(EXIT_GATE, "kernel decay mu", mu, f"> {min_mu!r}", path)
+    if min_mu and kernel.params["mu"] <= min_mu:
+        return _gate_failed(EXIT_GATE, "kernel decay mu", kernel.params["mu"],
+                            f"> {min_mu!r}", path)
     return EXIT_OK
 
 
@@ -304,7 +325,6 @@ def run_experiment(config_path: str, overrides: Optional[Dict[str, str]] = None)
 
 def _run(cfg: ExperimentConfig) -> int:
     """Run a loaded experiment in its out dir; map its failures to exit codes."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     try:
         return _RUNNERS[cfg.kind](cfg)
     except (ConfigError, ModelError) as exc:

@@ -80,57 +80,6 @@ def c_tilde_recurrence(d: int, m: int, n: int) -> Fraction:
     return c_constant(d, m, n) / math.factorial(n)
 
 
-@dataclass
-class CoefficientTable:
-    """Constants plus (optionally) Monte Carlo coefficient estimates."""
-
-    d: int
-    L: Optional[int] = None
-    R: Optional[int] = None
-    c: Dict[int, Dict[int, Fraction]] = field(default_factory=dict)
-    c_tilde_printed: Dict[int, Dict[int, Fraction]] = field(default_factory=dict)
-    c_tilde_recurrence: Dict[int, Dict[int, Fraction]] = field(default_factory=dict)
-    A_fv: Dict[int, StatSummary] = field(default_factory=dict)
-    A_mn: Dict[Tuple[int, int], StatSummary] = field(default_factory=dict)
-    E_L: Optional[StatSummary] = None
-    n_samples: int = 0
-    seed: int = 0
-    extras: Dict = field(default_factory=dict)
-
-    def to_jsonable(self) -> Dict:
-        out = {
-            "d": self.d, "L": self.L, "R": self.R,
-            "c": {str(m): {str(n): str(v) for n, v in row.items()}
-                  for m, row in self.c.items()},
-            "c_tilde_printed": {str(m): {str(n): str(v) for n, v in row.items()}
-                                for m, row in self.c_tilde_printed.items()},
-            "c_tilde_recurrence": {str(m): {str(n): str(v) for n, v in row.items()}
-                                   for m, row in self.c_tilde_recurrence.items()},
-            "A_fv": {str(m): s.to_dict() for m, s in self.A_fv.items()},
-            "A_mn": {f"{m},{n}": s.to_dict() for (m, n), s in self.A_mn.items()},
-            "E_L": self.E_L.to_dict() if self.E_L else None,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
-        out.update(self.extras)
-        return out
-
-
-def comb_constants(d: int) -> CoefficientTable:
-    """Exact rational constant tables for dimension d (both c~ variants)."""
-    if not 1 <= d <= 3:
-        raise ConfigError("d must be in 1..3")
-    table = CoefficientTable(d=d)
-    for m in range(1, d + 1):
-        table.c[m] = {n: c_constant(d, m, n) for n in range(0, m + 1)}
-        table.c_tilde_printed[m] = {n: c_tilde_printed(d, m, n) for n in range(0, m + 1)}
-        table.c_tilde_recurrence[m] = {n: c_tilde_recurrence(d, m, n)
-                                       for n in range(0, m + 1)}
-    table.c_tilde_printed[0] = {0: Fraction(1)}
-    table.c_tilde_recurrence[0] = {0: Fraction(1)}
-    return table
-
-
 # ---------------------------------------------------------------------------
 # regions of the decomposition
 # ---------------------------------------------------------------------------
@@ -538,7 +487,6 @@ class SweepPlan:
     center_index: int
     columns: Dict[Tuple, int]
     error_L: Tuple[int, ...] = ()
-    constants: Optional[CoefficientTable] = None
 
 
 def make_sweep_plan(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunction,
@@ -585,7 +533,7 @@ def make_sweep_plan(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunc
     columns = {name: j for j, name in enumerate(dict.fromkeys(names))}
     return SweepPlan(spec, d, R, box, g, h, L_values, ells,
                      orthant_bits, chi_masks, pf_masks, ell_bits,
-                     box.index_of((0,) * d), columns, error_L, comb_constants(d))
+                     box.index_of((0,) * d), columns, error_L)
 
 
 def _sample_stats(plan: SweepPlan, sample_id: int) -> np.ndarray:
@@ -598,7 +546,6 @@ def _sample_stats(plan: SweepPlan, sample_id: int) -> np.ndarray:
     row[col["A0",]] = diag[0][plan.center_index]
     row[col["window_lo",]] = gl.min()
     row[col["window_hi",]] = gl.max()
-    cst = plan.constants
     for L in plan.L_values:
         for m in range(1, d + 1):
             a_m = 0.0
@@ -606,14 +553,14 @@ def _sample_stats(plan: SweepPlan, sample_id: int) -> np.ndarray:
                 bits = plan.chi_masks[(L, m, n)]
                 t = float(np.sum(diag[n][bits] - diag[n - 1][bits]))
                 row[col["Amn", L, m, n]] = t
-                a_m += float(cst.c[m][n]) * t
+                a_m += float(c_constant(d, m, n)) * t
             row[col["Afv", L, m]] = a_m
             rec = 0.0
             for n in range(0, m + 1):
                 bits = plan.pf_masks[(L, m)]
                 t = float(np.sum(diag[n][bits]))
                 row[col["pf", L, m, n]] = t
-                rec += float(cst.c_tilde_recurrence[m][n]) * t
+                rec += float(c_tilde_recurrence(d, m, n)) * t
             row[col["Apf_recurrence", L, m]] = rec
     for ell in plan.ells:
         bits = plan.ell_bits[ell]
@@ -655,26 +602,12 @@ class SweepResult:
     def a_fv(self, L: int, m: int) -> StatSummary:
         return self.stat("A0") if m == 0 else self.stat("Afv", L, m)
 
-    def table(self, L: int) -> CoefficientTable:
-        d = self.plan.d
-        t = comb_constants(d)
-        t.L, t.R = L, self.plan.R
-        t.n_samples = self.n_samples
-        t.seed = self.plan.spec.seed
-        t.A_fv = {m: self.a_fv(L, m) for m in range(0, d + 1)}
-        t.A_mn = {(m, n): self.stat("Amn", L, m, n)
-                  for m in range(1, d + 1) for n in range(1, m + 1)}
-        if L in self.plan.error_L:
-            t.E_L = self.stat("EL", L)
-        t.extras["window"] = list(self.window)
-        return t
-
     def a_pf(self, L: int, m: int) -> Dict[str, StatSummary]:
         """Partition-free A_m under each c~ table.  c~_printed = c~_recurrence / 4^m,
         and a power-of-two scale commutes with every rounding of the per-sample sum
         and of Welford's update, so the printed summary has a printed column's bits."""
         rec, scale = self.stat("Apf_recurrence", L, m), 4.0 ** -m
-        return {"printed": StatSummary(rec.mean * scale, rec.stderr * scale, rec.count),
+        return {"printed": StatSummary(rec.mean * scale, rec.stderr * scale, rec.n_samples),
                 "recurrence": rec}
 
     def partition_free(self, L: int) -> Dict:

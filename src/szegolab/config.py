@@ -13,8 +13,20 @@ from .lattices import EnsembleSpec, Symbol1D, symbol_fourier_coefficients
 from . import mc
 from .spectral import ScalarFunction
 
-EXPERIMENT_KINDS = ("expansion_fit", "coefficient_formula", "identity_checks",
-                    "szego_1d", "log_enhancement", "verify")
+# the keys each experiment kind reads from its option sections (every section but
+# [experiment], [ensemble], [g] and [h]); load_config refuses a key no kind reads,
+# and accepts the others whatever the kind, since `szegolab verify` may run a
+# config written for another kind
+OPTION_KEYS = {
+    "expansion_fit": ("ells", "R", "formula_L", "offset", "gate_crosscheck"),
+    "coefficient_formula": ("L", "R", "include_error_term"),
+    "identity_checks": ("max_d", "side", "telescoping_families"),
+    "szego_1d": ("symbol", "symbol.coeffs", "k_max", "l_grid", "gate_at_l", "gate_tol"),
+    "log_enhancement": ("ells", "R", "expect"),
+    "verify": ("box_side", "kernel_mode", "a1_p", "ct_z", "ct_theta", "gate_min_mu",
+               "trace_inner", "trace_outer", "trace_box_lo", "trace_box_hi"),
+}
+EXPERIMENT_KINDS = tuple(OPTION_KEYS)
 # kinds that draw ensemble samples: they need [ensemble] and [g], and [h] where they apply h
 SAMPLED_KINDS = ("expansion_fit", "coefficient_formula", "log_enhancement", "verify")
 
@@ -184,9 +196,11 @@ def load_config(path: str, overrides: Optional[Dict[str, str]] = None) -> Experi
     g = _function_section(sections, "g")
     h = _function_section(sections, "h")
 
+    known = tuple(dict.fromkeys(k for keys in OPTION_KEYS.values() for k in keys))
     options: Dict[str, str] = {}
     for section, block in sections.items():
         if section not in ("experiment", "ensemble", "g", "h"):
+            check_keys(section, block, known)
             options.update(block)
 
     cfg = ExperimentConfig(

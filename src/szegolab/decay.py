@@ -74,19 +74,9 @@ class DecayFitReport:
     r2: float
     n_samples: int
     distance_range: Tuple[float, float]
-    raw_distances: List[float] = field(default_factory=list)
-    raw_values: List[float] = field(default_factory=list)
-    theta: float = 1.0
+    theta: float
+    raw: Dict[str, List[float]]    # "distances" and "values" of the fitted points
     notes: Dict = field(default_factory=dict)
-
-    def to_jsonable(self) -> Dict:
-        return {"mode": self.mode, "params": self.params,
-                "prefactor": self.prefactor, "r2": self.r2,
-                "n_samples": self.n_samples,
-                "distance_range": list(self.distance_range),
-                "theta": self.theta,
-                "raw": {"distances": self.raw_distances, "values": self.raw_values},
-                "notes": self.notes}
 
     def rate_bound(self) -> Callable[[float], float]:
         """Certified bound value(r) usable as a truncation-tail integrand."""
@@ -124,9 +114,9 @@ def _fit_pairs(dist: np.ndarray, vals: np.ndarray, mode: str, n_samples: int) ->
         fit = ols_line(dist, logs)
         params = {"mu": -fit.slope, "mu_stderr": fit.stderr_slope}
     return DecayFitReport(mode, params, float(np.exp(fit.intercept)), fit.r2,
-                          n_samples, (float(dist.min()), float(dist.max())),
-                          raw_distances=[float(v) for v in dist],
-                          raw_values=[float(v) for v in vals])
+                          n_samples, (float(dist.min()), float(dist.max())), 1.0,
+                          {"distances": [float(v) for v in dist],
+                           "values": [float(v) for v in vals]})
 
 
 def check_kernel_fit(box: LatticeBox, mode: str) -> None:
@@ -253,15 +243,10 @@ def kernel_box_stats(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
 
 @dataclass
 class A1Certificate:
-    value: float
+    C_p_estimate: float
     p: float
-    argmax: Tuple
+    argmax: Tuple                  # (site a, site b, sample), as in KernelBoxStats
     n_samples: int
-
-    def to_jsonable(self):
-        return {"C_p_estimate": self.value, "p": self.p,
-                "argmax": [list(map(int, s)) for s in self.argmax[:2]] + [int(self.argmax[2])],
-                "n_samples": self.n_samples}
 
 
 def certify_a1(stats: KernelBoxStats, p: float) -> A1Certificate:
@@ -328,8 +313,7 @@ def combes_thomas_probe(stats: KernelBoxStats, theta: float = 1.0) -> DecayFitRe
         "stretched" if theta != 1.0 else "exponential",
         {"mu": -fit.slope, "mu_stderr": fit.stderr_slope, "theta": theta},
         float(np.exp(fit.intercept)), fit.r2, stats.n_samples,
-        (min(pairs_d), max(pairs_d)), raw_distances=pairs_d, raw_values=pairs_v,
-        theta=theta,
+        (min(pairs_d), max(pairs_d)), theta, {"distances": pairs_d, "values": pairs_v},
         notes={"hard_resolvent_bound_ok": stats.hard_bound_ok,
                "window": [window.lo, window.hi],
                "z_grid": [[z.real, z.imag] for z in stats.resolvent_sums]})

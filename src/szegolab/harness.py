@@ -103,19 +103,18 @@ def sweep_and_fit(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFuncti
         combined = math.hypot(report.A_stderr[1], a1_formula.stderr)
         report.cross_check = {
             "formula_L": formula_L,
-            "A1_formula": a1_formula.to_dict(),
+            "A1_formula": a1_formula,
             "A1_fit": report.A_hat[1],
             "A1_fit_stderr": report.A_stderr[1],
             "gap": gap,
             "combined_stderr": combined,
             "within_3_sigma": bool(gap <= 3.0 * max(combined, 1e-12)),
-            "A0_formula": res.a_fv(formula_L, 0).to_dict(),
+            "A0_formula": res.a_fv(formula_L, 0),
         }
         if d >= 2:
-            a2 = res.a_fv(formula_L, 2)
-            report.cross_check["A2_formula"] = a2.to_dict()
-            report.cross_check["A2_fit"] = report.A_hat[2]
-            report.cross_check["A2_fit_stderr"] = report.A_stderr[2]
+            report.cross_check.update({"A2_formula": res.a_fv(formula_L, 2),
+                                       "A2_fit": report.A_hat[2],
+                                       "A2_fit_stderr": report.A_stderr[2]})
     return report, res
 
 
@@ -212,7 +211,7 @@ def log_enhancement_probe(spec: EnsembleSpec, g: ScalarFunction, h: ScalarFuncti
     return {
         "ells": ells, "trace_means": [float(v) for v in means],
         "trace_stderrs": [float(v) for v in errs],
-        "A0": a0.to_dict(),
+        "A0": a0,
         "alpha": alpha, "alpha_stderr": se, "beta": fit.intercept,
         "fit_r2": fit.r2, "classification": verdict,
         "budget": budget, "R": R,

@@ -22,7 +22,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,11 +31,7 @@ import numpy as np
 class StatSummary:
     mean: float
     stderr: float
-    count: int
-
-    def to_dict(self) -> Dict:
-        return {"mean": float(self.mean), "stderr": float(self.stderr),
-                "n_samples": int(self.count)}
+    n_samples: int
 
 
 def column_moments(samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from szegolab.cli import run_experiment
+from szegolab.cli import run_experiment, write_coefficients
 from szegolab.coefficients import (coefficient_sweep, inclusion_exclusion_check,
                                    k_vectors, sd_partition_residual,
                                    telescoping_check)
@@ -238,11 +238,9 @@ def test_criterion_09_partition_free_adjudication(d1_bundle, d2_bundle, tmp_path
     verdict = res1.adjudicate(80, 1)
     matched = [k for k, v in verdict["candidates"].items() if v["matches"]]
     assert len(matched) >= 1            # the suite fails only if neither matches
-    payload = res1.table(80).to_jsonable()
-    payload["c_tilde_adjudication"] = [verdict]
-    path = tmp_path / "coefficients.json"
-    path.write_text(json.dumps(payload, default=str))
-    recorded = json.loads(path.read_text())["c_tilde_adjudication"][0]["winner"]
+    write_coefficients(str(tmp_path), res1, 80)
+    recorded = json.loads((tmp_path / "coefficients.json").read_text()
+                          )["c_tilde_adjudication"][0]["winner"]
     assert recorded == verdict["winner"]
     # d = 2 diagnostics (logged): the m = 2 sums genuinely separate the two
     # normalizations through the wedge symmetrization

@@ -244,6 +244,37 @@ def test_non_increasing_grid_is_exit_2_before_the_first_sample(tmp_path, monkeyp
     assert run_experiment(write(tmp_path, "unsorted.ini", text)) == 2
     assert calls == []
     assert "ell grid must be strictly increasing" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()       # a refused run leaves no output directory
+
+
+@pytest.mark.parametrize("config, old, new", [
+    ("expansion_d1.ini", "formula_L = 80", "formula_l = 80"),
+    ("verify_d1.ini", "kernel_mode = exponential", "kernel_mod = polynomial"),
+], ids=["formula_L-case", "kernel_mode-typo"])
+def test_option_key_no_kind_reads_is_exit_2_before_the_first_sample(tmp_path, monkeypatch,
+                                                                    capsys, config, old, new):
+    # a key no experiment kind reads would be dropped: the cross-check and its
+    # gate, or the polynomial kernel fit, would silently not run
+    import szegolab.coefficients as coefficients
+    import szegolab.decay as decay
+
+    def no_sample(*args):
+        raise AssertionError("a sample ran before the refusal")
+    monkeypatch.setattr(coefficients, "spectral_data", no_sample)
+    monkeypatch.setattr(decay, "spectral_data", no_sample)
+    with open(os.path.join(CONFIGS, config), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    path = write(tmp_path, config, text.replace(old, new))
+    assert main(["run", path, "--samples", "3", "--out", str(tmp_path / "o")]) == 2
+    assert f"has no key {new.split()[0]!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_accepts_the_option_keys_of_other_kinds():
+    # `szegolab verify` may run a config written for another kind
+    cfg = load_config(os.path.join(CONFIGS, "expansion_d1.ini"), {"kind": "verify"})
+    assert cfg.kind == "verify" and cfg.options["formula_L"] == "80"
 
 
 def test_readme_reference_config_loads(tmp_path):
@@ -715,8 +746,9 @@ def test_verify_samples_all_run_inside_decay_ordered_map(tmp_path, monkeypatch):
     ("a1_p = 1.0", "a1_p = 1.0\nct_theta = 0"),
     ("a1_p = 1.0", "a1_p = 1.0\nct_theta = -1"),
     ("a1_p = 1.0", "a1_p = 1.0\nct_theta = nan"),
+    ("kernel_mode = exponential", "kernel_mode = polynomial\ngate_min_mu = 0.1"),
 ], ids=["kernel_mode-typo", "kernel_mode-stretched", "a1_p", "box_side", "trace_inner",
-        "ct_theta-zero", "ct_theta-negative", "ct_theta-nan"])
+        "ct_theta-zero", "ct_theta-negative", "ct_theta-nan", "gate_min_mu-polynomial"])
 def test_verify_refuses_bad_options_before_the_first_sample(tmp_path, monkeypatch, capsys,
                                                             old, new):
     import szegolab.decay as decay
@@ -790,6 +822,103 @@ include_error_term = true
     assert [s["mean"] for m, s in coeffs["A_fv"].items() if m != "0"] == [0.0]
     rows = (out / "coefficients.csv").read_text().splitlines()
     assert any(row.startswith("E_L,10,") for row in rows)
+
+
+CF_D2_INI = """
+[experiment]
+kind = coefficient_formula
+seed = 5
+samples = 2
+out = {out}
+workers = 1
+d = 2
+
+[ensemble]
+kind = anderson
+W = 8.0
+
+[g]
+form = bump(2.0, 3.0, 4)
+
+[h]
+form = poly(0, 0, 1)
+
+[formula]
+L = 2
+R = 6
+include_error_term = {error_term}
+"""
+
+SUMMARY_KEYS = ["mean", "stderr", "n_samples"]
+
+
+@pytest.mark.parametrize("error_term", ["true", "false"])
+def test_coefficients_json_layout(tmp_path, error_term):
+    # key order and nesting of coefficients.json are part of the artifact
+    out = tmp_path / "cf"
+    assert run_experiment(write(tmp_path, "cf.ini", CF_D2_INI.format(
+        out=out, error_term=error_term))) == 0
+    coeffs = json.loads((out / "coefficients.json").read_text())
+    assert list(coeffs) == ["d", "L", "R", "c", "c_tilde_printed", "c_tilde_recurrence",
+                            "A_fv", "A_mn", "E_L", "n_samples", "seed", "window",
+                            "partition_free", "c_tilde_adjudication"]
+    assert (coeffs["d"], coeffs["L"], coeffs["R"], coeffs["n_samples"], coeffs["seed"]) \
+        == (2, 2, 6, 2, 5)
+    assert coeffs["c"] == {"1": {"0": "-4", "1": "4"}, "2": {"0": "4", "1": "-8", "2": "8"}}
+    for name, row2 in (("c_tilde_printed", ["1/4", "-1/2", "1/4"]),
+                       ("c_tilde_recurrence", ["4", "-8", "4"])):
+        assert list(coeffs[name]) == ["1", "2", "0"]        # the m = 0 row comes last
+        assert list(coeffs[name]["2"].values()) == row2 and coeffs[name]["0"] == {"0": "1"}
+    assert list(coeffs["A_fv"]) == ["0", "1", "2"]
+    assert list(coeffs["A_mn"]) == ["1,1", "2,1", "2,2"]
+    summaries = [*coeffs["A_fv"].values(), *coeffs["A_mn"].values()]
+    if error_term == "true":
+        summaries.append(coeffs["E_L"])
+    else:
+        assert coeffs["E_L"] is None
+    assert all(list(s) == SUMMARY_KEYS and s["n_samples"] == 2 for s in summaries)
+    assert len(coeffs["window"]) == 2 and coeffs["window"][0] <= coeffs["window"][1]
+    pf = coeffs["partition_free"]
+    assert list(pf) == ["L", "printed", "recurrence", "raw_terms"] and pf["L"] == 2
+    assert list(pf["printed"]) == list(pf["recurrence"]) == ["1", "2"]
+    assert [list(pf["raw_terms"][m]) for m in ("1", "2")] == [["0", "1"], ["0", "1", "2"]]
+    assert list(pf["raw_terms"]["2"]["2"]) == SUMMARY_KEYS
+    adjudication = coeffs["c_tilde_adjudication"]
+    assert [(v["m"], v["L"]) for v in adjudication] == [(1, 2), (2, 2)]
+    for verdict in adjudication:
+        assert list(verdict) == ["m", "L", "winner", "candidates"]
+        assert list(verdict["candidates"]) == ["printed", "recurrence"]
+        assert all(list(c) == ["value", "stderr", "reference", "tolerance", "matches"]
+                   for c in verdict["candidates"].values())
+    rows = [row.split(",")[:4] for row in
+            (out / "coefficients.csv").read_text().splitlines()]
+    want = [["quantity", "L", "m", "n"], ["A_fv", "2", "0", ""], ["A_fv", "2", "1", ""],
+            ["A_fv", "2", "2", ""], ["A_mn", "2", "1", "1"], ["A_mn", "2", "2", "1"],
+            ["A_mn", "2", "2", "2"]]
+    assert rows == want + ([["E_L", "2", "", ""]] if error_term == "true" else [])
+
+
+def test_decay_report_layout(tmp_path):
+    out = tmp_path / "ver"
+    assert run_experiment(write(tmp_path, "ver.ini", VERIFY_INI.format(
+        samples=2, out=out, workers=1, d=1, side=32))) == 0
+    rep = json.loads((out / "decay-report.json").read_text())
+    assert list(rep) == ["box_side", "d", "n_samples", "kernel_decay", "a1_certificate",
+                         "combes_thomas", "trace_difference"]
+    for name in ("kernel_decay", "combes_thomas", "trace_difference"):
+        fit = rep[name]
+        assert list(fit) == ["mode", "params", "prefactor", "r2", "n_samples",
+                             "distance_range", "theta", "raw", "notes"], name
+        assert list(fit["raw"]) == ["distances", "values"]
+        assert len(fit["raw"]["distances"]) == len(fit["raw"]["values"]) >= 3
+        assert fit["distance_range"] == [min(fit["raw"]["distances"]),
+                                         max(fit["raw"]["distances"])]
+    assert rep["combes_thomas"]["theta"] == 1.0
+    cert = rep["a1_certificate"]
+    assert list(cert) == ["C_p_estimate", "p", "argmax", "n_samples"]
+    a, b, sample = cert["argmax"]
+    assert len(a) == len(b) == 1 and all(isinstance(v, int) for v in a + b + [sample])
+    assert (cert["p"], cert["n_samples"]) == (1.0, 2) and 0 <= sample < 2
 
 
 def test_shipped_reference_configs_parse():

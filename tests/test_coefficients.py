@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -10,9 +11,9 @@ from szegolab.errors import ConfigError
 from szegolab.lattices import EnsembleSpec, HermitianOperator, LatticeBox
 from szegolab.regions import orthant_region
 from szegolab.spectral import ScalarFunction
-from szegolab.coefficients import (CoefficientTable, c_constant,
-                                   c_tilde_printed, c_tilde_recurrence,
-                                   chi_hat_region, coefficient_sweep, comb_constants,
+from szegolab.cli import write_coefficients
+from szegolab.coefficients import (c_constant, c_tilde_printed, c_tilde_recurrence,
+                                   chi_hat_region, coefficient_sweep,
                                    decomposition_identity_probe,
                                    inclusion_exclusion_check, k_vectors,
                                    partition_block_sizes, perm_block, pi0_for_block,
@@ -60,11 +61,18 @@ def test_ctilde_variants_differ_by_4_to_m(d):
             assert c_tilde_recurrence(d, m, n) == 4 ** m * c_tilde_printed(d, m, n)
 
 
-def test_comb_constants_table():
-    t = comb_constants(3)
-    assert t.c[3][3] == Fraction(8 * 6, 1)
-    assert t.c_tilde_recurrence[2][2] == c_constant(3, 2, 2) / 2
-    assert t.c_tilde_printed[0][0] == 1
+def written_coefficients(tmp_path, res, L):
+    """The coefficients.json that the command line writes for ``res`` at depth L."""
+    write_coefficients(str(tmp_path), res, L)
+    return json.loads((tmp_path / "coefficients.json").read_text())
+
+
+def test_comb_constants_table(tmp_path):
+    t = written_coefficients(tmp_path, coefficient_sweep(ANDERSON, 3, G_BUMP, H_SQUARE,
+                                                         2, [1], 1), 1)
+    assert Fraction(t["c"]["3"]["3"]) == Fraction(8 * 6, 1)
+    assert Fraction(t["c_tilde_recurrence"]["2"]["2"]) == c_constant(3, 2, 2) / 2
+    assert Fraction(t["c_tilde_printed"]["0"]["0"]) == 1
 
 
 @pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2, 3) for n in range(1, d + 1)])
@@ -335,12 +343,12 @@ def test_partition_residual_zero():
 
 def test_identity_h_nullity_and_exact_error_term():
     for d in (1, 2):
-        table = coefficient_sweep(ANDERSON, d, G_BUMP, H_ID, 8, [3], 4,
-                                  error_L=[3]).table(3)
-        scale = max(1.0, abs(table.A_fv[0].mean))
+        res = coefficient_sweep(ANDERSON, d, G_BUMP, H_ID, 8, [3], 4, error_L=[3])
+        scale = max(1.0, abs(res.a_fv(3, 0).mean))
         for m in range(1, d + 1):
-            assert abs(table.A_fv[m].mean) <= 1e-10 * scale
-        assert table.E_L.mean == 0.0 and table.E_L.stderr == 0.0
+            assert abs(res.a_fv(3, m).mean) <= 1e-10 * scale
+        e_l = res.stat("EL", 3)
+        assert e_l.mean == 0.0 and e_l.stderr == 0.0
 
 
 @pytest.mark.parametrize("d,L,R", [(1, 10, 40), (2, 4, 12)])
@@ -359,9 +367,9 @@ def test_sweep_identity_h_coefficients_exactly_zero(d, L, R):
 
 def test_off_spectrum_g_gives_zero_coefficients():
     g_off = ScalarFunction.bump(50.0, 2.0, 4)
-    table = coefficient_sweep(ANDERSON, 1, g_off, H_SQUARE, 10, [4], 3).table(4)
+    res = coefficient_sweep(ANDERSON, 1, g_off, H_SQUARE, 10, [4], 3)
     for m in range(0, 2):
-        assert abs(table.A_fv[m].mean) < 1e-18
+        assert abs(res.a_fv(4, m).mean) < 1e-18
 
 
 def test_coefficient_l_stability_d1():
@@ -387,7 +395,7 @@ def test_sweep_without_probe_depth_restricts_only_the_box_and_the_ells(monkeypat
 
 def test_finite_volume_requires_L_within_R():
     with pytest.raises(ConfigError):
-        coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 40, [30], 1).table(30)
+        coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 40, [30], 1)
 
 
 def test_truncation_stability_under_radius_doubling():
@@ -404,14 +412,15 @@ def test_truncation_stability_under_radius_doubling():
     assert gap <= bound
 
 
-def test_d3_coefficients_smoke():
+def test_d3_coefficients_smoke(tmp_path):
     # tiny d = 3 run: all three orders finite, identity-h nullity holds
-    table = coefficient_sweep(ANDERSON, 3, G_BUMP, H_SQUARE, 5, [2], 2).table(2)
-    assert set(table.A_fv) == {0, 1, 2, 3}
-    assert all(np.isfinite(s.mean) for s in table.A_fv.values())
-    tid = coefficient_sweep(ANDERSON, 3, G_BUMP, H_ID, 5, [2], 2).table(2)
+    a_fv = written_coefficients(tmp_path, coefficient_sweep(ANDERSON, 3, G_BUMP, H_SQUARE,
+                                                            5, [2], 2), 2)["A_fv"]
+    assert set(a_fv) == {"0", "1", "2", "3"}
+    assert all(np.isfinite(s["mean"]) for s in a_fv.values())
+    tid = coefficient_sweep(ANDERSON, 3, G_BUMP, H_ID, 5, [2], 2)
     for m in (1, 2, 3):
-        assert abs(tid.A_fv[m].mean) <= 1e-10
+        assert abs(tid.a_fv(2, m).mean) <= 1e-10
 
 
 def test_complex_toeplitz_restricted_diag_matches_dense_reference():
@@ -436,10 +445,12 @@ def test_complex_toeplitz_restricted_diag_matches_dense_reference():
     assert np.all(np.isfinite(res.mean)) and res.a_fv(5, 1).mean != 0.0
 
 
-def test_mc_determinism_bit_identical():
-    a = coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 30, [10], 12).table(10)
-    b = coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 30, [10], 12).table(10)
-    assert a.to_jsonable() == b.to_jsonable()
+def test_mc_determinism_bit_identical(tmp_path):
+    for run in ("a", "b"):
+        write_coefficients(str(tmp_path / run),
+                           coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 30, [10], 12), 10)
+    assert (tmp_path / "a" / "coefficients.json").read_bytes() == \
+        (tmp_path / "b" / "coefficients.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +575,11 @@ def test_probe_b_diagnostics_sum_to_corner_terms():
 
 
 def test_table_linearity_a_fv_from_summands():
-    table = coefficient_sweep(ANDERSON, 2, G_BUMP, H_SQUARE, 10, [4], 6).table(4)
+    res = coefficient_sweep(ANDERSON, 2, G_BUMP, H_SQUARE, 10, [4], 6)
     for m in range(1, 3):
-        combo = sum(float(table.c[m][n]) * table.A_mn[(m, n)].mean
+        combo = sum(float(c_constant(2, m, n)) * res.stat("Amn", 4, m, n).mean
                     for n in range(1, m + 1))
-        assert abs(combo - table.A_fv[m].mean) <= 1e-10 * max(1.0, abs(combo))
+        assert abs(combo - res.a_fv(4, m).mean) <= 1e-10 * max(1.0, abs(combo))
 
 
 def test_probe_requires_margin():

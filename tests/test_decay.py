@@ -21,25 +21,25 @@ BOX64 = LatticeBox.interval(0, 63)
 def test_certify_a1_off_spectrum():
     g_off = ScalarFunction.bump(50.0, 2.0, 4)
     cert = certify_a1(kernel_box_stats(ANDERSON, g_off, LatticeBox.interval(0, 19), 5), 1.0)
-    assert cert.value < 1e-18
+    assert cert.C_p_estimate < 1e-18
 
 
 def test_certify_a1_bounded_by_sup_g():
     cert = certify_a1(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 31), 20), 0.5)
-    assert 0.0 < cert.value <= 1.0 + 1e-12      # |g| <= 1 bounds every block
+    assert 0.0 < cert.C_p_estimate <= 1.0 + 1e-12      # |g| <= 1 bounds every block
 
 
 def test_certify_a1_p_independent_on_one_site_cells():
     stats = kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 19), 10)
     a = certify_a1(stats, 0.5)
     b = certify_a1(stats, 2.0)
-    assert a.value == b.value
+    assert a.C_p_estimate == b.C_p_estimate
 
 
 def test_certify_a1_two_scale_stability():
     a = certify_a1(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 39), 40), 1.0)
     b = certify_a1(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 79), 40), 1.0)
-    assert abs(a.value - b.value) <= 0.05 * max(a.value, b.value)
+    assert abs(a.C_p_estimate - b.C_p_estimate) <= 0.05 * max(a.C_p_estimate, b.C_p_estimate)
 
 
 def test_fit_kernel_decay_degenerate():
@@ -119,7 +119,7 @@ def test_combes_thomas_far_z_trivial_bound():
     assert rep.notes["hard_resolvent_bound_ok"]
     window_hi = rep.notes["window"][1]
     dist = 3.0 - window_hi
-    assert all(v <= 1.0 / dist + 1e-8 for v in rep.raw_values)
+    assert all(v <= 1.0 / dist + 1e-8 for v in rep.raw["values"])
 
 
 def _eigh_g_of_H(spec, box, sample_id):
@@ -274,7 +274,7 @@ def test_raw_pairs_are_the_usable_envelope_points():
         stat = stats.abs_max if mode == "polynomial" else stats.abs_sum / stats.n_samples
         rep = fit_kernel_decay(stats, mode=mode)
         want = _usable_envelope(dist, stat, monotone=mode == "polynomial")
-        assert (rep.raw_distances, rep.raw_values) == want
+        assert (rep.raw["distances"], rep.raw["values"]) == want
         floored += len(np.unique(dist[dist >= 3])) - len(want[0])
     for theta in (1.0, 0.5):
         rep = combes_thomas_probe(stats, theta=theta)
@@ -283,7 +283,7 @@ def test_raw_pairs_are_the_usable_envelope_points():
             d_z, v_z = _usable_envelope(dist, np.abs(total / stats.n_samples))
             want_d += d_z
             want_v += v_z
-        assert (rep.raw_distances, rep.raw_values) == (want_d, want_v)
+        assert (rep.raw["distances"], rep.raw["values"]) == (want_d, want_v)
     assert floored > 0      # the floor did drop points: the check is not vacuous
 
     from szegolab.coefficients import _restricted_diag, spectral_data
@@ -298,7 +298,7 @@ def test_raw_pairs_are_the_usable_envelope_points():
     rep = trace_difference_probe(ANDERSON, G_BUMP, H_SQUARE, INNER, OUTER, TBOX, 4)
     # the boundary of [0, 59] in the half line is the site 60
     want = _usable_envelope(60 - coords[in_bits, 0], mean[in_bits])
-    assert (rep.raw_distances, rep.raw_values) == want
+    assert (rep.raw["distances"], rep.raw["values"]) == want
 
 
 COMPLEX_TOEPLITZ = EnsembleSpec("toeplitz1d",

@@ -178,7 +178,7 @@ def test_free_chain_deterministic_cross_check():
                              ells=[40, 80, 120, 160], R=200, n_samples=1,
                              formula_L=100)
     assert rep.cross_check["gap"] <= 1e-8
-    a0_gap = abs(rep.A_hat[0] - rep.cross_check["A0_formula"]["mean"])
+    a0_gap = abs(rep.A_hat[0] - rep.cross_check["A0_formula"].mean)
     assert a0_gap <= 1e-8
 
 
@@ -247,7 +247,7 @@ def test_log_enhancement_free_fermi_enhanced():
                                 [48, 96, 144, 192], budget=1)
     assert rep["classification"] == "enhanced"
     assert rep["alpha"] > 0
-    assert rep["A0"]["mean"] == 0.0     # h vanishes on a projector's spectrum
+    assert rep["A0"].mean == 0.0     # h vanishes on a projector's spectrum
 
 
 def test_log_enhancement_smooth_g_flat():
