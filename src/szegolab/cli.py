@@ -34,7 +34,7 @@ from .decay import (certify_a1, check_ct_theta, check_kernel_fit, check_schatten
                     combes_thomas_probe, fit_kernel_decay, kernel_box_stats,
                     trace_difference_probe)
 from .errors import ConfigError, ModelError, NumericError, SzegolabError, config_value
-from .harness import log_enhancement_probe, sweep_and_fit, szego_1d_suite
+from .harness import LOG_VERDICTS, log_enhancement_probe, sweep_and_fit, szego_1d_suite
 from .lattices import HermitianOperator, LatticeBox
 from .regions import parse_region
 
@@ -54,14 +54,14 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
         return str(obj)
+    if isinstance(obj, (float, np.floating)) and obj != obj:  # nan: strict JSON has none
+        return None
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) and obj != obj:  # nan
-        return None
     return obj
 
 
@@ -143,6 +143,9 @@ def _run_expansion_fit(cfg: ExperimentConfig) -> int:
     formula_l = cfg.opt_int("formula_L", 0) or None
     offset = cfg.opt_ints("offset")
     gate = cfg.opt_bool("gate_crosscheck")
+    if gate and not formula_l:
+        raise ConfigError("gate_crosscheck gates the formula cross-check, which needs "
+                          "formula_L")
     report, res = sweep_and_fit(cfg.ensemble, cfg.d, cfg.g, cfg.h, ells, r,
                                 cfg.samples, formula_L=formula_l,
                                 ell_offset=offset, workers=cfg.workers)
@@ -228,6 +231,7 @@ def _run_szego_1d(cfg: ExperimentConfig) -> int:
     gate_l = cfg.opt_int("gate_at_l", 0)
     if gate_l and gate_l not in grid:
         raise ConfigError(f"gate_at_l = {gate_l} is not in l_grid = {grid}")
+    tol = cfg.opt_float("gate_tol", 1e-3)
     report = szego_1d_suite(symbol, cfg.h, grid, k_max=cfg.opt_int("k_max", 32))
     path = os.path.join(cfg.out_dir, "szego1d.json")
     write_json(path, report)
@@ -236,7 +240,6 @@ def _run_szego_1d(cfg: ExperimentConfig) -> int:
     write_csv(os.path.join(cfg.out_dir, "szego1d.csv"),
               ["L", "logdet", "logdet_minus_prediction"], rows)
     if gate_l:
-        tol = cfg.opt_float("gate_tol", 1e-3)
         idx = grid.index(gate_l)
         gap = abs(report["logdet_minus_prediction"][idx])
         if gap > tol:
@@ -248,6 +251,9 @@ def _run_szego_1d(cfg: ExperimentConfig) -> int:
 def _run_log_enhancement(cfg: ExperimentConfig) -> int:
     ells = cfg.opt_ints("ells", "48 96 144 192 240 288 336 384")
     r = cfg.opt_int("R", 0) or None
+    expect = cfg.options.get("expect", "").strip()
+    if expect and expect not in LOG_VERDICTS:
+        raise ConfigError(f"expect = {expect!r} is not one of {', '.join(LOG_VERDICTS)}")
     report = log_enhancement_probe(cfg.ensemble, cfg.g, cfg.h, ells, cfg.samples,
                                    R=r, workers=cfg.workers)
     path = os.path.join(cfg.out_dir, "log-enhancement.json")
@@ -256,7 +262,6 @@ def _run_log_enhancement(cfg: ExperimentConfig) -> int:
             zip(report["ells"], report["trace_means"], report["trace_stderrs"])]
     write_csv(os.path.join(cfg.out_dir, "log-enhancement.csv"),
               ["ell", "trace_mean", "trace_stderr"], rows)
-    expect = cfg.options.get("expect", "").strip()
     if expect and report["classification"] != expect:
         return _gate_failed(EXIT_GATE, "classification", report["classification"],
                             f"== {expect!r}", path)

@@ -20,8 +20,8 @@ level on the lattice.
 A second, partition-free route expresses the same coefficients through plain
 traces ``E[Tr(f_n chi_box chi_layers)]`` with constants ``c~_{m,n}``.  Two
 candidate normalizations of ``c~`` are tabulated and adjudicated numerically,
-never assumed.  They differ by exactly 4^m, so a sample computes only the
-recurrence sum and the printed estimate is derived from it (``a_pf``).
+never assumed.  They differ by exactly 4^m, so the printed estimate is
+derived from the recurrence one (``a_pf``).
 
 Everything here is desk-scale: the ambient space is the even symmetric box
 B_R = {-R..R-1}^d and model operators are computed on it, so ensemble
@@ -463,13 +463,18 @@ def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
 
 @dataclass
 class SweepPlan:
-    """Precomputed masks, index arrays and the column index of the statistics.
+    """The restricted diagonals a sample computes and the statistic of each column.
 
-    ``columns`` maps each per-sample statistic to its column of the sweep's
-    samples x statistics array: ``("A0",)``, ``("window_lo",)``,
-    ``("window_hi",)``, then per probe depth L ``("Amn", L, m, n)``,
-    ``("Afv", L, m)``, ``("pf", L, m, n)`` and ``("Apf_recurrence", L, m)``,
-    then ``("sweep", ell)`` and ``("EL", L)``.
+    A sample computes diag[k], the diagonal of h(g(H)|_S) for the k-th set S
+    of ``restrictions`` (bool site masks): the half-orthants
+    {x_1, ..., x_n >= 0} for n = 0..d (n = 0 only without probe depths), then
+    each sweep box.  ``columns`` maps each statistic to its column of the
+    sweep's samples x statistics array: ``("window_lo",)``, ``("window_hi",)``,
+    then every key of ``terms`` and ``("EL", L)``.  ``terms`` maps ``("A0",)``,
+    ``("Amn", L, m, n)``, ``("pf", L, m, n)`` and ``("sweep", ell)`` to
+    ``(k, k0, mask)``: the sum of diag[k] over ``mask``, less diag[k0] there
+    when ``k0`` is not None.  Each A_m is a fixed combination of these columns,
+    formed when it is reported (``SweepResult.a_fv``, ``a_pf``).
     """
 
     spec: EnsembleSpec
@@ -478,13 +483,9 @@ class SweepPlan:
     box: LatticeBox
     g: ScalarFunction
     h: ScalarFunction
-    L_values: Tuple[int, ...]
     ells: Tuple[int, ...]
-    orthant_bits: List[np.ndarray]
-    chi_masks: Dict[Tuple[int, int, int], np.ndarray]
-    pf_masks: Dict[Tuple[int, int], np.ndarray]
-    ell_bits: Dict[int, np.ndarray]
-    center_index: int
+    restrictions: List[np.ndarray]
+    terms: Dict[Tuple, Tuple[int, Optional[int], np.ndarray]]
     columns: Dict[Tuple, int]
     error_L: Tuple[int, ...] = ()
 
@@ -497,76 +498,54 @@ def make_sweep_plan(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunc
     ells = tuple(int(v) for v in ells)
     error_L = tuple(int(v) for v in error_L)
     offset = tuple(int(v) for v in ell_offset) if ell_offset else (0,) * d
+    if len(offset) != d:
+        raise ConfigError(f"sweep offset {offset} needs d = {d} entries")
+    for L in L_values:
+        if not 1 <= L <= R // 2:
+            raise ConfigError(f"probe depth L={L} needs 1 <= L <= R/2, R={R}")
+    for L in error_L:
+        if not 1 <= L <= R // 2:
+            raise ConfigError(f"error-term scale L={L} needs 1 <= L <= R/2, R={R}")
     box = LatticeBox.centered(d, R)
     coords = box.sites()
-    for L in L_values:
-        if L > R // 2:
-            raise ConfigError(f"probe depth L={L} exceeds R/2={R // 2}")
-    for L in error_L:
-        if 2 * L > R:
-            raise ConfigError(f"error-term scale L={L} needs 2L <= R={R}")
     # half-orthants n >= 1 feed only the probe-depth columns
-    orthant_bits = [orthant_region(d, range(n)).evaluate(coords)
+    restrictions = [orthant_region(d, range(n)).evaluate(coords)
                     for n in range(d + 1 if L_values else 1)]
-    chi_masks = {}
-    pf_masks = {}
+    terms = {("A0",): (0, None, np.arange(box.site_count) == box.index_of((0,) * d))}
     for L in L_values:
         for m in range(1, d + 1):
-            pf_masks[(L, m)] = pf_region(d, m, L).evaluate(coords)
             for n in range(1, m + 1):
-                chi_masks[(L, m, n)] = chi_hat_region(d, m, n, L).evaluate(coords)
-    ell_bits = {}
+                terms["Amn", L, m, n] = (n, n - 1, chi_hat_region(d, m, n, L).evaluate(coords))
+            pf = pf_region(d, m, L).evaluate(coords)
+            for n in range(0, m + 1):
+                terms["pf", L, m, n] = (n, None, pf)
     for ell in ells:
         lo = [offset[i] - ell // 2 for i in range(d)]
         hi = [lo[i] + ell - 1 for i in range(d)]
         if any(lo[i] < box.lo[i] or hi[i] > box.hi[i] for i in range(d)):
             raise ConfigError(f"sweep box ell={ell} (offset {offset}) leaves B_R")
-        ell_bits[ell] = Region(d, tuple(CoordRange(i, lo[i], hi[i]) for i in range(d))
-                               ).evaluate(coords)
-    names = [("A0",), ("window_lo",), ("window_hi",)]
-    for L in L_values:
-        for m in range(1, d + 1):
-            names += [("Amn", L, m, n) for n in range(1, m + 1)] + [("Afv", L, m)]
-            names += [("pf", L, m, n) for n in range(0, m + 1)]
-            names += [("Apf_recurrence", L, m)]
-    names += [("sweep", ell) for ell in ells] + [("EL", L) for L in error_L]
+        bits = Region(d, tuple(CoordRange(i, lo[i], hi[i]) for i in range(d))).evaluate(coords)
+        terms["sweep", ell] = (len(restrictions), None, bits)
+        restrictions.append(bits)
+    names = [("window_lo",), ("window_hi",), *terms, *(("EL", L) for L in error_L)]
     columns = {name: j for j, name in enumerate(dict.fromkeys(names))}
-    return SweepPlan(spec, d, R, box, g, h, L_values, ells,
-                     orthant_bits, chi_masks, pf_masks, ell_bits,
-                     box.index_of((0,) * d), columns, error_L)
+    return SweepPlan(spec, d, R, box, g, h, ells, restrictions, terms, columns, error_L)
 
 
 def _sample_stats(plan: SweepPlan, sample_id: int) -> np.ndarray:
     """All per-sample scalars of the coefficient sweep, one per plan column."""
-    d, h, col = plan.d, plan.h, plan.columns
+    col = plan.columns
     lam, u, gl = spectral_data(plan.spec, plan.box, sample_id, plan.g)
-    diag = [_restricted_diag(u, gl, bits, h) for bits in plan.orthant_bits]
+    diag = [_restricted_diag(u, gl, bits, plan.h) for bits in plan.restrictions]
 
     row = np.empty(len(col))
-    row[col["A0",]] = diag[0][plan.center_index]
     row[col["window_lo",]] = gl.min()
     row[col["window_hi",]] = gl.max()
-    for L in plan.L_values:
-        for m in range(1, d + 1):
-            a_m = 0.0
-            for n in range(1, m + 1):
-                bits = plan.chi_masks[(L, m, n)]
-                t = float(np.sum(diag[n][bits] - diag[n - 1][bits]))
-                row[col["Amn", L, m, n]] = t
-                a_m += float(c_constant(d, m, n)) * t
-            row[col["Afv", L, m]] = a_m
-            rec = 0.0
-            for n in range(0, m + 1):
-                bits = plan.pf_masks[(L, m)]
-                t = float(np.sum(diag[n][bits]))
-                row[col["pf", L, m, n]] = t
-                rec += float(c_tilde_recurrence(d, m, n)) * t
-            row[col["Apf_recurrence", L, m]] = rec
-    for ell in plan.ells:
-        bits = plan.ell_bits[ell]
-        row[col["sweep", ell]] = np.sum(_restricted_diag(u, gl, bits, h)[bits])
+    for name, (k, k0, mask) in plan.terms.items():
+        row[col[name]] = np.sum(diag[k][mask] - diag[k0][mask] if k0 is not None
+                                else diag[k][mask])
     for L in plan.error_L:
-        row[col["EL", L]] = _corner_error_for_sample(d, plan.box, u, gl, h, L)
+        row[col["EL", L]] = _corner_error_for_sample(plan.d, plan.box, u, gl, plan.h, L)
     return row
 
 
@@ -599,14 +578,28 @@ class SweepResult:
         j = self.plan.columns[(name, *index)]
         return StatSummary(float(self.mean[j]), float(self.stderr[j]), self.n_samples)
 
+    def _combined(self, const, name: str, L: int, m: int, n_values) -> StatSummary:
+        """Summary of the per-sample sum of const(d, m, n) * column (name, L, m, n),
+        taken from 0.0 in ascending n with elementwise operations only."""
+        total = 0.0
+        for n in n_values:
+            column = self.samples[:, self.plan.columns[name, L, m, n]]
+            total = total + float(const(self.plan.d, m, n)) * column
+        mean, stderr = column_moments(total[:, None])
+        return StatSummary(float(mean[0]), float(stderr[0]), self.n_samples)
+
     def a_fv(self, L: int, m: int) -> StatSummary:
-        return self.stat("A0") if m == 0 else self.stat("Afv", L, m)
+        """Wedge-route A_m^(L): sum_n c_{m,n} times the ("Amn", L, m, n) columns."""
+        if m == 0:
+            return self.stat("A0")
+        return self._combined(c_constant, "Amn", L, m, range(1, m + 1))
 
     def a_pf(self, L: int, m: int) -> Dict[str, StatSummary]:
         """Partition-free A_m under each c~ table.  c~_printed = c~_recurrence / 4^m,
         and a power-of-two scale commutes with every rounding of the per-sample sum
         and of Welford's update, so the printed summary has a printed column's bits."""
-        rec, scale = self.stat("Apf_recurrence", L, m), 4.0 ** -m
+        rec = self._combined(c_tilde_recurrence, "pf", L, m, range(0, m + 1))
+        scale = 4.0 ** -m
         return {"printed": StatSummary(rec.mean * scale, rec.stderr * scale, rec.n_samples),
                 "recurrence": rec}
 

@@ -23,7 +23,7 @@ from .mc import single_blas_thread
 from .spectral import ScalarFunction
 
 __all__ = ["FitReport", "check_fit_grid", "fit_expansion", "sweep_and_fit", "szego_1d_suite",
-           "log_enhancement_probe"]
+           "log_enhancement_probe", "LOG_VERDICTS"]
 
 
 @dataclass
@@ -46,13 +46,15 @@ class FitReport:
 
 def check_fit_grid(ells: Sequence[int], d: int) -> None:
     """Refuse a grid that cannot fit the d+1 coefficients A_0..A_d: one that
-    is not strictly increasing or has fewer than d+2 points.
-    ``sweep_and_fit`` and ``log_enhancement_probe`` call it before their
-    first sample, and ``fit_expansion`` before its fit."""
+    is not strictly increasing, has fewer than d+2 points or a side below 1
+    (an empty box).  ``sweep_and_fit`` and ``log_enhancement_probe`` call it
+    before their first sample, and ``fit_expansion`` before its fit."""
     if len(ells) < d + 2:
         raise ConfigError(f"need at least d+2 = {d + 2} grid points, got {len(ells)}")
     if sorted(set(ells)) != list(ells):
         raise ConfigError("ell grid must be strictly increasing")
+    if ells[0] < 1:
+        raise ConfigError(f"ell grid side {ells[0]} is below 1: its box is empty")
 
 
 def fit_expansion(ells: Sequence[int], means: Sequence[float],
@@ -182,6 +184,9 @@ def _geometric_tail(terms: List[float]) -> float:
 # ---------------------------------------------------------------------------
 # logarithmic enhancement probe
 # ---------------------------------------------------------------------------
+
+LOG_VERDICTS = ("enhanced", "flat", "inconclusive")
+
 
 def log_enhancement_probe(spec: EnsembleSpec, g: ScalarFunction, h: ScalarFunction,
                           ells: Sequence[int], budget: int, R: Optional[int] = None,

@@ -247,6 +247,96 @@ def test_non_increasing_grid_is_exit_2_before_the_first_sample(tmp_path, monkeyp
     assert not (tmp_path / "o").exists()       # a refused run leaves no output directory
 
 
+CF_D2_REFUSED = """
+[experiment]
+kind = coefficient_formula
+samples = 2
+d = 2
+
+[ensemble]
+kind = anderson
+W = 8.0
+
+[g]
+form = bump(2.0, 3.0, 4)
+
+[h]
+form = poly(0, 0, 1)
+
+[formula]
+L = -5
+R = 12
+"""
+
+
+@pytest.mark.parametrize("config, old, new, message", [
+    ("expansion_d1.ini", "ells = 20 40 60 80", "ells = -4 0 4 8", "below 1"),
+    ("expansion_d1.ini", "formula_L = 80", "formula_L = -5", "probe depth L=-5"),
+    ("expansion_d1.ini", "R = 200", "R = 200\noffset = 0 0 0", "needs d = 1 entries"),
+    ("expansion_d2.ini", "R = 24", "R = 24\noffset = 1", "needs d = 2 entries"),
+    ("expansion_d1.ini", "formula_L = 80", "", "needs formula_L"),
+    (None, "", "", "probe depth L=-5"),
+], ids=["empty-boxes", "negative-formula_L", "long-offset", "short-offset",
+        "gate-without-formula_L", "negative-L"])
+def test_sweep_that_measures_nothing_is_exit_2_before_the_first_sample(
+        tmp_path, monkeypatch, capsys, config, old, new, message):
+    # each of these ran to exit 0 on zeros, or ended in a traceback, or ran
+    # without the gate it was asked for
+    import szegolab.coefficients as coefficients
+
+    def no_sample(*args):
+        raise AssertionError("a sample ran before the refusal")
+    monkeypatch.setattr(coefficients, "spectral_data", no_sample)
+    text = CF_D2_REFUSED
+    if config is not None:
+        with open(os.path.join(CONFIGS, config), encoding="utf-8") as fh:
+            text = fh.read()
+        assert old in text
+        text = text.replace(old, new)
+    path = write(tmp_path, "refused.ini", text)
+    assert main(["run", path, "--samples", "2", "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, old, new, message", [
+    ("szego1d.ini", "gate_tol = 1e-3", "gate_tol = abc", "gate_tol = 'abc'"),
+    ("logenh_free.ini", "expect = enhanced", "expect = enhancd", "expect = 'enhancd'"),
+], ids=["szego1d-gate_tol", "log_enhancement-expect"])
+def test_bad_gate_option_is_exit_2_before_any_work(tmp_path, monkeypatch, capsys, config,
+                                                    old, new, message):
+    # gate_tol was parsed after both artifacts were written, and expect was
+    # compared only after every sample, so the run ended with exit 5
+    import szegolab.cli as cli
+    import szegolab.coefficients as coefficients
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the refusal")
+    monkeypatch.setattr(coefficients, "spectral_data", no_work)
+    monkeypatch.setattr(cli, "szego_1d_suite", no_work)
+    with open(os.path.join(CONFIGS, config), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    path = write(tmp_path, config, text.replace(old, new))
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_nan_is_written_as_null_whatever_its_type(tmp_path):
+    # a numpy NaN was written as bare NaN, which strict JSON refuses
+    from szegolab.cli import write_json
+    path = str(tmp_path / "nan.json")
+    write_json(path, {"py": float("nan"), "f64": np.float64("nan"),
+                      "f32": np.float32("nan"), "arr": np.array([1.0, np.nan])})
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh, parse_constant=refuse) == {
+            "py": None, "f64": None, "f32": None, "arr": [1.0, None]}
+
+
 @pytest.mark.parametrize("config, old, new", [
     ("expansion_d1.ini", "formula_L = 80", "formula_l = 80"),
     ("verify_d1.ini", "kernel_mode = exponential", "kernel_mod = polynomial"),

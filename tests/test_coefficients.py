@@ -16,7 +16,8 @@ from szegolab.coefficients import (c_constant, c_tilde_printed, c_tilde_recurren
                                    chi_hat_region, coefficient_sweep,
                                    decomposition_identity_probe,
                                    inclusion_exclusion_check, k_vectors,
-                                   partition_block_sizes, perm_block, pi0_for_block,
+                                   make_sweep_plan, partition_block_sizes, perm_block,
+                                   pi0_for_block,
                                    sd_partition_residual, telescoping_check)
 from tests.conftest import rand_hermitian
 
@@ -358,11 +359,11 @@ def test_sweep_identity_h_coefficients_exactly_zero(d, L, R):
     for seed in (7, 123):
         spec = EnsembleSpec("anderson", W=8.0, seed=seed)
         res = coefficient_sweep(spec, d, G_BUMP, H_ID, R, [L], 4, error_L=[L])
-        keys = [k for k in res.plan.columns if k[0] in ("Amn", "Afv")]
-        assert len(keys) == d * (d + 1) // 2 + d
-        for k in keys:
-            s = res.stat(*k)
-            assert s.mean == 0.0 and s.stderr == 0.0, k
+        keys = [k for k in res.plan.columns if k[0] == "Amn"]
+        assert len(keys) == d * (d + 1) // 2
+        stats = [res.stat(*k) for k in keys] + [res.a_fv(L, m) for m in range(1, d + 1)]
+        for s in stats:
+            assert s.mean == 0.0 and s.stderr == 0.0, s
 
 
 def test_off_spectrum_g_gives_zero_coefficients():
@@ -396,6 +397,28 @@ def test_sweep_without_probe_depth_restricts_only_the_box_and_the_ells(monkeypat
 def test_finite_volume_requires_L_within_R():
     with pytest.raises(ConfigError):
         coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 40, [30], 1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"L_values": [0]}, "probe depth L=0"),
+    ({"error_L": [-5]}, "error-term scale L=-5"),
+], ids=["zero-L", "negative-error-L"])
+def test_sweep_plan_refuses_a_depth_below_1(kwargs, message):
+    # its masks are empty, so its columns would read 0.0; the command-line
+    # tests cover a negative formula_L and L, and the offset length
+    with pytest.raises(ConfigError, match=message):
+        make_sweep_plan(ANDERSON, 1, G_BUMP, H_SQUARE, 12, **kwargs)
+
+
+def test_sweep_plan_terms_name_every_column_but_window_and_error():
+    plan = make_sweep_plan(ANDERSON, 2, G_BUMP, H_SQUARE, 12, [4], ells=[4, 6], error_L=[4])
+    assert len(plan.restrictions) == 3 + 2          # half-orthants n = 0..2, then boxes
+    assert set(plan.columns) == {("window_lo",), ("window_hi",), ("EL", 4), *plan.terms}
+    assert not any(name[0] in ("Afv", "Apf_recurrence") for name in plan.columns)
+    k, k0, mask = plan.terms["A0",]
+    assert (k, k0, int(mask.sum())) == (0, None, 1)
+    assert plan.terms["Amn", 4, 2, 1][:2] == (1, 0)
+    assert plan.terms["sweep", 6][:2] == (4, None)
 
 
 def test_truncation_stability_under_radius_doubling():
@@ -510,21 +533,36 @@ def test_partition_free_free_lattice_oracle(d, a0, a_m):
     assert res.a_fv(6, 1).mean == pytest.approx(a_m[0], rel=1e-9)
 
 
-def test_partition_free_printed_summary_is_the_printed_column():
-    # the printed summary, derived from the recurrence one, has the bits of the
-    # per-sample printed sum (n ascending, from 0.0) reduced by column_moments
-    res = coefficient_sweep(ANDERSON, 2, G_BUMP, H_SQUARE, 10, [4], 6)
+def sequential_sum_summary(res, const, name, L, m, n_values):
+    """column_moments of the per-sample sum of const * column, n ascending from 0.0,
+    accumulated one sample at a time in Python floats."""
     col = res.plan.columns
+    sums = []
+    for row in res.samples:
+        acc = 0.0
+        for n in n_values:
+            acc += float(const(res.plan.d, m, n)) * row[col[name, L, m, n]]
+        sums.append([acc])
+    mean, stderr = mc.column_moments(np.array(sums))
+    return mean[0], stderr[0]
+
+
+def test_partition_free_printed_summary_is_the_printed_column():
+    # the summaries combined when reported have the bits of the per-sample
+    # sequential sums (n ascending, from 0.0) reduced by column_moments: the
+    # printed and recurrence partition-free A_m, and the wedge-route A_m
+    res = coefficient_sweep(ANDERSON, 2, G_BUMP, H_SQUARE, 10, [4], 6)
     for m in (1, 2):
-        printed = []
-        for row in res.samples:
-            acc = 0.0
-            for n in range(0, m + 1):
-                acc += float(c_tilde_printed(2, m, n)) * row[col["pf", 4, m, n]]
-            printed.append([acc])
-        mean, stderr = mc.column_moments(np.array(printed))
+        pf_n = range(0, m + 1)
         derived = res.a_pf(4, m)["printed"]
-        assert (derived.mean, derived.stderr) == (mean[0], stderr[0])
+        assert (derived.mean, derived.stderr) == sequential_sum_summary(
+            res, c_tilde_printed, "pf", 4, m, pf_n)
+        rec = res.a_pf(4, m)["recurrence"]
+        assert (rec.mean, rec.stderr) == sequential_sum_summary(
+            res, c_tilde_recurrence, "pf", 4, m, pf_n)
+        wedge = res.a_fv(4, m)
+        assert (wedge.mean, wedge.stderr) == sequential_sum_summary(
+            res, c_constant, "Amn", 4, m, range(1, m + 1))
         assert res.partition_free(4)["printed"][m] == derived
         assert res.adjudicate(4, m)["candidates"]["printed"]["value"] == derived.mean
 

@@ -12,8 +12,8 @@ from szegolab.errors import ConfigError
 from szegolab.lattices import EnsembleSpec, Symbol1D, symbol_fourier_coefficients
 from szegolab import mc
 from szegolab.spectral import ScalarFunction
-from szegolab.harness import (fit_expansion, log_enhancement_probe, sweep_and_fit,
-                              szego_1d_suite)
+from szegolab.harness import (check_fit_grid, fit_expansion, log_enhancement_probe,
+                              sweep_and_fit, szego_1d_suite)
 from szegolab.lattices import site_uniforms
 
 
@@ -146,6 +146,13 @@ def test_fit_expansion_exact_polynomial():
 def test_fit_expansion_needs_enough_points():
     with pytest.raises(ConfigError):
         fit_expansion([2, 4], [1.0, 2.0], None, d=1)
+
+
+@pytest.mark.parametrize("ells", [[-4, 0, 4, 8], [0, 4, 8]])
+def test_fit_grid_refuses_an_empty_box(ells):
+    # a side below 1 is an empty box whose trace reads 0.0
+    with pytest.raises(ConfigError, match="below 1"):
+        check_fit_grid(ells, 1)
 
 
 def test_sweep_identity_h_extensive():
