@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -122,6 +123,14 @@ def write_coefficients(out_dir: str, res: coeff.SweepResult, L: int) -> None:
     }
     write_json(os.path.join(out_dir, "coefficients.json"), payload)
     write_coefficient_csv(os.path.join(out_dir, "coefficients.csv"), res, L)
+
+
+def _gate_bound(cfg: ExperimentConfig, key: str, default: float) -> float:
+    """A gate's bound, which must be finite: a NaN or infinite bound never trips."""
+    bound = cfg.opt_float(key, default)
+    if not math.isfinite(bound):
+        raise ConfigError(f"{key} = {bound!r}: a gate bound must be finite")
+    return bound
 
 
 def _gate_failed(code: int, quantity: str, value, bound: str, artifact: str) -> int:
@@ -231,7 +240,7 @@ def _run_szego_1d(cfg: ExperimentConfig) -> int:
     gate_l = cfg.opt_int("gate_at_l", 0)
     if gate_l and gate_l not in grid:
         raise ConfigError(f"gate_at_l = {gate_l} is not in l_grid = {grid}")
-    tol = cfg.opt_float("gate_tol", 1e-3)
+    tol = _gate_bound(cfg, "gate_tol", 1e-3)
     report = szego_1d_suite(symbol, cfg.h, grid, k_max=cfg.opt_int("k_max", 32))
     path = os.path.join(cfg.out_dir, "szego1d.json")
     write_json(path, report)
@@ -277,7 +286,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     check_schatten_p(p)
     theta = cfg.opt_float("ct_theta", 1.0)
     check_ct_theta(theta)
-    min_mu = cfg.opt_float("gate_min_mu", 0.0)
+    min_mu = _gate_bound(cfg, "gate_min_mu", 0.0)
     if min_mu and mode == "polynomial":
         raise ConfigError(f"gate_min_mu = {min_mu!r} gates the exponential rate mu, "
                           "which kernel_mode = polynomial does not fit")

@@ -128,8 +128,8 @@ def check_kernel_fit(box: LatticeBox, mode: str) -> None:
 
 
 def check_schatten_p(p: float) -> None:
-    if p <= 0:
-        raise ConfigError("Schatten exponent must be positive")
+    if not 0 < p < math.inf:
+        raise ConfigError(f"a1_p = {p!r}: the Schatten exponent must be finite and > 0")
 
 
 def check_ct_theta(theta: float) -> None:
@@ -340,10 +340,10 @@ def trace_difference_probe(spec: EnsembleSpec, g: ScalarFunction, h: ScalarFunct
     inner_bits, outer_bits = inner.evaluate(coords), outer.evaluate(coords)
     dist = boundary_distance(coords[inner_bits], inner, outer, box)
 
-    def one(s):
+    def one(s):     # the spectral route keeps the pinned q~ (see _restricted_diag)
         lam, u, gl = spectral_data(spec, box, s, g)
-        return (_restricted_diag(u, gl, inner_bits, h)
-                - _restricted_diag(u, gl, outer_bits, h))
+        return (_restricted_diag(u, gl, inner_bits, h, spectral=True)
+                - _restricted_diag(u, gl, outer_bits, h, spectral=True))
 
     n = box.site_count
     total = np.zeros(n)     # 0.0 + row == row: starting at zero adds no rounding

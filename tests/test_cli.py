@@ -734,6 +734,36 @@ gate_tol = 1e-30
     assert str(out / "szego1d.json") in err
 
 
+@pytest.mark.parametrize("tol, code", [("1e-30", 5), ("nan", 2), ("inf", 2)])
+def test_szego1d_non_finite_gate_tol_is_exit_2_before_the_suite(tmp_path, monkeypatch,
+                                                                 capsys, tol, code):
+    # a NaN bound failed no comparison: gate_tol = nan exited 0 where 1e-30 exits 5
+    import szegolab.cli as cli
+    ran = []
+
+    def counted(*args, _orig=cli.szego_1d_suite, **kwargs):
+        ran.append(True)
+        return _orig(*args, **kwargs)
+    monkeypatch.setattr(cli, "szego_1d_suite", counted)
+    out = tmp_path / "szg"
+    path = write(tmp_path, "szg.ini", f"""
+[experiment]
+kind = szego_1d
+out = {out}
+
+[szego1d]
+symbol = expcos(0.5)
+l_grid = 2 10
+gate_at_l = 2
+gate_tol = {tol}
+""")
+    assert run_experiment(path) == code
+    if code == 2:
+        assert f"gate_tol = {float(tol)!r}: a gate bound must be finite" in \
+            capsys.readouterr().err
+        assert not ran and not out.exists()
+
+
 def test_verify_cli(tmp_path):
     out = tmp_path / "ver"
     path = write(tmp_path, "ver.ini", f"""
@@ -837,8 +867,13 @@ def test_verify_samples_all_run_inside_decay_ordered_map(tmp_path, monkeypatch):
     ("a1_p = 1.0", "a1_p = 1.0\nct_theta = -1"),
     ("a1_p = 1.0", "a1_p = 1.0\nct_theta = nan"),
     ("kernel_mode = exponential", "kernel_mode = polynomial\ngate_min_mu = 0.1"),
+    ("a1_p = 1.0", "a1_p = nan"),
+    ("a1_p = 1.0", "a1_p = inf"),
+    ("a1_p = 1.0", "a1_p = 1.0\ngate_min_mu = nan"),
+    ("a1_p = 1.0", "a1_p = 1.0\ngate_min_mu = inf"),
 ], ids=["kernel_mode-typo", "kernel_mode-stretched", "a1_p", "box_side", "trace_inner",
-        "ct_theta-zero", "ct_theta-negative", "ct_theta-nan", "gate_min_mu-polynomial"])
+        "ct_theta-zero", "ct_theta-negative", "ct_theta-nan", "gate_min_mu-polynomial",
+        "a1_p-nan", "a1_p-inf", "gate_min_mu-nan", "gate_min_mu-inf"])
 def test_verify_refuses_bad_options_before_the_first_sample(tmp_path, monkeypatch, capsys,
                                                             old, new):
     import szegolab.decay as decay
@@ -851,10 +886,13 @@ def test_verify_refuses_bad_options_before_the_first_sample(tmp_path, monkeypatc
     text = VERIFY_INI.format(samples=3, out=tmp_path / "ver", workers=1, d=1, side=32)
     assert old in text
     assert run_experiment(write(tmp_path, "ver.ini", text.replace(old, new))) == 2
-    assert calls == []
+    assert calls == [] and not (tmp_path / "ver").exists()
+    err = capsys.readouterr().err
     if old.startswith("kernel_mode"):
-        err = capsys.readouterr().err
         assert "polynomial" in err and "exponential" in err
+    for key in ("a1_p", "gate_min_mu"):
+        if f"{key} = nan" in new or f"{key} = inf" in new:
+            assert f"{key} = " in err and "finite" in err
 
 
 def test_verify_worker_count_does_not_change_bytes(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 
 from szegolab import mc
 from szegolab.errors import ConfigError
-from szegolab.lattices import EnsembleSpec, HermitianOperator, LatticeBox
+from szegolab.lattices import EnsembleSpec, HermitianOperator, LatticeBox, Symbol1D
 from szegolab.regions import orthant_region
 from szegolab.spectral import ScalarFunction
 from szegolab.cli import write_coefficients
@@ -17,8 +18,8 @@ from szegolab.coefficients import (c_constant, c_tilde_printed, c_tilde_recurren
                                    decomposition_identity_probe,
                                    inclusion_exclusion_check, k_vectors,
                                    make_sweep_plan, partition_block_sizes, perm_block,
-                                   pi0_for_block,
-                                   sd_partition_residual, telescoping_check)
+                                   pi0_for_block, sd_partition_residual, spectral_data,
+                                   telescoping_check)
 from tests.conftest import rand_hermitian
 
 G_BUMP = ScalarFunction.bump(2.0, 3.0, 4)
@@ -285,6 +286,77 @@ def test_restricted_diag_completes_h_of_zero(d, R):
     want = np.full(box.site_count, h.value_at_zero)
     want[bits] = (v ** 2) @ np.real(h(mu))
     assert np.max(np.abs(_restricted_diag(u, got_gl, bits, h) - want)) <= 1e-12
+
+
+COMPLEX_TOEPLITZ = EnsembleSpec("toeplitz1d",
+                                symbol=Symbol1D.from_dict({0: 1.0, 1: 0.25j, -1: -0.25j}))
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_spectrum(kind, d, R):
+    spec = COMPLEX_TOEPLITZ if kind == "toeplitz" else ANDERSON
+    g = ScalarFunction.bump(1.0, 0.6, 4) if kind == "toeplitz" else G_BUMP
+    box = LatticeBox.centered(d, R)
+    return box, spectral_data(spec, box, 3, g)
+
+
+def _restriction(box, where):
+    coords = box.sites()
+    if where == "orthant":                      # half-line, or half-plane in d = 2
+        return orthant_region(box.d, range(1)).evaluate(coords)
+    if where == "quarter":
+        return orthant_region(box.d, range(2)).evaluate(coords)
+    if where == "box":                          # a centred ell = 10 box
+        return np.all((coords >= -5) & (coords <= 4), axis=1)
+    bits = np.zeros(box.site_count, bool)
+    if where == "one-site":
+        bits[box.index_of((0,) * box.d)] = True
+    return bits
+
+
+@pytest.mark.parametrize("h", [(0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), (0.5, -1.0, 2.0),
+                               (0.0, 1.0, -1.0)], ids=["x2", "x3", "poly-0.5,-1,2", "t-t2"])
+@pytest.mark.parametrize("kind, d, R, where", [
+    ("anderson", 1, 60, "orthant"), ("anderson", 1, 60, "box"),
+    ("anderson", 2, 10, "orthant"), ("anderson", 2, 10, "quarter"),
+    ("anderson", 2, 10, "one-site"), ("anderson", 2, 10, "empty"),
+    ("toeplitz", 1, 20, "orthant"),
+], ids=["d1-half-line", "d1-box", "d2-half-plane", "d2-quarter-plane", "one-site", "empty",
+        "complex-toeplitz"])
+def test_products_route_matches_an_eigh_of_the_same_block(h, kind, d, R, where):
+    from szegolab.coefficients import _restricted_diag, block_of_gH
+    h = ScalarFunction.poly(h)
+    box, (lam, u, gl) = _kept_spectrum(kind, d, R)
+    bits = _restriction(box, where)
+    want = np.full(box.site_count, h.value_at_zero)
+    idx = np.flatnonzero(bits)
+    if idx.size:
+        mu, v = np.linalg.eigh(block_of_gH(u, gl[gl != 0], idx))
+        want[idx] = (np.abs(v) ** 2) @ np.real(h(mu))
+    got = _restricted_diag(u, gl, bits, h)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(_restricted_diag(u, gl, bits, h, spectral=True) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("h, restricted_eighs", [
+    (H_SQUARE, 0), (ScalarFunction.bump(0.5, 2.0, 3), 2 + 2 + 2 * 4)],
+    ids=["x2-none", "bump-each-proper-restriction"])
+def test_polynomial_h_runs_no_restricted_eigh(monkeypatch, h, restricted_eighs):
+    # the half-plane, the quarter-plane, two ell boxes and the 2^d corner pairs
+    # of E^(L) are proper restrictions; the whole box never needs an eigh
+    from szegolab.coefficients import _sample_stats
+    plan = make_sweep_plan(ANDERSON, 2, G_BUMP, h, 6, [2], ells=[2, 4], error_L=[2])
+    calls = []
+
+    def counted(a, *args, _orig=np.linalg.eigh, **kwargs):
+        calls.append(a.shape[0])
+        return _orig(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    row = _sample_stats(plan, 0)
+    assert np.all(np.isfinite(row))
+    # spectral_data diagonalizes the box itself with np.linalg.eigh only when
+    # it finds no LAPACKE; that call is not a restriction
+    assert len([n for n in calls if n < plan.box.site_count]) == restricted_eighs
 
 
 # ---------------------------------------------------------------------------

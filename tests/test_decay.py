@@ -292,8 +292,8 @@ def test_raw_pairs_are_the_usable_envelope_points():
     rows = []
     for s in range(4):
         lam, u, gl = spectral_data(ANDERSON, TBOX, s, G_BUMP)
-        rows.append(_restricted_diag(u, gl, in_bits, H_SQUARE)
-                    - _restricted_diag(u, gl, out_bits, H_SQUARE))
+        rows.append(_restricted_diag(u, gl, in_bits, H_SQUARE, spectral=True)
+                    - _restricted_diag(u, gl, out_bits, H_SQUARE, spectral=True))
     mean = np.abs(sum(rows) / 4)
     rep = trace_difference_probe(ANDERSON, G_BUMP, H_SQUARE, INNER, OUTER, TBOX, 4)
     # the boundary of [0, 59] in the half line is the site 60
