@@ -92,7 +92,7 @@ def write_coefficient_csv(path: str, res: coeff.SweepResult, L: int) -> None:
     stats = [("A_fv", m, "", res.a_fv(L, m)) for m in range(d + 1)]
     stats += [("A_mn", m, n, res.stat("Amn", L, m, n))
               for m in range(1, d + 1) for n in range(1, m + 1)]
-    if L in res.plan.error_L:
+    if ("EL", L) in res.plan.terms:
         stats.append(("E_L", "", "", res.stat("EL", L)))
     write_csv(path, ["quantity", "L", "m", "n", "mean", "stderr"],
               [[q, L, m, n, s.mean, s.stderr] for q, m, n, s in stats])
@@ -114,7 +114,7 @@ def write_coefficients(out_dir: str, res: coeff.SweepResult, L: int) -> None:
         "A_fv": {m: res.a_fv(L, m) for m in range(d + 1)},
         "A_mn": {f"{m},{n}": res.stat("Amn", L, m, n)
                  for m in range(1, d + 1) for n in range(1, m + 1)},
-        "E_L": res.stat("EL", L) if L in res.plan.error_L else None,
+        "E_L": res.stat("EL", L) if ("EL", L) in res.plan.terms else None,
         "n_samples": res.n_samples,
         "seed": res.plan.spec.seed,
         "window": res.window,
@@ -191,6 +191,9 @@ def _run_identity_checks(cfg: ExperimentConfig) -> int:
     max_d = cfg.opt_int("max_d", 3)
     side = cfg.opt_int("side", 4)
     n_families = cfg.opt_int("telescoping_families", 50)
+    for key, value in (("max_d", max_d), ("telescoping_families", n_families)):
+        if value < 1:       # the run would check nothing and still pass
+            raise ConfigError(f"{key} = {value}: the identity checks need at least 1")
     rng = np.random.default_rng(cfg.seed)
     results: Dict = {"side": side, "max_d": max_d, "inclusion_exclusion": {},
                      "partition": {}, "telescoping": {}, "constants": {}}
@@ -224,11 +227,14 @@ def _run_identity_checks(cfg: ExperimentConfig) -> int:
     write_json(path, results)
     worst_ie = max(results["inclusion_exclusion"].values(), default=0)
     worst_part = max(results["partition"].values(), default=0)
+    blocks = [(f"partition block size (d={d}, n={n})", size, f"== d! = {math.factorial(d)}",
+               size != math.factorial(d))
+              for d, sizes in results["constants"].items() for n, size in sizes.items()]
     for quantity, value, bound, failed in (
             ("inclusion-exclusion defect", worst_ie, "== 0", worst_ie != 0),
             ("c recurrence exact", rec_ok, "== True", not rec_ok),
             ("telescoping residual", worst_tel, "<= 1e-09", worst_tel > 1e-9),
-            ("wedge partition residual", worst_part, "== 0", worst_part != 0)):
+            ("wedge partition residual", worst_part, "== 0", worst_part != 0), *blocks):
         if failed:
             return _gate_failed(EXIT_IDENTITY, quantity, value, bound, path)
     return EXIT_OK

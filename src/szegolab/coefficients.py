@@ -217,8 +217,8 @@ def _restricted_diag(u: np.ndarray, gl: np.ndarray, bits: np.ndarray,
       forms the block A = g(H)|_S and reads diag h(A) from powers of A:
       (A^j)_ii = Re sum_k (A^floor(j/2))_ik conj((A^ceil(j/2))_ik), since A
       is Hermitian.  x^2 is a row-wise sum of |A_ik|^2, and degree p costs
-      ceil(p/2) - 1 block products instead of an ``eigh`` of A.  The sweep's
-      terms, E^(L) and the log-enhancement sweep take it.
+      ceil(p/2) - 1 block products instead of an ``eigh`` of A.  Every
+      sweep term takes it, E^(L) and the identity probe's included.
     - Any other h, or ``spectral=True``, takes the spectral route: an
       ``eigh`` of A and |V|^2 h(mu).  ``decay.trace_difference_probe`` keeps
       this route, because the products route's summation order moves its
@@ -380,23 +380,6 @@ def _pullback_coords(coords: np.ndarray, sigma: Tuple[int, ...], L: int) -> np.n
     return out + L
 
 
-def _corner_error_for_sample(d: int, box: LatticeBox, u: np.ndarray, gl: np.ndarray,
-                             h: ScalarFunction, L: int) -> float:
-    """sum_sigma Tr( chi_{[0,L)^d} { h((A^T)_{[0,2L)^d}) - f_d^T } ), pulled back."""
-    coords = box.sites()
-    box2L = box_region(d, 0, 2 * L - 1)
-    boxL = box_region(d, 0, L - 1)
-    orth = orthant_region(d)
-    total = 0.0
-    for sigma in itertools.product((0, 1), repeat=d):
-        pre = _pullback_coords(coords, sigma, L)
-        probe = boxL.evaluate(pre)
-        diag_box = _restricted_diag(u, gl, box2L.evaluate(pre), h)
-        diag_orth = _restricted_diag(u, gl, orth.evaluate(pre), h)
-        total += float(np.sum(diag_box[probe] - diag_orth[probe]))
-    return total
-
-
 @dataclass
 class DecompositionProbeReport:
     """Pointwise master-identity check of one sample."""
@@ -422,68 +405,52 @@ def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
     the b terms are built from block-constant model operators against the
     chain/domination masks of the axes (k_1, ..., k_{n-1}, l); the block
     collection then is an exact mask identity, the identity holds pointwise
-    in the sample and the residual sits at rounding level.  The decay-based
-    truncation budget is reported alongside for context.
+    in the sample and the residual sits at rounding level.  Each trace is a
+    term of one sweep plan: ``("lhs",)``, ``("EL", L)`` and ``("b", n, j)``,
+    whose column is (-1)^j b_{n,j}.  ``scale`` sums |lhs|, |E^(L)| and each
+    |b_{n,j}| (at least 1).  The decay-based truncation budget is reported
+    alongside for context.
     """
     if 4 * L > R:
         raise ConfigError(f"identity probe needs 2L <= R/2, got L={L}, R={R}")
-    box = LatticeBox.centered(d, R)
-    coords = box.sites()
-    lam, u, gl = spectral_data(spec, box, sample_id, g)
-    diag0_global = _restricted_diag(u, gl, np.ones(box.site_count, bool), h)
-
+    plan = make_sweep_plan(spec, d, g, h, R, error_L=[L])   # restriction 0 is f_0
+    coords = plan.box.sites()
     lam_bits = box_region(d, -L, L - 1).evaluate(coords)
-    diag_lam = _restricted_diag(u, gl, lam_bits, h)
-    lhs = float(np.sum(diag_lam[lam_bits] - diag0_global[lam_bits]))
+    plan.terms["lhs",] = ((len(plan.restrictions), 0, lam_bits),)
+    plan.restrictions.append(lam_bits)
+    pres = {sigma: _pullback_coords(coords, sigma, L)
+            for sigma in itertools.product((0, 1), repeat=d)}
+    index: Dict[Tuple, int] = {}
 
-    # pulled-back half-orthant diagonals, keyed by (sigma, frozen axis set)
-    pre_cache: Dict[Tuple, np.ndarray] = {}
-    diag_cache: Dict[Tuple, np.ndarray] = {}
+    def orthant(sigma, axes: Tuple[int, ...]) -> int:
+        """Restriction of the pulled-back {x_axes >= 0}; no axes is f_0, restriction 0."""
+        if axes and (sigma, axes) not in index:
+            index[sigma, axes] = len(plan.restrictions)
+            plan.restrictions.append(orthant_region(d, axes).evaluate(pres[sigma]))
+        return index.get((sigma, axes), 0)
 
-    def pre_for(sigma) -> np.ndarray:
-        if sigma not in pre_cache:
-            pre_cache[sigma] = _pullback_coords(coords, sigma, L)
-        return pre_cache[sigma]
-
-    def diag_for(sigma, axes: Tuple[int, ...]) -> np.ndarray:
-        if not axes:
-            # f_0 is unrestricted: its pulled-back diagonal is sigma-independent
-            return diag0_global
-        key = (sigma, axes)
-        if key not in diag_cache:
-            bits = orthant_region(d, axes).evaluate(pre_for(sigma))
-            diag_cache[key] = _restricted_diag(u, gl, bits, h)
-        return diag_cache[key]
-
-    corner = {m: 0.0 for m in range(1, d + 1)}
-    b_diag = {(n, j): 0.0 for n in range(1, d + 1) for j in range(0, d - n + 1)}
-    abs_acc = abs(lhs)
+    b_parts = {(n, j): [] for n in range(1, d + 1) for j in range(0, d - n + 1)}
     for n in range(1, d + 1):
         for l in range(d):
             for k in k_vectors(d, n, l):
                 head = tuple(k) + (l,)
-                axes_upper = tuple(sorted(head))
-                axes_lower = tuple(sorted(k))
                 comp = [t for t in range(d) if t not in head]
-                for sigma in itertools.product((0, 1), repeat=d):
-                    pre = pre_for(sigma)
-                    dn = diag_for(sigma, axes_upper)
-                    dn1 = diag_for(sigma, axes_lower)
+                for sigma, pre in pres.items():
+                    upper, lower = (orthant(sigma, tuple(sorted(a))) for a in (head, k))
                     for j in range(0, d - n + 1):
                         for m_set in itertools.combinations(comp, j):
                             q_bits = corner_wedge(d, head, m_set, L).evaluate(pre)
-                            term = ((-1) ** j) * float(np.sum(dn[q_bits] - dn1[q_bits]))
-                            corner[n + j] += term
-                            b_diag[(n, j)] += term
-                            abs_acc += abs(term)
-    err = _corner_error_for_sample(d, box, u, gl, h, L)
-    abs_acc += abs(err)
-    rhs = sum(corner.values()) + err
-    budget = None
-    if decay_rate is not None:
-        budget = truncation_tail(decay_rate, d, R - 2 * L)
-    return DecompositionProbeReport(lhs, corner, err, abs(lhs - rhs),
-                                    max(1.0, abs_acc), budget, b_diag)
+                            b_parts[n, j].append((upper, lower, q_bits))
+    plan.terms.update((("b", *nj), tuple(parts)) for nj, parts in b_parts.items())
+
+    row, col = _sample_stats(plan, sample_id), plan.columns
+    lhs, err = float(row[col["lhs",]]), float(row[col["EL", L]])
+    b_diag = {(n, j): (-1) ** j * float(row[col["b", n, j]]) for n, j in b_parts}
+    corner = {m: sum(b for (n, j), b in b_diag.items() if n + j == m) for m in range(1, d + 1)}
+    scale = max(1.0, abs(lhs) + sum(abs(b) for b in b_diag.values()) + abs(err))
+    budget = None if decay_rate is None else truncation_tail(decay_rate, d, R - 2 * L)
+    return DecompositionProbeReport(lhs, corner, err, abs(lhs - (sum(corner.values()) + err)),
+                                    scale, budget, b_diag)
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +463,16 @@ class SweepPlan:
 
     A sample computes diag[k], the diagonal of h(g(H)|_S) for the k-th set S
     of ``restrictions`` (bool site masks): the half-orthants
-    {x_1, ..., x_n >= 0} for n = 0..d (n = 0 only without probe depths), then
-    each sweep box.  ``columns`` maps each statistic to its column of the
-    sweep's samples x statistics array: ``("window_lo",)``, ``("window_hi",)``,
-    then every key of ``terms`` and ``("EL", L)``.  ``terms`` maps ``("A0",)``,
-    ``("Amn", L, m, n)``, ``("pf", L, m, n)`` and ``("sweep", ell)`` to
-    ``(k, k0, mask)``: the sum of diag[k] over ``mask``, less diag[k0] there
-    when ``k0`` is not None.  Each A_m is a fixed combination of these columns,
-    formed when it is reported (``SweepResult.a_fv``, ``a_pf``).
+    {x_1, ..., x_n >= 0} for n = 0..d (n = 0 only without probe depths), each
+    sweep box, then per E^(L) scale and corner sigma the pulled-back
+    {0..2L-1}^d and orthant.  ``terms`` maps ``("A0",)``, ``("Amn", L, m, n)``,
+    ``("pf", L, m, n)``, ``("sweep", ell)`` and ``("EL", L)`` to parts
+    ``(k, k0, mask)``, summed in order from 0.0: a part is the sum of diag[k]
+    over ``mask``, less diag[k0] there when ``k0`` is not None.  E^(L) has
+    one part per sigma, every other term one.  ``columns`` numbers
+    ``("window_lo",)``, ``("window_hi",)``, then every term: the columns of
+    the samples x statistics array.  Each A_m combines columns when it is
+    reported (``SweepResult.a_fv``, ``a_pf``).
     """
 
     spec: EnsembleSpec
@@ -514,9 +483,12 @@ class SweepPlan:
     h: ScalarFunction
     ells: Tuple[int, ...]
     restrictions: List[np.ndarray]
-    terms: Dict[Tuple, Tuple[int, Optional[int], np.ndarray]]
-    columns: Dict[Tuple, int]
-    error_L: Tuple[int, ...] = ()
+    terms: Dict[Tuple, Tuple[Tuple[int, Optional[int], np.ndarray], ...]]
+
+    @property
+    def columns(self) -> Dict[Tuple, int]:
+        names = (("window_lo",), ("window_hi",), *self.terms)
+        return {name: j for j, name in enumerate(names)}
 
 
 def make_sweep_plan(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunction,
@@ -540,29 +512,39 @@ def make_sweep_plan(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunc
     # half-orthants n >= 1 feed only the probe-depth columns
     restrictions = [orthant_region(d, range(n)).evaluate(coords)
                     for n in range(d + 1 if L_values else 1)]
-    terms = {("A0",): (0, None, np.arange(box.site_count) == box.index_of((0,) * d))}
+    terms = {("A0",): ((0, None, np.arange(box.site_count) == box.index_of((0,) * d)),)}
     for L in L_values:
         for m in range(1, d + 1):
             for n in range(1, m + 1):
-                terms["Amn", L, m, n] = (n, n - 1, chi_hat_region(d, m, n, L).evaluate(coords))
+                wedge = chi_hat_region(d, m, n, L).evaluate(coords)
+                terms["Amn", L, m, n] = ((n, n - 1, wedge),)
             pf = pf_region(d, m, L).evaluate(coords)
             for n in range(0, m + 1):
-                terms["pf", L, m, n] = (n, None, pf)
+                terms["pf", L, m, n] = ((n, None, pf),)
     for ell in ells:
         lo = [offset[i] - ell // 2 for i in range(d)]
         hi = [lo[i] + ell - 1 for i in range(d)]
         if any(lo[i] < box.lo[i] or hi[i] > box.hi[i] for i in range(d)):
             raise ConfigError(f"sweep box ell={ell} (offset {offset}) leaves B_R")
         bits = Region(d, tuple(CoordRange(i, lo[i], hi[i]) for i in range(d))).evaluate(coords)
-        terms["sweep", ell] = (len(restrictions), None, bits)
+        terms["sweep", ell] = ((len(restrictions), None, bits),)
         restrictions.append(bits)
-    names = [("window_lo",), ("window_hi",), *terms, *(("EL", L) for L in error_L)]
-    columns = {name: j for j, name in enumerate(dict.fromkeys(names))}
-    return SweepPlan(spec, d, R, box, g, h, ells, restrictions, terms, columns, error_L)
+    # E^(L) = sum_sigma Tr(chi_{[0,L)^d} {h((A^T)_{[0,2L)^d}) - f_d^T}), pulled back
+    for L in error_L:
+        parts = []
+        for sigma in itertools.product((0, 1), repeat=d):
+            pre = _pullback_coords(coords, sigma, L)
+            parts.append((len(restrictions), len(restrictions) + 1,
+                          box_region(d, 0, L - 1).evaluate(pre)))
+            restrictions += [box_region(d, 0, 2 * L - 1).evaluate(pre),
+                             orthant_region(d).evaluate(pre)]
+        terms["EL", L] = tuple(parts)
+    return SweepPlan(spec, d, R, box, g, h, ells, restrictions, terms)
 
 
 def _sample_stats(plan: SweepPlan, sample_id: int) -> np.ndarray:
-    """All per-sample scalars of the coefficient sweep, one per plan column."""
+    """All per-sample scalars of one plan, one per plan column: the g window,
+    then every term of ``plan.terms`` (E^(L) and the identity probe's included)."""
     col = plan.columns
     lam, u, gl = spectral_data(plan.spec, plan.box, sample_id, plan.g)
     diag = [_restricted_diag(u, gl, bits, plan.h) for bits in plan.restrictions]
@@ -570,11 +552,12 @@ def _sample_stats(plan: SweepPlan, sample_id: int) -> np.ndarray:
     row = np.empty(len(col))
     row[col["window_lo",]] = gl.min()
     row[col["window_hi",]] = gl.max()
-    for name, (k, k0, mask) in plan.terms.items():
-        row[col[name]] = np.sum(diag[k][mask] - diag[k0][mask] if k0 is not None
-                                else diag[k][mask])
-    for L in plan.error_L:
-        row[col["EL", L]] = _corner_error_for_sample(plan.d, plan.box, u, gl, plan.h, L)
+    for name, parts in plan.terms.items():
+        total = 0.0
+        for k, k0, mask in parts:
+            total += np.sum(diag[k][mask] - diag[k0][mask] if k0 is not None
+                            else diag[k][mask])
+        row[col[name]] = total
     return row
 
 

@@ -128,11 +128,6 @@ class ExperimentConfig:
             raise ConfigError("sample budget must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        ells = self.opt_ints("ells")
-        if ells:
-            r = self.opt_int("R", 0)
-            if r and 2 * max(ells) > 4 * r:
-                raise ConfigError("grid exceeds the ambient box: need max(ell) <= 2R")
 
 
 def _ini_error(path: str, exc: configparser.Error) -> ConfigError:

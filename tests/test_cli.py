@@ -323,6 +323,30 @@ def test_bad_gate_option_is_exit_2_before_any_work(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("config, old, new, message", [
+    ("expansion_d1.ini", "R = 200", "R = 10", "probe depth L=80 needs 1 <= L <= R/2"),
+    ("logenh_free.ini", "ells = 48 96 144 192 240 288 336 384", "ells = 48 96 144\nR = 40",
+     "sweep box ell=96 (offset (0,)) leaves B_R"),
+], ids=["expansion_fit", "log_enhancement"])
+def test_sweep_box_beyond_B_R_refuses_run_but_not_verify(tmp_path, monkeypatch, capsys,
+                                                         config, old, new, message):
+    # verify reads neither ells nor R, so a grid too large for the ambient
+    # box does not stop it; run refuses the grid when it plans the sweep
+    import szegolab.coefficients as coefficients
+
+    def no_sample(*args):
+        raise AssertionError("a sample ran before the refusal")
+    monkeypatch.setattr(coefficients, "spectral_data", no_sample)
+    with open(os.path.join(CONFIGS, config), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    path = write(tmp_path, config, text.replace(old, new))
+    assert main(["verify", path, "--samples", "2", "--out", str(tmp_path / "v")]) == 0
+    assert main(["run", path, "--samples", "2", "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_nan_is_written_as_null_whatever_its_type(tmp_path):
     # a numpy NaN was written as bare NaN, which strict JSON refuses
     from szegolab.cli import write_json
@@ -632,6 +656,36 @@ def test_identities_records_each_dimensions_own_defect(tmp_path, monkeypatch, ca
     ids = json.loads((out / "identities.json").read_text())
     assert ids["inclusion_exclusion"] == {"1": 1, "2": 0, "3": 0}
     assert "inclusion-exclusion defect = 1" in capsys.readouterr().err
+
+
+def test_identities_gates_the_partition_block_sizes(tmp_path, monkeypatch, capsys):
+    # the block sizes were recorded but never gated, so a wrong one exited 0
+    import szegolab.coefficients as coefficients
+    monkeypatch.setattr(coefficients, "partition_block_sizes", lambda d, n: 5)
+    out = tmp_path / "ids"
+    assert main(["identities", "--d", "2", "--side", "3", "--out", str(out)]) == 4
+    assert json.loads((out / "identities.json").read_text())["constants"]["1"] == {"1": 5}
+    assert ("partition block size (d=1, n=1) = 5, bound == d! = 1"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["--d", "0"], None, "max_d = 0"),
+    (["--d", "-2"], None, "max_d = -2"),
+    ([], "[identities]\ntelescoping_families = 0\n", "telescoping_families = 0"),
+], ids=["d-0", "d-negative", "no-families"])
+def test_identities_that_check_nothing_are_exit_2(tmp_path, capsys, argv, text, message):
+    # each wrote empty sections (or no telescoping family) and exited 0
+    out = tmp_path / "ids"
+    if text is None:
+        code = main(["identities", *argv, "--out", str(out)])
+    else:
+        path = write(tmp_path, "ids.ini", f"[experiment]\nkind = identity_checks\n"
+                                          f"out = {out}\n\n{text}")
+        code = main(["run", path])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_identities_numeric_failure_is_exit_3(tmp_path, monkeypatch, capsys):

@@ -482,15 +482,39 @@ def test_sweep_plan_refuses_a_depth_below_1(kwargs, message):
         make_sweep_plan(ANDERSON, 1, G_BUMP, H_SQUARE, 12, **kwargs)
 
 
-def test_sweep_plan_terms_name_every_column_but_window_and_error():
+def test_sweep_plan_terms_name_every_column_but_window():
     plan = make_sweep_plan(ANDERSON, 2, G_BUMP, H_SQUARE, 12, [4], ells=[4, 6], error_L=[4])
-    assert len(plan.restrictions) == 3 + 2          # half-orthants n = 0..2, then boxes
-    assert set(plan.columns) == {("window_lo",), ("window_hi",), ("EL", 4), *plan.terms}
+    # half-orthants n = 0..2, the two boxes, then two pulled-back sets per corner
+    assert len(plan.restrictions) == 3 + 2 + 2 * 4
+    assert set(plan.columns) == {("window_lo",), ("window_hi",), *plan.terms}
     assert not any(name[0] in ("Afv", "Apf_recurrence") for name in plan.columns)
-    k, k0, mask = plan.terms["A0",]
+    assert len(plan.terms["EL", 4]) == 2 ** 2
+    assert all(len(parts) == 1 for name, parts in plan.terms.items() if name != ("EL", 4))
+    (k, k0, mask), = plan.terms["A0",]
     assert (k, k0, int(mask.sum())) == (0, None, 1)
-    assert plan.terms["Amn", 4, 2, 1][:2] == (1, 0)
-    assert plan.terms["sweep", 6][:2] == (4, None)
+    assert plan.terms["Amn", 4, 2, 1][0][:2] == (1, 0)
+    assert plan.terms["sweep", 6][0][:2] == (4, None)
+
+
+@pytest.mark.parametrize("d, R, L", [(1, 20, 5), (2, 8, 3)])
+@pytest.mark.parametrize("h", [H_SQUARE, ScalarFunction.bump(0.5, 2.0, 3)], ids=["x2", "bump"])
+def test_error_term_column_is_the_corner_sum(d, R, L, h):
+    # reference: sum over sigma, in product order from 0.0, of the traces of
+    # h on the pulled-back {0..2L-1}^d less h on the pulled-back orthant,
+    # over the pulled-back [0, L)^d
+    from szegolab.coefficients import _pullback_coords, _restricted_diag, _sample_stats
+    from szegolab.regions import box_region
+    plan = make_sweep_plan(ANDERSON, d, G_BUMP, h, R, error_L=[L])
+    _, u, gl = spectral_data(ANDERSON, plan.box, 1, G_BUMP)
+    want = 0.0
+    for sigma in itertools.product((0, 1), repeat=d):
+        pre = _pullback_coords(plan.box.sites(), sigma, L)
+        probe = box_region(d, 0, L - 1).evaluate(pre)
+        diag_box = _restricted_diag(u, gl, box_region(d, 0, 2 * L - 1).evaluate(pre), h)
+        diag_orth = _restricted_diag(u, gl, orthant_region(d).evaluate(pre), h)
+        want += float(np.sum(diag_box[probe] - diag_orth[probe]))
+    got = _sample_stats(plan, 1)[plan.columns["EL", L]]
+    assert got == want and want != 0.0
 
 
 def test_truncation_stability_under_radius_doubling():
