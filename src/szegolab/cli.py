@@ -199,7 +199,7 @@ def _run_identity_checks(cfg: ExperimentConfig) -> int:
                      "partition": {}, "telescoping": {}, "constants": {}}
     for d in range(1, max_d + 1):
         box = LatticeBox.cube(d, 0, side - 1)
-        results["partition"][d] = coeff.sd_partition_residual(box, 0, side - 1)
+        results["partition"][d] = coeff.sd_partition_residual(box)
         worst_d = 0
         for n in range(1, d + 1):
             results["constants"].setdefault(d, {})[n] = coeff.partition_block_sizes(d, n)

@@ -62,15 +62,10 @@ def c_constant(d: int, m: int, n: int) -> Fraction:
 
 
 def c_tilde_printed(d: int, m: int, n: int) -> Fraction:
-    """Partition-free constant with 2^m in the denominator."""
+    """Partition-free constant with 2^m in the denominator: c~_recurrence / 4^m."""
     if not (0 <= n <= m <= d):
         raise ConfigError(f"invalid (m, n) = ({m}, {n}) for d = {d}")
-    if m == 0:
-        return Fraction(1)
-    sign = -1 if (m - n) % 2 else 1
-    return Fraction(sign * math.factorial(d),
-                    2 ** m * math.factorial(n) * math.factorial(m - n)
-                    * math.factorial(d - m))
+    return c_tilde_recurrence(d, m, n) / 4 ** m
 
 
 def c_tilde_recurrence(d: int, m: int, n: int) -> Fraction:
@@ -347,16 +342,13 @@ def inclusion_exclusion_check(n: int, l: int, k: Tuple[int, ...], L: int, d: int
     return int(np.max(np.abs(lhs - rhs)))
 
 
-def sd_partition_residual(box: LatticeBox, lo: int, hi: int) -> int:
-    """0 iff the d! wedge masks of {lo..hi}^d cover the cube exactly once."""
-    d = box.d
+def sd_partition_residual(box: LatticeBox) -> int:
+    """0 iff the d! wedge masks of the box cover each of its sites exactly once."""
     coords = box.sites()
-    cube = box_region(d, lo, hi)
     total = np.zeros(box.site_count, dtype=np.int64)
-    for perm in itertools.permutations(range(d)):
-        total += (cube & slot_chain(d, perm)).evaluate(coords).astype(np.int64)
-    expected = cube.evaluate(coords).astype(np.int64)
-    return int(np.max(np.abs(total - expected)))
+    for perm in itertools.permutations(range(box.d)):
+        total += slot_chain(box.d, perm).evaluate(coords)
+    return int(np.max(np.abs(total - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +381,12 @@ class DecompositionProbeReport:
     error_term: float
     residual: float
     scale: float
-    truncation_budget: Optional[float] = None
     b_diagnostics: Dict[Tuple[int, int], float] = field(default_factory=dict)
 
 
 def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
                                  g: ScalarFunction, h: ScalarFunction, L: int,
-                                 R: int, decay_rate=None) -> DecompositionProbeReport:
+                                 R: int) -> DecompositionProbeReport:
     """Check Tr(chi_Lambda {h(g(H)_Lambda) - f_0}) = sum_m b_m^(L) + E^(L).
 
     The corner terms use the reflected-and-translated sample (realized by
@@ -408,8 +399,7 @@ def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
     in the sample and the residual sits at rounding level.  Each trace is a
     term of one sweep plan: ``("lhs",)``, ``("EL", L)`` and ``("b", n, j)``,
     whose column is (-1)^j b_{n,j}.  ``scale`` sums |lhs|, |E^(L)| and each
-    |b_{n,j}| (at least 1).  The decay-based truncation budget is reported
-    alongside for context.
+    |b_{n,j}| (at least 1).
     """
     if 4 * L > R:
         raise ConfigError(f"identity probe needs 2L <= R/2, got L={L}, R={R}")
@@ -448,9 +438,8 @@ def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
     b_diag = {(n, j): (-1) ** j * float(row[col["b", n, j]]) for n, j in b_parts}
     corner = {m: sum(b for (n, j), b in b_diag.items() if n + j == m) for m in range(1, d + 1)}
     scale = max(1.0, abs(lhs) + sum(abs(b) for b in b_diag.values()) + abs(err))
-    budget = None if decay_rate is None else truncation_tail(decay_rate, d, R - 2 * L)
     return DecompositionProbeReport(lhs, corner, err, abs(lhs - (sum(corner.values()) + err)),
-                                    scale, budget, b_diag)
+                                    scale, b_diag)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def parse_scalar_function(text: str) -> ScalarFunction:
 
 
 def parse_symbol(block: Dict[str, str], k_max: int = 32) -> Symbol1D:
-    """Symbol from ``symbol.coeffs`` or a named form like ``expcos(0.5)``."""
+    """Symbol from ``symbol.coeffs``, or the named form ``one`` or ``expcos(c)``."""
     if "symbol.coeffs" in block:
         return config_value("symbol.coeffs", block["symbol.coeffs"], Symbol1D.parse)
     form = block.get("symbol", "one").strip()
@@ -67,15 +67,6 @@ def parse_symbol(block: Dict[str, str], k_max: int = 32) -> Symbol1D:
         c = config_value("symbol", form, lambda t: float(t[len("expcos("):-1]))
         return symbol_fourier_coefficients(
             lambda th: np.exp(2.0 * c * np.cos(th)), k_max, max(8 * k_max, 256))
-    if form.startswith("coscoeff(") and form.endswith(")"):
-        # coscoeff(a0, a1, ...): a(theta) = a0 + 2 sum_k a_k cos(k theta)
-        vals = config_value("symbol", form, lambda t: [
-            float(v) for v in t[len("coscoeff("):-1].split(",")])
-        coeffs = {0: complex(vals[0])}
-        for k, v in enumerate(vals[1:], start=1):
-            coeffs[k] = complex(v)
-            coeffs[-k] = complex(v)
-        return Symbol1D.from_dict(coeffs)
     raise ConfigError(f"unknown symbol form {form!r}")
 
 
@@ -126,6 +117,12 @@ class ExperimentConfig:
             raise ConfigError(f"log_enhancement runs in d = 1 only, got d = {self.d}")
         if self.samples < 1:
             raise ConfigError("sample budget must be >= 1")
+        if self.ensemble is not None and self.ensemble.kind == "periodic":
+            hull = int(np.prod(self.ensemble.period))
+            if self.samples % hull:
+                raise ConfigError(f"samples = {self.samples}: a periodic ensemble's samples "
+                                  f"enumerate its {hull} translates, so they must be a "
+                                  f"multiple of {hull}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -181,13 +178,6 @@ def load_config(path: str, overrides: Optional[Dict[str, str]] = None) -> Experi
     except KeyError:
         raise ConfigError("missing experiment 'kind'")
 
-    ensemble = None
-    d = config_value("d", exp.get("d", sections.get("ensemble", {}).get("d", "1")), int)
-    if "ensemble" in sections:
-        block = dict(sections["ensemble"])
-        if "seed" not in block and "seed" in exp:
-            block["seed"] = exp["seed"]
-        ensemble = EnsembleSpec.from_config(block)
     g = _function_section(sections, "g")
     h = _function_section(sections, "h")
 
@@ -204,6 +194,8 @@ def load_config(path: str, overrides: Optional[Dict[str, str]] = None) -> Experi
         samples=config_value("samples", exp.get("samples", 1), int),
         out_dir=exp.get("out", "out"),
         workers=config_value("workers", exp.get("workers", mc.usable_cpus()), int),
-        d=d, ensemble=ensemble, g=g, h=h, options=options)
+        d=config_value("d", exp.get("d", 1), int), g=g, h=h, options=options)
+    if "ensemble" in sections:
+        cfg.ensemble = EnsembleSpec.from_config(sections["ensemble"], cfg.seed)
     cfg.validate()
     return cfg

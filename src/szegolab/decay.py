@@ -195,9 +195,12 @@ def kernel_box_stats(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
     grid; the pass keeps their running sums, the running max of |g(H)|, the A1
     maximum (the first sample wins a tie), the hard resolvent-bound flag and
     the spectral window of g(H).  Memory is O(chunk n^2) whatever the sample
-    count.
+    count.  Raises ``ConfigError`` for z = 0 before the first sample, and for
+    a z that equals g(eigenvalue) in a sample, where R_z does not exist.
     """
     zs = list(dict.fromkeys(complex(z) for z in z_grid))
+    if 0 in zs:     # R_z(0) = -1/z completes R_z on the eigenpairs g drops
+        raise ConfigError("ct_z = 0j: the resolvent R_z(g(H)) needs z != 0")
     n = box.site_count
     kept = (8 + 16 * len(zs)) * n * n       # |g(H)| and the resolvent blocks
     coords = box.sites()
@@ -211,11 +214,14 @@ def kernel_box_stats(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
         g_kept = gl[gl != 0]
         resolvents, ok = [], True
         for z in zs:
+            gap = float(np.min(np.abs(gl - z)))
+            if gap == 0.0:
+                raise ConfigError(f"ct_z = {z!r} is an eigenvalue of g(H) in sample {s}: "
+                                  "its resolvent does not exist")
             # R_z at 0 completes the eigenpairs g drops: R_z(0) I + U (R_z(g) - R_z(0)) U*
             r0 = -1.0 / np.complex128(z)
             res = block_of_gH(u, 1.0 / (g_kept - z) - r0)
             res[np.diag_indices(n)] += r0
-            gap = float(np.min(np.abs(gl - z)))
             ok = ok and not np.abs(res).max() > 1.0 / gap + 1e-8
             resolvents.append(res)
         return np.abs(block_of_gH(u, g_kept)), resolvents, ok, gl

@@ -202,7 +202,10 @@ class EnsembleSpec:
     """Parametric description of an operator ensemble plus its seeding scheme.
 
     ``anderson``   -Delta + V with V iid uniform on [-W/2, W/2]
-    ``periodic``   -Delta + V with V periodic, given by one cell of values
+    ``periodic``   -Delta + V with V periodic, given by one cell of values;
+                   sample s reads the cell at x + t_s, the s-th of its
+                   prod(period) translates, so prod(period) samples enumerate
+                   the hull exactly once
     ``free``       -Delta alone
     ``toeplitz1d`` Toeplitz matrix of a 1-D symbol (d = 1 only)
     """
@@ -240,10 +243,13 @@ class EnsembleSpec:
             raise ModelError("period vector dimension does not match the box")
 
     @staticmethod
-    def from_config(block: Dict[str, str]) -> "EnsembleSpec":
-        # ``d`` sets the lattice dimension, which ``config.load_config`` reads
-        check_keys("ensemble", block, ("kind", "W", "hopping", "seed", "period",
-                                       "potential_cell", "symbol.coeffs", "d"))
+    def from_config(block: Dict[str, str], seed: int = 0) -> "EnsembleSpec":
+        """The ``[ensemble]`` section; ``seed`` comes from ``[experiment]``."""
+        for key in ("seed", "d"):
+            if key in block:
+                raise ConfigError(f"[ensemble] has no key {key!r}: it belongs in [experiment]")
+        check_keys("ensemble", block, ("kind", "W", "hopping", "period", "potential_cell",
+                                       "symbol.coeffs"))
         try:
             kind = block["kind"].strip()
         except KeyError:
@@ -252,7 +258,7 @@ class EnsembleSpec:
             return config_value(key, block[key], convert) if key in block else default
 
         return EnsembleSpec(kind=kind, W=value("W", float, 0.0),
-                            hopping=value("hopping", float, 1.0), seed=value("seed", int, 0),
+                            hopping=value("hopping", float, 1.0), seed=seed,
                             period=value("period", lambda t: tuple(map(int, t.split()))),
                             potential_cell=value("potential_cell",
                                                  lambda t: tuple(map(float, t.split()))),
@@ -327,7 +333,8 @@ def potential_values(spec: EnsembleSpec, box: LatticeBox, sample_id: int) -> np.
         u = site_uniforms(spec.seed, sample_id, coords)
         return spec.W * (u - 0.5)
     if spec.kind == "periodic":
-        idx = np.ravel_multi_index(tuple(np.mod(coords, spec.period).T), spec.period)
+        shift = np.unravel_index(sample_id % int(np.prod(spec.period)), spec.period)
+        idx = np.ravel_multi_index(tuple(np.mod(coords + shift, spec.period).T), spec.period)
         return np.asarray(spec.potential_cell, dtype=float)[idx]
     raise ModelError(f"no potential for ensemble kind {spec.kind!r}")
 

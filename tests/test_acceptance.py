@@ -108,8 +108,7 @@ def test_criterion_01_exact_identities(rng):
 
     for d in (1, 2, 3):
         for side in (2, 4, 6):
-            assert sd_partition_residual(LatticeBox.cube(d, 0, side - 1),
-                                         0, side - 1) == 0
+            assert sd_partition_residual(LatticeBox.cube(d, 0, side - 1)) == 0
     report(1, f"IE=0 on {blocks} blocks; telescoping rel residual {worst_tel:.1e}; "
               "wedge partitions exact", t0)
 

@@ -74,6 +74,31 @@ def test_parse_symbol_forms():
     assert one.as_dict() == {0: 1.0}
 
 
+def test_unknown_symbol_form_is_exit_2_before_the_suite(tmp_path, monkeypatch, capsys):
+    import szegolab.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the suite ran before the refusal")
+    monkeypatch.setattr(cli, "szego_1d_suite", no_work)
+    with open(os.path.join(CONFIGS, "szego1d.ini"), encoding="utf-8") as fh:
+        text = fh.read().replace("symbol = expcos(0.5)", "symbol = coscoeff(1, 0.5)")
+    assert main(["run", write(tmp_path, "sym.ini", text), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown symbol form 'coscoeff(1, 0.5)'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_flag_reaches_the_ensemble(tmp_path):
+    # the seed has one home, [experiment], which --seed overrides
+    config = os.path.join(CONFIGS, "expansion_d1.ini")
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert main(["run", config, "--seed", seed, "--samples", "2", "--workers", "1",
+                     "--out", str(out)]) == 0
+        reports.append((out / "fit-report.json").read_bytes())
+    assert reports[0] != reports[1]
+
+
 def test_missing_config_is_exit_2(tmp_path):
     assert run_experiment(str(tmp_path / "nope.ini")) == 2
 
@@ -196,8 +221,12 @@ def test_malformed_number_is_exit_2_naming_the_key(tmp_path, capsys, key, edits)
     ("form = poly(0, 0, 1)", "", "[h] needs a 'form' key"),
     ("form = poly(0, 0, 1)", "form = entire(0, 0, 1)", "unknown function form 'entire'"),
     ("gate_crosscheck = true", "gate_crosscheck = ture", "gate_crosscheck = 'ture'"),
+    ("hopping = 1.0", "hopping = 1.0\nseed = 5",
+     "[ensemble] has no key 'seed': it belongs in [experiment]"),
+    ("hopping = 1.0", "hopping = 1.0\nd = 1",
+     "[ensemble] has no key 'd': it belongs in [experiment]"),
 ], ids=["ensemble-key", "experiment-key", "g-key-without-form", "h-without-form",
-        "entire-form", "boolean-typo"])
+        "entire-form", "boolean-typo", "ensemble-seed", "ensemble-d"])
 def test_fixed_section_typo_is_exit_2_before_the_first_sample(tmp_path, monkeypatch, capsys,
                                                                old, new, message):
     # [experiment], [ensemble], [g] and [h] are closed: a misspelt key would
@@ -214,6 +243,21 @@ def test_fixed_section_typo_is_exit_2_before_the_first_sample(tmp_path, monkeypa
     assert run_experiment(write(tmp_path, "typo.ini", text.replace(old, new))) == 2
     assert calls == []
     assert message in capsys.readouterr().err
+
+
+def test_periodic_samples_off_the_hull_are_exit_2_before_the_first_sample(
+        tmp_path, monkeypatch, capsys):
+    import szegolab.coefficients as coefficients
+
+    def no_sample(*args):
+        raise AssertionError("a sample ran before the refusal")
+    monkeypatch.setattr(coefficients, "spectral_data", no_sample)
+    text = EXPANSION_INI.format(out=tmp_path / "o", workers=1).replace(
+        "kind = anderson\nW = 8.0", "kind = periodic\nperiod = 3\npotential_cell = 0 1.5 -0.7")
+    assert run_experiment(write(tmp_path, "per.ini", text)) == 2
+    err = capsys.readouterr().err
+    assert "samples = 80" in err and "multiple of 3" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_short_fit_grid_is_exit_2_before_the_first_sample(tmp_path, monkeypatch, capsys):
@@ -788,6 +832,35 @@ gate_tol = 1e-30
     assert str(out / "szego1d.json") in err
 
 
+@pytest.mark.parametrize("config, edits, flags, artifact, quantity, bound, value", [
+    ("expansion_d1.ini", [("kind = anderson\nW = 8.0\nhopping = 1.0", "kind = free"),
+                          ("formula_L = 80", "formula_L = 10")], ["--samples", "1"],
+     "fit-report.json", "|A1_fit - A1_formula|", "<= 3 x combined stderr = ",
+     lambda rep: rep["cross_check"]["gap"]),
+    ("logenh_free.ini", [("expect = enhanced", "expect = flat")], [],
+     "log-enhancement.json", "classification", "== 'flat'",
+     lambda rep: rep["classification"]),
+    ("verify_d1.ini", [("gate_min_mu = 0.0", "gate_min_mu = 100")], ["--samples", "4"],
+     "decay-report.json", "kernel decay mu", "> 100.0",
+     lambda rep: rep["kernel_decay"]["params"]["mu"]),
+], ids=["expansion-crosscheck", "log_enhancement-expect", "verify-gate_min_mu"])
+def test_failed_gate_is_exit_5_naming_quantity_bound_and_artifact(
+        tmp_path, capsys, config, edits, flags, artifact, quantity, bound, value):
+    with open(os.path.join(CONFIGS, config), encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    out = tmp_path / "o"
+    assert main(["run", write(tmp_path, config, text), "--out", str(out), "--workers", "1",
+                 *flags]) == 5
+    path = out / artifact
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"gate failed: {quantity} = "
+                           f"{value(json.loads(path.read_text()))!r}, bound {bound}")
+    assert line.endswith(f"; artifact {path}")
+
+
 @pytest.mark.parametrize("tol, code", [("1e-30", 5), ("nan", 2), ("inf", 2)])
 def test_szego1d_non_finite_gate_tol_is_exit_2_before_the_suite(tmp_path, monkeypatch,
                                                                  capsys, tol, code):
@@ -925,9 +998,10 @@ def test_verify_samples_all_run_inside_decay_ordered_map(tmp_path, monkeypatch):
     ("a1_p = 1.0", "a1_p = inf"),
     ("a1_p = 1.0", "a1_p = 1.0\ngate_min_mu = nan"),
     ("a1_p = 1.0", "a1_p = 1.0\ngate_min_mu = inf"),
+    ("ct_z = 2.5+0j 3+0j", "ct_z = 0+0j 3+0j"),
 ], ids=["kernel_mode-typo", "kernel_mode-stretched", "a1_p", "box_side", "trace_inner",
         "ct_theta-zero", "ct_theta-negative", "ct_theta-nan", "gate_min_mu-polynomial",
-        "a1_p-nan", "a1_p-inf", "gate_min_mu-nan", "gate_min_mu-inf"])
+        "a1_p-nan", "a1_p-inf", "gate_min_mu-nan", "gate_min_mu-inf", "ct_z-zero"])
 def test_verify_refuses_bad_options_before_the_first_sample(tmp_path, monkeypatch, capsys,
                                                             old, new):
     import szegolab.decay as decay
@@ -947,6 +1021,18 @@ def test_verify_refuses_bad_options_before_the_first_sample(tmp_path, monkeypatc
     for key in ("a1_p", "gate_min_mu"):
         if f"{key} = nan" in new or f"{key} = inf" in new:
             assert f"{key} = " in err and "finite" in err
+    if new.startswith("ct_z"):      # z = 0 ended in a ZeroDivisionError traceback
+        assert "ct_z = 0j" in err
+
+
+def test_verify_z_on_the_spectrum_of_g_is_exit_2_naming_z_and_sample(tmp_path, capsys):
+    # an indicator g takes the value 1 on the spectrum, so R_1(g(H)) does not exist
+    text = VERIFY_INI.format(samples=3, out=tmp_path / "ver", workers=1, d=1, side=32)
+    text = text.replace("bump(2.0, 3.0, 4)", "indicator(-inf, 2.0)").replace(
+        "ct_z = 2.5+0j 3+0j", "ct_z = 1+0j")
+    assert run_experiment(write(tmp_path, "ver.ini", text)) == 2
+    assert "ct_z = (1+0j) is an eigenvalue of g(H) in sample 0" in capsys.readouterr().err
+    assert not (tmp_path / "ver").exists()
 
 
 def test_verify_worker_count_does_not_change_bytes(tmp_path):

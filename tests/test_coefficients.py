@@ -407,7 +407,7 @@ def test_inclusion_exclusion_rejects_bad_block():
 def test_partition_residual_zero():
     for d in (1, 2, 3):
         box = LatticeBox.cube(d, 0, 3)
-        assert sd_partition_residual(box, 0, 3) == 0
+        assert sd_partition_residual(box) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -692,13 +692,6 @@ def test_probe_exact_at_rounding_level(d, L, R):
     rep = decomposition_identity_probe(ANDERSON, d, 0, G_BUMP, H_SQUARE, L=L, R=R)
     assert rep.residual <= 1e-10 * rep.scale
     assert rep.lhs != 0.0
-
-
-def test_probe_reports_budget_with_certificate():
-    rep = decomposition_identity_probe(ANDERSON, 1, 0, G_BUMP, H_SQUARE, L=10,
-                                       R=60, decay_rate=lambda r: math.exp(-0.5 * r))
-    assert rep.truncation_budget is not None
-    assert rep.residual <= rep.truncation_budget + 1e-12
 
 
 def test_probe_b_diagnostics_sum_to_corner_terms():

@@ -80,9 +80,12 @@ def test_site_uniforms_are_uniform_in_bulk():
 
 def test_periodic_potential():
     spec = EnsembleSpec("periodic", period=(2,), potential_cell=(1.0, -1.0))
-    op = build_operator(spec, LatticeBox.interval(0, 3), 0)
-    diag = np.diagonal(op.matrix)
-    assert np.array_equal(diag, np.array([3.0, 1.0, 3.0, 1.0]))
+    box = LatticeBox.interval(0, 3)
+    diags = [np.diagonal(build_operator(spec, box, s).matrix) for s in range(3)]
+    assert np.array_equal(diags[0], np.array([3.0, 1.0, 3.0, 1.0]))
+    # sample s is the s-th translate of the cell, cycling through the hull
+    assert np.array_equal(diags[1], np.array([1.0, 3.0, 1.0, 3.0]))
+    assert np.array_equal(diags[2], diags[0])
 
 
 def test_hermiticity_of_constructors():
