@@ -33,7 +33,7 @@ from . import mc
 from .config import ExperimentConfig, load_config, parse_symbol
 from .decay import (certify_a1, check_ct_theta, check_kernel_fit, check_schatten_p,
                     combes_thomas_probe, fit_kernel_decay, kernel_box_stats,
-                    trace_difference_probe)
+                    trace_difference_probe, trace_probe_geometry)
 from .errors import ConfigError, ModelError, NumericError, SzegolabError, config_value
 from .harness import LOG_VERDICTS, log_enhancement_probe, sweep_and_fit, szego_1d_suite
 from .lattices import HermitianOperator, LatticeBox
@@ -303,6 +303,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
         outer = parse_region(cfg.d, cfg.options["trace_outer"])
         tbox = LatticeBox.cube(cfg.d, cfg.opt_int("trace_box_lo", -side // 2),
                                cfg.opt_int("trace_box_hi", 3 * side // 2))
+        trace_probe_geometry(inner, outer, tbox)
     payload: Dict = {"box_side": side, "d": cfg.d, "n_samples": cfg.samples}
     stats = kernel_box_stats(cfg.ensemble, cfg.g, box, cfg.samples, zs,
                              workers=cfg.workers)

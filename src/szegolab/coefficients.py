@@ -403,30 +403,21 @@ def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
     """
     if 4 * L > R:
         raise ConfigError(f"identity probe needs 2L <= R/2, got L={L}, R={R}")
-    plan = make_sweep_plan(spec, d, g, h, R, error_L=[L])   # restriction 0 is f_0
+    plan = make_sweep_plan(spec, d, g, h, R, error_L=[L])
     coords = plan.box.sites()
     lam_bits = box_region(d, -L, L - 1).evaluate(coords)
-    plan.terms["lhs",] = ((len(plan.restrictions), 0, lam_bits),)
-    plan.restrictions.append(lam_bits)
-    pres = {sigma: _pullback_coords(coords, sigma, L)
-            for sigma in itertools.product((0, 1), repeat=d)}
-    index: Dict[Tuple, int] = {}
-
-    def orthant(sigma, axes: Tuple[int, ...]) -> int:
-        """Restriction of the pulled-back {x_axes >= 0}; no axes is f_0, restriction 0."""
-        if axes and (sigma, axes) not in index:
-            index[sigma, axes] = len(plan.restrictions)
-            plan.restrictions.append(orthant_region(d, axes).evaluate(pres[sigma]))
-        return index.get((sigma, axes), 0)
-
+    f_0 = plan.restrict(np.ones(plan.box.site_count, dtype=bool))
+    plan.terms["lhs",] = ((plan.restrict(lam_bits), f_0, lam_bits),)
+    pres = [_pullback_coords(coords, sigma, L) for sigma in itertools.product((0, 1), repeat=d)]
     b_parts = {(n, j): [] for n in range(1, d + 1) for j in range(0, d - n + 1)}
     for n in range(1, d + 1):
         for l in range(d):
             for k in k_vectors(d, n, l):
                 head = tuple(k) + (l,)
                 comp = [t for t in range(d) if t not in head]
-                for sigma, pre in pres.items():
-                    upper, lower = (orthant(sigma, tuple(sorted(a))) for a in (head, k))
+                for pre in pres:
+                    upper, lower = (plan.restrict(orthant_region(d, a).evaluate(pre))
+                                    for a in (head, k))
                     for j in range(0, d - n + 1):
                         for m_set in itertools.combinations(comp, j):
                             q_bits = corner_wedge(d, head, m_set, L).evaluate(pre)
@@ -450,18 +441,16 @@ def decomposition_identity_probe(spec: EnsembleSpec, d: int, sample_id: int,
 class SweepPlan:
     """The restricted diagonals a sample computes and the statistic of each column.
 
-    A sample computes diag[k], the diagonal of h(g(H)|_S) for the k-th set S
-    of ``restrictions`` (bool site masks): the half-orthants
-    {x_1, ..., x_n >= 0} for n = 0..d (n = 0 only without probe depths), each
-    sweep box, then per E^(L) scale and corner sigma the pulled-back
-    {0..2L-1}^d and orthant.  ``terms`` maps ``("A0",)``, ``("Amn", L, m, n)``,
-    ``("pf", L, m, n)``, ``("sweep", ell)`` and ``("EL", L)`` to parts
-    ``(k, k0, mask)``, summed in order from 0.0: a part is the sum of diag[k]
-    over ``mask``, less diag[k0] there when ``k0`` is not None.  E^(L) has
-    one part per sigma, every other term one.  ``columns`` numbers
-    ``("window_lo",)``, ``("window_hi",)``, then every term: the columns of
-    the samples x statistics array.  Each A_m combines columns when it is
-    reported (``SweepResult.a_fv``, ``a_pf``).
+    A sample computes diag[k], the diagonal of h(g(H)|_S) for the k-th set S of
+    ``restrictions``: each distinct bool site mask a term asks for, once, in
+    order of first use (``restrict``).  ``terms`` maps ``("A0",)``,
+    ``("Amn", L, m, n)``, ``("pf", L, m, n)``, ``("sweep", ell)`` and
+    ``("EL", L)`` to parts ``(k, k0, mask)``, summed in order from 0.0: a part
+    is the sum of diag[k] over ``mask``, less diag[k0] there when ``k0`` is not
+    None.  E^(L) has one part per corner sigma, every other term one.
+    ``columns`` numbers ``("window_lo",)``, ``("window_hi",)``, then every term:
+    the columns of the samples x statistics array.  Each A_m combines columns
+    when it is reported (``SweepResult.a_fv``, ``a_pf``).
     """
 
     spec: EnsembleSpec
@@ -473,6 +462,14 @@ class SweepPlan:
     ells: Tuple[int, ...]
     restrictions: List[np.ndarray]
     terms: Dict[Tuple, Tuple[Tuple[int, Optional[int], np.ndarray], ...]]
+
+    def restrict(self, bits: np.ndarray) -> int:
+        """Index of the site set ``bits`` in ``restrictions``, appended on first use."""
+        for k, known in enumerate(self.restrictions):
+            if np.array_equal(known, bits):
+                return k
+        self.restrictions.append(bits)
+        return len(self.restrictions) - 1
 
     @property
     def columns(self) -> Dict[Tuple, int]:
@@ -498,37 +495,32 @@ def make_sweep_plan(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunc
             raise ConfigError(f"error-term scale L={L} needs 1 <= L <= R/2, R={R}")
     box = LatticeBox.centered(d, R)
     coords = box.sites()
-    # half-orthants n >= 1 feed only the probe-depth columns
-    restrictions = [orthant_region(d, range(n)).evaluate(coords)
-                    for n in range(d + 1 if L_values else 1)]
-    terms = {("A0",): ((0, None, np.arange(box.site_count) == box.index_of((0,) * d)),)}
+    plan = SweepPlan(spec, d, R, box, g, h, ells, [], {})
+    half = [orthant_region(d, range(n)).evaluate(coords) for n in range(d + 1)]
+    plan.terms["A0",] = ((plan.restrict(half[0]), None, (coords == 0).all(axis=1)),)
     for L in L_values:
+        k_half = [plan.restrict(bits) for bits in half]
         for m in range(1, d + 1):
             for n in range(1, m + 1):
                 wedge = chi_hat_region(d, m, n, L).evaluate(coords)
-                terms["Amn", L, m, n] = ((n, n - 1, wedge),)
+                plan.terms["Amn", L, m, n] = ((k_half[n], k_half[n - 1], wedge),)
             pf = pf_region(d, m, L).evaluate(coords)
             for n in range(0, m + 1):
-                terms["pf", L, m, n] = ((n, None, pf),)
+                plan.terms["pf", L, m, n] = ((k_half[n], None, pf),)
     for ell in ells:
         lo = [offset[i] - ell // 2 for i in range(d)]
         hi = [lo[i] + ell - 1 for i in range(d)]
         if any(lo[i] < box.lo[i] or hi[i] > box.hi[i] for i in range(d)):
             raise ConfigError(f"sweep box ell={ell} (offset {offset}) leaves B_R")
         bits = Region(d, tuple(CoordRange(i, lo[i], hi[i]) for i in range(d))).evaluate(coords)
-        terms["sweep", ell] = ((len(restrictions), None, bits),)
-        restrictions.append(bits)
+        plan.terms["sweep", ell] = ((plan.restrict(bits), None, bits),)
     # E^(L) = sum_sigma Tr(chi_{[0,L)^d} {h((A^T)_{[0,2L)^d}) - f_d^T}), pulled back
     for L in error_L:
-        parts = []
-        for sigma in itertools.product((0, 1), repeat=d):
-            pre = _pullback_coords(coords, sigma, L)
-            parts.append((len(restrictions), len(restrictions) + 1,
-                          box_region(d, 0, L - 1).evaluate(pre)))
-            restrictions += [box_region(d, 0, 2 * L - 1).evaluate(pre),
-                             orthant_region(d).evaluate(pre)]
-        terms["EL", L] = tuple(parts)
-    return SweepPlan(spec, d, R, box, g, h, ells, restrictions, terms)
+        pres = [_pullback_coords(coords, sigma, L) for sigma in itertools.product((0, 1), repeat=d)]
+        plan.terms["EL", L] = tuple((plan.restrict(box_region(d, 0, 2 * L - 1).evaluate(pre)),
+                                     plan.restrict(orthant_region(d).evaluate(pre)),
+                                     box_region(d, 0, L - 1).evaluate(pre)) for pre in pres)
+    return plan
 
 
 def _sample_stats(plan: SweepPlan, sample_id: int) -> np.ndarray:

@@ -183,10 +183,15 @@ def load_config(path: str, overrides: Optional[Dict[str, str]] = None) -> Experi
 
     known = tuple(dict.fromkeys(k for keys in OPTION_KEYS.values() for k in keys))
     options: Dict[str, str] = {}
+    home: Dict[str, str] = {}       # the option section that set each key
     for section, block in sections.items():
         if section not in ("experiment", "ensemble", "g", "h"):
             check_keys(section, block, known)
-            options.update(block)
+            for key, value in block.items():
+                if key in home:
+                    raise ConfigError(f"{key!r} is set in both [{home[key]}] and "
+                                      f"[{section}]: set it in one option section")
+                home[key], options[key] = section, value
 
     cfg = ExperimentConfig(
         kind=kind,

@@ -332,6 +332,21 @@ def combes_thomas_probe(stats: KernelBoxStats, theta: float = 1.0) -> DecayFitRe
 # boundary trace-norm estimate
 # ---------------------------------------------------------------------------
 
+def trace_probe_geometry(inner: Region, outer: Region, box: LatticeBox):
+    """The inner and outer masks on the box and the distance of each inner site
+    to the cut, refusing (before any sample) an inner region not contained in
+    outer, or one whose sites give fewer than 3 distances a fit can use."""
+    coords = box.sites()
+    inner_bits, outer_bits = inner.evaluate(coords), outer.evaluate(coords)
+    dist = boundary_distance(coords[inner_bits], inner, outer, box)
+    usable = np.unique(dist[np.isfinite(dist) & (dist >= DISTANCE_FLOOR)])
+    if usable.size < 3:
+        raise ConfigError(f"the trace probe's {int(inner_bits.sum())} inner sites on its box "
+                          f"lie at {usable.size} distinct distances >= {DISTANCE_FLOOR} from "
+                          "the cut; its fit needs at least 3")
+    return inner_bits, outer_bits, dist
+
+
 def trace_difference_probe(spec: EnsembleSpec, g: ScalarFunction, h: ScalarFunction,
                            inner: Region, outer: Region, box: LatticeBox,
                            n_samples: int, workers: int = 1) -> DecayFitReport:
@@ -342,9 +357,7 @@ def trace_difference_probe(spec: EnsembleSpec, g: ScalarFunction, h: ScalarFunct
     the boundary of inner in outer.  The fitted q~ feeds the truncation
     budgets and convergence-rate checks downstream.
     """
-    coords = box.sites()
-    inner_bits, outer_bits = inner.evaluate(coords), outer.evaluate(coords)
-    dist = boundary_distance(coords[inner_bits], inner, outer, box)
+    inner_bits, outer_bits, dist = trace_probe_geometry(inner, outer, box)
 
     def one(s):     # the spectral route keeps the pinned q~ (see _restricted_diag)
         lam, u, gl = spectral_data(spec, box, s, g)

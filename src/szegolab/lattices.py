@@ -194,7 +194,9 @@ def symbol_fourier_coefficients(eval_fn: Callable, k_max: int, nodes: int) -> Sy
 # ensembles
 # ---------------------------------------------------------------------------
 
-_KINDS = ("anderson", "periodic", "free", "toeplitz1d")
+# each ensemble kind and the [ensemble] keys it reads besides ``kind``
+_KIND_KEYS = {"anderson": ("W", "hopping"), "periodic": ("hopping", "period", "potential_cell"),
+              "free": ("hopping",), "toeplitz1d": ("symbol.coeffs",)}
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,7 @@ class EnsembleSpec:
     symbol: Optional[Symbol1D] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _KIND_KEYS:
             raise ConfigError(f"unknown ensemble kind {self.kind!r}")
         numbers = (self.W, self.hopping) + tuple(self.potential_cell or ())
         if not all(np.isfinite(numbers)):
@@ -248,12 +250,17 @@ class EnsembleSpec:
         for key in ("seed", "d"):
             if key in block:
                 raise ConfigError(f"[ensemble] has no key {key!r}: it belongs in [experiment]")
-        check_keys("ensemble", block, ("kind", "W", "hopping", "period", "potential_cell",
-                                       "symbol.coeffs"))
+        check_keys("ensemble", block,
+                   ("kind", *dict.fromkeys(k for keys in _KIND_KEYS.values() for k in keys)))
         try:
             kind = block["kind"].strip()
         except KeyError:
             raise ConfigError("ensemble block needs a 'kind' key")
+        if kind in _KIND_KEYS:      # the constructor refuses an unknown kind
+            for key in block:
+                if key not in ("kind", *_KIND_KEYS[kind]):
+                    raise ConfigError(f"[ensemble] kind = {kind} reads no key {key!r} "
+                                      f"(it reads: {' '.join(_KIND_KEYS[kind])})")
         def value(key, convert, default=None):
             return config_value(key, block[key], convert) if key in block else default
 

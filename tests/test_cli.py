@@ -225,8 +225,13 @@ def test_malformed_number_is_exit_2_naming_the_key(tmp_path, capsys, key, edits)
      "[ensemble] has no key 'seed': it belongs in [experiment]"),
     ("hopping = 1.0", "hopping = 1.0\nd = 1",
      "[ensemble] has no key 'd': it belongs in [experiment]"),
+    ("kind = anderson\nW = 8.0", "kind = toeplitz1d\nsymbol.coeffs = 0:2",
+     "[ensemble] kind = toeplitz1d reads no key 'hopping' (it reads: symbol.coeffs)"),
+    ("W = 8.0", "W = 8.0\nperiod = 3",
+     "[ensemble] kind = anderson reads no key 'period' (it reads: W hopping)"),
 ], ids=["ensemble-key", "experiment-key", "g-key-without-form", "h-without-form",
-        "entire-form", "boolean-typo", "ensemble-seed", "ensemble-d"])
+        "entire-form", "boolean-typo", "ensemble-seed", "ensemble-d",
+        "toeplitz-hopping", "anderson-period"])
 def test_fixed_section_typo_is_exit_2_before_the_first_sample(tmp_path, monkeypatch, capsys,
                                                                old, new, message):
     # [experiment], [ensemble], [g] and [h] are closed: a misspelt key would
@@ -405,14 +410,22 @@ def test_nan_is_written_as_null_whatever_its_type(tmp_path):
             "py": None, "f64": None, "f32": None, "arr": [1.0, None]}
 
 
-@pytest.mark.parametrize("config, old, new", [
-    ("expansion_d1.ini", "formula_L = 80", "formula_l = 80"),
-    ("verify_d1.ini", "kernel_mode = exponential", "kernel_mod = polynomial"),
-], ids=["formula_L-case", "kernel_mode-typo"])
+@pytest.mark.parametrize("config, old, new, message", [
+    ("expansion_d1.ini", "formula_L = 80", "formula_l = 80", "has no key 'formula_l'"),
+    ("verify_d1.ini", "kernel_mode = exponential", "kernel_mod = polynomial",
+     "has no key 'kernel_mod'"),
+    ("expansion_d2.ini", "gate_crosscheck = true", "gate_crosscheck = true\n\n[more]\nR = 12",
+     "'R' is set in both [sweep] and [more]"),
+    ("logenh_free.ini", "kind = free", "kind = free\nW = 8.0",
+     "[ensemble] kind = free reads no key 'W' (it reads: hopping)"),
+], ids=["formula_L-case", "kernel_mode-typo", "R-in-two-sections", "W-of-the-free-chain"])
 def test_option_key_no_kind_reads_is_exit_2_before_the_first_sample(tmp_path, monkeypatch,
-                                                                    capsys, config, old, new):
+                                                                    capsys, config, old, new,
+                                                                    message):
     # a key no experiment kind reads would be dropped: the cross-check and its
-    # gate, or the polynomial kernel fit, would silently not run
+    # gate, or the polynomial kernel fit, would silently not run.  So would
+    # the first of two sections that set one key (R = 24 ran as R = 12), and
+    # an [ensemble] key its kind does not read (W = 8 ran the free chain)
     import szegolab.coefficients as coefficients
     import szegolab.decay as decay
 
@@ -425,7 +438,7 @@ def test_option_key_no_kind_reads_is_exit_2_before_the_first_sample(tmp_path, mo
     assert old in text
     path = write(tmp_path, config, text.replace(old, new))
     assert main(["run", path, "--samples", "3", "--out", str(tmp_path / "o")]) == 2
-    assert f"has no key {new.split()[0]!r}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -999,9 +1012,12 @@ def test_verify_samples_all_run_inside_decay_ordered_map(tmp_path, monkeypatch):
     ("a1_p = 1.0", "a1_p = 1.0\ngate_min_mu = nan"),
     ("a1_p = 1.0", "a1_p = 1.0\ngate_min_mu = inf"),
     ("ct_z = 2.5+0j 3+0j", "ct_z = 0+0j 3+0j"),
+    ("trace_outer = orthant(1,+)", "trace_outer = range(1,0,20)"),
+    ("trace_inner = range(1,0,29)", "trace_inner = range(1,500,600)"),
 ], ids=["kernel_mode-typo", "kernel_mode-stretched", "a1_p", "box_side", "trace_inner",
         "ct_theta-zero", "ct_theta-negative", "ct_theta-nan", "gate_min_mu-polynomial",
-        "a1_p-nan", "a1_p-inf", "gate_min_mu-nan", "gate_min_mu-inf", "ct_z-zero"])
+        "a1_p-nan", "a1_p-inf", "gate_min_mu-nan", "gate_min_mu-inf", "ct_z-zero",
+        "trace_outer-without-inner", "trace_inner-off-the-box"])
 def test_verify_refuses_bad_options_before_the_first_sample(tmp_path, monkeypatch, capsys,
                                                             old, new):
     import szegolab.decay as decay
@@ -1023,6 +1039,12 @@ def test_verify_refuses_bad_options_before_the_first_sample(tmp_path, monkeypatc
             assert f"{key} = " in err and "finite" in err
     if new.startswith("ct_z"):      # z = 0 ended in a ZeroDivisionError traceback
         assert "ct_z = 0j" in err
+    # both trace geometries were refused only after the kernel pass, the second
+    # one after the trace pass too, as a numeric failure (exit 3)
+    if new == "trace_outer = range(1,0,20)":
+        assert "inner region is not contained in outer" in err
+    if new == "trace_inner = range(1,500,600)":
+        assert "0 inner sites" in err and "needs at least 3" in err
 
 
 def test_verify_z_on_the_spectrum_of_g_is_exit_2_naming_z_and_sample(tmp_path, capsys):

@@ -13,6 +13,7 @@ from szegolab.lattices import EnsembleSpec, HermitianOperator, LatticeBox, Symbo
 from szegolab.regions import orthant_region
 from szegolab.spectral import ScalarFunction
 from szegolab.cli import write_coefficients
+from szegolab.harness import sweep_and_fit
 from szegolab.coefficients import (c_constant, c_tilde_printed, c_tilde_recurrence,
                                    chi_hat_region, coefficient_sweep,
                                    decomposition_identity_probe,
@@ -24,6 +25,7 @@ from tests.conftest import rand_hermitian
 
 G_BUMP = ScalarFunction.bump(2.0, 3.0, 4)
 H_SQUARE = ScalarFunction.poly((0.0, 0.0, 1.0))
+H_CUBE = ScalarFunction.poly((0.0, 0.0, 0.0, 1.0))
 H_ID = ScalarFunction.identity()
 ANDERSON = EnsembleSpec("anderson", W=8.0, seed=7)
 
@@ -339,11 +341,12 @@ def test_products_route_matches_an_eigh_of_the_same_block(h, kind, d, R, where):
 
 
 @pytest.mark.parametrize("h, restricted_eighs", [
-    (H_SQUARE, 0), (ScalarFunction.bump(0.5, 2.0, 3), 2 + 2 + 2 * 4)],
+    (H_SQUARE, 0), (ScalarFunction.bump(0.5, 2.0, 3), 2 + 2 + 4)],
     ids=["x2-none", "bump-each-proper-restriction"])
 def test_polynomial_h_runs_no_restricted_eigh(monkeypatch, h, restricted_eighs):
-    # the half-plane, the quarter-plane, two ell boxes and the 2^d corner pairs
-    # of E^(L) are proper restrictions; the whole box never needs an eigh
+    # the half-plane, the quarter-plane, two ell boxes and the 2^d pulled-back
+    # orthants of E^(L) are proper restrictions; E^(L)'s corner boxes are all
+    # the ell = 4 box {-2..1}^2, and the whole box never needs an eigh
     from szegolab.coefficients import _sample_stats
     plan = make_sweep_plan(ANDERSON, 2, G_BUMP, h, 6, [2], ells=[2, 4], error_L=[2])
     calls = []
@@ -484,8 +487,9 @@ def test_sweep_plan_refuses_a_depth_below_1(kwargs, message):
 
 def test_sweep_plan_terms_name_every_column_but_window():
     plan = make_sweep_plan(ANDERSON, 2, G_BUMP, H_SQUARE, 12, [4], ells=[4, 6], error_L=[4])
-    # half-orthants n = 0..2, the two boxes, then two pulled-back sets per corner
-    assert len(plan.restrictions) == 3 + 2 + 2 * 4
+    # half-orthants n = 0..2, the two boxes, then E^(L)'s box {-4..3}^2, which
+    # every corner pulls {0..7}^2 back to, and one pulled-back orthant per corner
+    assert len(plan.restrictions) == 3 + 2 + 1 + 4
     assert set(plan.columns) == {("window_lo",), ("window_hi",), *plan.terms}
     assert not any(name[0] in ("Afv", "Apf_recurrence") for name in plan.columns)
     assert len(plan.terms["EL", 4]) == 2 ** 2
@@ -494,6 +498,40 @@ def test_sweep_plan_terms_name_every_column_but_window():
     assert (k, k0, int(mask.sum())) == (0, None, 1)
     assert plan.terms["Amn", 4, 2, 1][0][:2] == (1, 0)
     assert plan.terms["sweep", 6][0][:2] == (4, None)
+
+
+class _Planned(Exception):
+    pass
+
+
+def _identity_probe_plan(monkeypatch, d, L, R):
+    """The plan ``decomposition_identity_probe`` builds, taken before its sample runs."""
+    import szegolab.coefficients as coefficients
+
+    def stop(plan, sample_id):
+        raise _Planned(plan)
+    monkeypatch.setattr(coefficients, "_sample_stats", stop)
+    with pytest.raises(_Planned) as planned:
+        decomposition_identity_probe(ANDERSON, d, 0, G_BUMP, H_SQUARE, L=L, R=R)
+    return planned.value.args[0]
+
+
+@pytest.mark.parametrize("probe, d, L, R, count", [
+    (False, 2, 4, 12, 3 + 1 + 4), (False, 3, 2, 6, 4 + 1 + 8),
+    (True, 2, 3, 12, 1 + 1 + 4 + 4), (True, 3, 2, 8, 1 + 1 + 8 + 6 + 12)],
+    ids=["EL-d2", "EL-d3", "probe-d2", "probe-d3"])
+def test_plans_restrict_each_distinct_site_set_once(monkeypatch, probe, d, L, R, count):
+    # E^(L)'s 2^d corners pull {0..2L-1}^d back to one box, and the probe's lhs
+    # box is that box again.  The probe's orthants {x_a >= 0, a in axes} pulled
+    # back by sigma depend only on sigma restricted to axes: 2^|axes| sets for
+    # each axis set, the whole box B_R (f_0) for no axes
+    if probe:
+        plan = _identity_probe_plan(monkeypatch, d, L, R)
+    else:
+        plan = make_sweep_plan(ANDERSON, d, G_BUMP, H_SQUARE, R, [L], error_L=[L])
+    assert len({r.tobytes() for r in plan.restrictions}) == len(plan.restrictions) == count
+    used = {k for parts in plan.terms.values() for part in parts for k in part[:2]}
+    assert used - {None} == set(range(count))
 
 
 @pytest.mark.parametrize("d, R, L", [(1, 20, 5), (2, 8, 3)])
@@ -614,19 +652,37 @@ def test_partition_free_m0_density_consistency():
     assert density_gap <= 3.0 * combined
 
 
-@pytest.mark.parametrize("d, a0, a_m", [(1, 70.0, (-36.0,)), (2, 676.0, (-296.0, 16.0))])
-def test_partition_free_free_lattice_oracle(d, a0, a_m):
-    # g = h = x^2 on the free lattice: g(H) = H^2 is banded, and
-    # A_m = (-1)^m sum_k F(k) e_m(|k_1|, ..., |k_d|) with F(k) = |(H^2)_{0k}|^2
-    x2 = ScalarFunction.poly((0.0, 0.0, 1.0))
-    res = coefficient_sweep(EnsembleSpec("free"), d, x2, x2, 16, [6], 1)
-    assert res.a_fv(6, 0).mean == pytest.approx(a0, rel=1e-9)
-    for m, exact in enumerate(a_m, start=1):
-        pf = res.a_pf(6, m)
-        assert pf["recurrence"].mean == pytest.approx(exact, rel=1e-9)
-        assert pf["printed"].mean == pytest.approx(exact / 4 ** m, rel=1e-9)
-    # the wedge A_m for m >= 2 is not yet exact in d >= 2
-    assert res.a_fv(6, 1).mean == pytest.approx(a_m[0], rel=1e-9)
+@pytest.mark.parametrize("d, h, R, L, ells, exact, fit_rel", [
+    (1, H_SQUARE, 16, 6, range(8, 11), (70, -36), 1e-7),
+    (2, H_SQUARE, 16, 6, range(8, 12), (676, -296, 16), 1e-7),
+    (3, H_SQUARE, 6, 3, range(6, 11), (2682, -972, 48, 0), 1e-6),
+    (1, H_CUBE, 24, 8, range(12, 15), (924, -840), 1e-7),
+    (2, H_CUBE, 16, 8, range(12, 16), (28496, -25728, 4224), 1e-7),
+], ids=["x2-d1", "x2-d2", "x2-d3", "x3-d1", "x3-d2"])
+def test_partition_free_free_lattice_oracle(d, h, R, L, ells, exact, fit_rel):
+    # g = x^2 on the free lattice: g(H) = H^2 is banded, so for h = x^k the
+    # box trace T(ell) = Tr h(g(H)_box) is a sum over closed walks, exactly a
+    # polynomial of degree d in ell once ell exceeds their span, whose
+    # coefficients are the A_m.  For h = x^2, A_m = (-1)^m sum_k F(k)
+    # e_m(|k_1|, ..., |k_d|) with F(k) = |(H^2)_{0k}|^2.  The fit of d+2
+    # consecutive ells of one sample recovers them up to rounding amplified by
+    # the fit: in d = 3 its A_2 is off by 2.7e-7 relative
+    def within(rel):    # relative to each A_m, and to A_0 for an A_m that is 0
+        return [pytest.approx(a, rel=rel, abs=0.0 if a else rel * exact[0]) for a in exact]
+    rep, res = sweep_and_fit(EnsembleSpec("free"), d, H_SQUARE, h, list(ells), R, 1,
+                             formula_L=L)
+    assert [res.a_fv(L, 0).mean, res.a_fv(L, 1).mean] == within(1e-9)[:2]
+    recurrence = [res.a_pf(L, m)["recurrence"].mean for m in range(1, d + 1)]
+    assert recurrence == within(1e-9)[1:]
+    for m in range(1, d + 1):
+        assert res.a_pf(L, m)["printed"].mean == recurrence[m - 1] / 4 ** m
+    assert rep.A_hat == within(fit_rel)
+    # the wedge A_m for m >= 2 is not yet exact in d >= 2; the fit report
+    # still carries it beside the fitted A_2
+    if d >= 2:
+        cross = rep.cross_check
+        assert cross["A2_formula"] == res.a_fv(L, 2)
+        assert (cross["A2_fit"], cross["A2_fit_stderr"]) == (rep.A_hat[2], rep.A_stderr[2])
 
 
 def sequential_sum_summary(res, const, name, L, m, n_values):
