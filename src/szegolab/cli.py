@@ -36,7 +36,7 @@ from .decay import (certify_a1, check_ct_theta, check_kernel_fit, check_schatten
                     trace_difference_probe, trace_probe_geometry)
 from .errors import ConfigError, ModelError, NumericError, SzegolabError, config_value
 from .harness import LOG_VERDICTS, log_enhancement_probe, sweep_and_fit, szego_1d_suite
-from .lattices import HermitianOperator, LatticeBox
+from .lattices import LatticeBox
 from .regions import parse_region
 
 EXIT_OK = 0
@@ -44,6 +44,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IDENTITY = 4
 EXIT_GATE = 5
+
+# random diagonal families per dimension in the telescoping check of `identities`
+TELESCOPING_FAMILIES = 50
 
 
 def _jsonable(obj):
@@ -150,14 +153,12 @@ def _run_expansion_fit(cfg: ExperimentConfig) -> int:
         raise ConfigError("expansion_fit needs an 'ells' grid")
     r = cfg.opt_int("R", 2 * max(ells))
     formula_l = cfg.opt_int("formula_L", 0) or None
-    offset = cfg.opt_ints("offset")
     gate = cfg.opt_bool("gate_crosscheck")
     if gate and not formula_l:
         raise ConfigError("gate_crosscheck gates the formula cross-check, which needs "
                           "formula_L")
     report, res = sweep_and_fit(cfg.ensemble, cfg.d, cfg.g, cfg.h, ells, r,
-                                cfg.samples, formula_L=formula_l,
-                                ell_offset=offset, workers=cfg.workers)
+                                cfg.samples, formula_L=formula_l, workers=cfg.workers)
     fit_path = os.path.join(cfg.out_dir, "fit-report.json")
     write_json(fit_path, report)
     rows = [[e, m, s, cfg.samples] for e, m, s in
@@ -187,14 +188,10 @@ def _run_coefficient_formula(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _run_identity_checks(cfg: ExperimentConfig) -> int:
-    max_d = cfg.opt_int("max_d", 3)
-    side = cfg.opt_int("side", 4)
-    n_families = cfg.opt_int("telescoping_families", 50)
-    for key, value in (("max_d", max_d), ("telescoping_families", n_families)):
-        if value < 1:       # the run would check nothing and still pass
-            raise ConfigError(f"{key} = {value}: the identity checks need at least 1")
-    rng = np.random.default_rng(cfg.seed)
+def _run_identity_checks(max_d: int, side: int, seed: int, out_dir: str) -> int:
+    if max_d < 1:       # the run would check nothing and still pass
+        raise ConfigError(f"max_d = {max_d}: the identity checks need at least 1")
+    rng = np.random.default_rng(seed)
     results: Dict = {"side": side, "max_d": max_d, "inclusion_exclusion": {},
                      "partition": {}, "telescoping": {}, "constants": {}}
     for d in range(1, max_d + 1):
@@ -210,20 +207,17 @@ def _run_identity_checks(cfg: ExperimentConfig) -> int:
     worst_tel = 0.0
     for d in range(1, max_d + 1):
         box = LatticeBox.cube(d, 0, side - 1)
-        n_sites = box.site_count
-        for _ in range(n_families):
-            fam = []
-            for _n in range(d + 1):
-                m = rng.standard_normal((n_sites, n_sites))
-                fam.append(HermitianOperator(box, (m + m.T) / 2))
-            worst_tel = max(worst_tel, coeff.telescoping_check(fam, np.ones(n_sites, bool)))
+        every = np.ones(box.site_count, bool)
+        for _ in range(TELESCOPING_FAMILIES):
+            diags = rng.standard_normal((d + 1, box.site_count))
+            worst_tel = max(worst_tel, coeff.telescoping_check(box, diags, every))
     results["telescoping"]["max_residual"] = worst_tel
-    results["telescoping"]["families_per_d"] = n_families
+    results["telescoping"]["families_per_d"] = TELESCOPING_FAMILIES
     # exact c recurrence over all dimensions
     rec_ok = all(coeff.c_constant(d, m, n + 1) == -(m - n) * coeff.c_constant(d, m, n)
                  for d in range(1, max_d + 1) for m in range(1, d + 1) for n in range(m))
     results["c_recurrence_exact"] = rec_ok
-    path = os.path.join(cfg.out_dir, "identities.json")
+    path = os.path.join(out_dir, "identities.json")
     write_json(path, results)
     worst_ie = max(results["inclusion_exclusion"].values(), default=0)
     worst_part = max(results["partition"].values(), default=0)
@@ -327,7 +321,6 @@ def _run_verify(cfg: ExperimentConfig) -> int:
 _RUNNERS = {
     "expansion_fit": _run_expansion_fit,
     "coefficient_formula": _run_coefficient_formula,
-    "identity_checks": _run_identity_checks,
     "szego_1d": _run_szego_1d,
     "log_enhancement": _run_log_enhancement,
     "verify": _run_verify,
@@ -341,13 +334,13 @@ def run_experiment(config_path: str, overrides: Optional[Dict[str, str]] = None)
     except SzegolabError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return _run(cfg)
+    return _run(_RUNNERS[cfg.kind], cfg)
 
 
-def _run(cfg: ExperimentConfig) -> int:
-    """Run a loaded experiment in its out dir; map its failures to exit codes."""
+def _run(runner, *args) -> int:
+    """Run ``runner(*args)``; map its failures to exit codes."""
     try:
-        return _RUNNERS[cfg.kind](cfg)
+        return runner(*args)
     except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -380,9 +373,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     mc.retain_freed_heap()
     if args.command == "identities":
-        return _run(ExperimentConfig(kind="identity_checks", seed=args.seed,
-                                     out_dir=args.out,
-                                     options={"max_d": str(args.d), "side": str(args.side)}))
+        return _run(_run_identity_checks, args.d, args.side, args.seed, args.out)
 
     overrides = {"seed": None if args.seed is None else str(args.seed),
                  "samples": None if args.samples is None else str(args.samples),

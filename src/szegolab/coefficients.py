@@ -40,12 +40,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .lattices import (MEMORY_BUDGET_BYTES, EnsembleSpec, HermitianOperator, LatticeBox,
-                       build_operator, is_tridiagonal, operator_bytes, sample_itemsize)
+from .lattices import (MEMORY_BUDGET_BYTES, EnsembleSpec, LatticeBox, build_operator,
+                       is_tridiagonal, operator_bytes, sample_itemsize)
 from . import mc
 from .mc import StatSummary, column_moments
-from .regions import (CoordRange, Layer, Region, box_region, check_mask,
-                      orthant_region, slot_chain, slot_dominates)
+from .regions import (Layer, Region, box_region, check_mask, orthant_region, slot_chain,
+                      slot_dominates)
 from .spectral import ScalarFunction
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ def truncation_tail(decay_rate: Callable[[float], float], d: int, margin: int) -
 # exact identity checks
 # ---------------------------------------------------------------------------
 
-def telescoping_check(family: Sequence[HermitianOperator], probe: np.ndarray) -> float:
+def telescoping_check(box: LatticeBox, diags: np.ndarray, probe: np.ndarray) -> float:
     """Residual of the wedge-telescoping trace identity for a family f_0..f_d.
 
     Checks  sum_pi sum_n Tr( (probe & wedge_pi) {f_{n,pi} - f_{n-1,pi}} )
@@ -279,20 +279,20 @@ def telescoping_check(family: Sequence[HermitianOperator], probe: np.ndarray) ->
     middle members while f_{0,pi} = f_0 and f_{d,pi} = f_d (their domains are
     permutation invariant).  The identity is purely algebraic: the wedges
     partition every probe exactly and the middle terms telescope, so it holds
-    for arbitrary Hermitian input families.  ``probe`` is a bool mask on the
-    family's box.
+    for arbitrary Hermitian input families.  Each trace reads only a diagonal,
+    so the family is given by its diagonals: ``diags`` is a real (d+1) x n
+    array whose row n is diag(f_n) on the box's n sites.  ``probe`` is a bool
+    mask on the box.
     """
-    box = family[0].box
     d = box.d
-    if len(family) != d + 1:
-        raise ConfigError(f"family must have d+1 = {d + 1} members")
-    if any(f.box != box for f in family):
-        raise ConfigError("family members live on different boxes")
+    diags = np.asarray(diags)
+    if diags.shape != (d + 1, box.site_count) or not np.isrealobj(diags):
+        raise ConfigError(f"family diagonals must be a real (d+1) x n = {d + 1} x "
+                          f"{box.site_count} array, got {diags.dtype} {diags.shape}")
     probe = check_mask(box, probe)
     if len(set(box.lo)) > 1 or len(set(box.hi)) > 1:
         raise ConfigError("telescoping needs a permutation-invariant (cubic) box")
     coords = box.sites()
-    diags = [np.real(np.diagonal(f.matrix)) for f in family]
     lhs = 0.0
     for perm in itertools.permutations(range(d)):
         wedge_bits = slot_chain(d, perm).evaluate(coords) & probe
@@ -479,14 +479,10 @@ class SweepPlan:
 
 def make_sweep_plan(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunction,
                     R: int, L_values: Sequence[int] = (), ells: Sequence[int] = (),
-                    ell_offset: Sequence[int] = (), error_L: Sequence[int] = ()
-                    ) -> SweepPlan:
+                    error_L: Sequence[int] = ()) -> SweepPlan:
     L_values = tuple(int(v) for v in L_values)
     ells = tuple(int(v) for v in ells)
     error_L = tuple(int(v) for v in error_L)
-    offset = tuple(int(v) for v in ell_offset) if ell_offset else (0,) * d
-    if len(offset) != d:
-        raise ConfigError(f"sweep offset {offset} needs d = {d} entries")
     for L in L_values:
         if not 1 <= L <= R // 2:
             raise ConfigError(f"probe depth L={L} needs 1 <= L <= R/2, R={R}")
@@ -508,11 +504,10 @@ def make_sweep_plan(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunc
             for n in range(0, m + 1):
                 plan.terms["pf", L, m, n] = ((k_half[n], None, pf),)
     for ell in ells:
-        lo = [offset[i] - ell // 2 for i in range(d)]
-        hi = [lo[i] + ell - 1 for i in range(d)]
-        if any(lo[i] < box.lo[i] or hi[i] > box.hi[i] for i in range(d)):
-            raise ConfigError(f"sweep box ell={ell} (offset {offset}) leaves B_R")
-        bits = Region(d, tuple(CoordRange(i, lo[i], hi[i]) for i in range(d))).evaluate(coords)
+        lo, hi = -(ell // 2), ell - 1 - ell // 2
+        if lo < -R or hi > R - 1:
+            raise ConfigError(f"sweep box ell={ell} leaves B_R")
+        bits = box_region(d, lo, hi).evaluate(coords)
         plan.terms["sweep", ell] = ((plan.restrict(bits), None, bits),)
     # E^(L) = sum_sigma Tr(chi_{[0,L)^d} {h((A^T)_{[0,2L)^d}) - f_d^T}), pulled back
     for L in error_L:
@@ -631,14 +626,13 @@ class SweepResult:
 def coefficient_sweep(spec: EnsembleSpec, d: int, g: ScalarFunction,
                       h: ScalarFunction, R: int, L_values: Sequence[int],
                       n_samples: int, ells: Sequence[int] = (),
-                      ell_offset: Sequence[int] = (), error_L: Sequence[int] = (),
-                      workers: int = 1) -> SweepResult:
+                      error_L: Sequence[int] = (), workers: int = 1) -> SweepResult:
     """Monte Carlo sweep of all coefficient statistics over one ensemble.
 
     Runs on at most ``workers`` threads, and on no more than the byte budget
     fits operators of the sweep's box: each thread holds one sample's operator.
     """
-    plan = make_sweep_plan(spec, d, g, h, R, L_values, ells, ell_offset, error_L)
+    plan = make_sweep_plan(spec, d, g, h, R, L_values, ells, error_L)
     fits = max(1, MEMORY_BUDGET_BYTES // operator_bytes(plan.box.site_count,
                                                          sample_itemsize(spec.kind)))
     rows = mc.ordered_map(lambda s: _sample_stats(plan, s), range(n_samples),

@@ -18,9 +18,8 @@ from .spectral import ScalarFunction
 # and accepts the others whatever the kind, since `szegolab verify` may run a
 # config written for another kind
 OPTION_KEYS = {
-    "expansion_fit": ("ells", "R", "formula_L", "offset", "gate_crosscheck"),
+    "expansion_fit": ("ells", "R", "formula_L", "gate_crosscheck"),
     "coefficient_formula": ("L", "R", "include_error_term"),
-    "identity_checks": ("max_d", "side", "telescoping_families"),
     "szego_1d": ("symbol", "symbol.coeffs", "k_max", "l_grid", "gate_at_l", "gate_tol"),
     "log_enhancement": ("ells", "R", "expect"),
     "verify": ("box_side", "kernel_mode", "a1_p", "ct_z", "ct_theta", "gate_min_mu",
@@ -117,6 +116,8 @@ class ExperimentConfig:
             raise ConfigError(f"log_enhancement runs in d = 1 only, got d = {self.d}")
         if self.samples < 1:
             raise ConfigError("sample budget must be >= 1")
+        if self.ensemble is not None:
+            self.ensemble.validate_for(self.d)
         if self.ensemble is not None and self.ensemble.kind == "periodic":
             hull = int(np.prod(self.ensemble.period))
             if self.samples % hull:

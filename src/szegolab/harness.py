@@ -47,8 +47,9 @@ class FitReport:
 def check_fit_grid(ells: Sequence[int], d: int) -> None:
     """Refuse a grid that cannot fit the d+1 coefficients A_0..A_d: one that
     is not strictly increasing, has fewer than d+2 points or a side below 1
-    (an empty box).  ``sweep_and_fit`` and ``log_enhancement_probe`` call it
-    before their first sample, and ``fit_expansion`` before its fit."""
+    (an empty box).  ``sweep_and_fit``, ``log_enhancement_probe`` and the
+    trace branch of ``szego_1d_suite`` call it before their first sample or
+    determinant, and ``fit_expansion`` before its fit."""
     if len(ells) < d + 2:
         raise ConfigError(f"need at least d+2 = {d + 2} grid points, got {len(ells)}")
     if sorted(set(ells)) != list(ells):
@@ -85,7 +86,7 @@ def fit_expansion(ells: Sequence[int], means: Sequence[float],
 
 def sweep_and_fit(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFunction,
                   ells: Sequence[int], R: int, n_samples: int,
-                  formula_L: Optional[int] = None, ell_offset: Sequence[int] = (),
+                  formula_L: Optional[int] = None,
                   workers: int = 1) -> Tuple[FitReport, SweepResult]:
     """Monte Carlo L-sweep plus expansion fit, with an optional formula cross-check.
 
@@ -96,7 +97,7 @@ def sweep_and_fit(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFuncti
     check_fit_grid(ells, d)
     L_values = [formula_L] if formula_L else []
     res = coefficient_sweep(spec, d, g, h, R, L_values, n_samples, ells=ells,
-                            ell_offset=ell_offset, workers=workers)
+                            workers=workers)
     ells_out, means, errs = res.sweep_series()
     report = fit_expansion(ells_out, means, errs, d, n_samples)
     if formula_L:
@@ -136,8 +137,10 @@ def szego_1d_suite(symbol: Symbol1D, h: Optional[ScalarFunction],
     out: Dict = {"L_grid": [int(L) for L in L_grid], "k_max": k_max}
     if symbol.min_real_on_grid() <= 0 or not symbol.is_hermitian():
         raise ConfigError("determinant branch needs a positive real symbol")
-    if h is not None and abs(h.value_at_zero) > 1e-12:
-        raise ConfigError("trace branch needs h(0) = 0")
+    if h is not None:
+        if abs(h.value_at_zero) > 1e-12:
+            raise ConfigError("trace branch needs h(0) = 0")
+        check_fit_grid(L_grid, 1)
     lg = symbol.log_coeffs(k_max)
     const = lg[0].real
     terms = [l * (lg[l] * lg[-l]).real for l in range(1, k_max + 1)]

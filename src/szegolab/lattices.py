@@ -238,10 +238,11 @@ class EnsembleSpec:
         if self.kind == "toeplitz1d" and self.symbol is None:
             raise ConfigError("toeplitz1d ensemble needs a symbol")
 
-    def validate_for(self, box: LatticeBox):
-        if self.kind == "toeplitz1d" and box.d != 1:
+    def validate_for(self, d: int):
+        """Refuse an ensemble that has no realization on a box of dimension ``d``."""
+        if self.kind == "toeplitz1d" and d != 1:
             raise ModelError("toeplitz1d ensemble is only defined for d = 1")
-        if self.kind == "periodic" and len(self.period) != box.d:
+        if self.kind == "periodic" and len(self.period) != d:
             raise ModelError("period vector dimension does not match the box")
 
     @staticmethod
@@ -378,7 +379,7 @@ def build_operator(spec: EnsembleSpec, box: LatticeBox, sample_id: int) -> Hermi
     diagonal potential: diagonal ``2 d hopping + V(site)``, off-diagonal
     ``-hopping`` between nearest neighbors inside the box.
     """
-    spec.validate_for(box)
+    spec.validate_for(box.d)
     n = box.site_count
     if spec.kind == "toeplitz1d":
         return HermitianOperator(box, toeplitz_matrix(spec.symbol, n).matrix)

@@ -12,7 +12,7 @@ import pytest
 
 from szegolab import mc
 from szegolab.cli import main, run_experiment
-from szegolab.config import load_config, parse_scalar_function, parse_symbol
+from szegolab.config import OPTION_KEYS, load_config, parse_scalar_function, parse_symbol
 from szegolab.errors import ConfigError, NumericError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -129,10 +129,14 @@ def test_sampled_config_without_its_sections_is_exit_2(tmp_path, capsys, kind, s
     assert err == f"config error: a {kind} experiment needs a [{missing}] section\n"
 
 
-@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.ini"))),
-                         ids=os.path.basename)
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.ini"))) or [None],
+                         ids=lambda path: os.path.basename(path or "none"))
 def test_shipped_config_validates(path):
-    load_config(path).validate()
+    assert path is not None, "reference configs missing"
+    cfg = load_config(path)
+    assert cfg.kind in ("expansion_fit", "szego_1d", "verify", "log_enhancement")
+    # a key of another kind loads, and this kind would ignore it
+    assert set(cfg.options) <= set(OPTION_KEYS[cfg.kind])
 
 
 @pytest.mark.parametrize("text, line, reason", [
@@ -265,6 +269,31 @@ def test_periodic_samples_off_the_hull_are_exit_2_before_the_first_sample(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("kind = anderson\nW = 8.0", "kind = periodic\nperiod = 1 1\npotential_cell = 0.5",
+     "period vector dimension does not match the box"),
+    ("kind = anderson\nW = 8.0", "kind = toeplitz1d\nsymbol.coeffs = 0:2",
+     "toeplitz1d ensemble is only defined for d = 1"),
+], ids=["periodic-period", "toeplitz1d"])
+def test_ensemble_of_another_dimension_is_exit_2_before_the_first_sample(
+        tmp_path, monkeypatch, capsys, old, new, message):
+    # both were refused only by build_operator, inside the first sample
+    import szegolab.coefficients as coefficients
+    calls = []
+
+    def counted(*args, _orig=coefficients.spectral_data):
+        calls.append(args[2])
+        return _orig(*args)
+    monkeypatch.setattr(coefficients, "spectral_data", counted)
+    text = FORMULA_INI.format(out=tmp_path / "o").replace(old, new)
+    if "toeplitz1d" in new:
+        text = text.replace("d = 1\n", "d = 2\n")
+    assert run_experiment(write(tmp_path, "dim.ini", text)) == 2
+    assert calls == []
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_short_fit_grid_is_exit_2_before_the_first_sample(tmp_path, monkeypatch, capsys):
     import szegolab.coefficients as coefficients
 
@@ -321,12 +350,9 @@ R = 12
 @pytest.mark.parametrize("config, old, new, message", [
     ("expansion_d1.ini", "ells = 20 40 60 80", "ells = -4 0 4 8", "below 1"),
     ("expansion_d1.ini", "formula_L = 80", "formula_L = -5", "probe depth L=-5"),
-    ("expansion_d1.ini", "R = 200", "R = 200\noffset = 0 0 0", "needs d = 1 entries"),
-    ("expansion_d2.ini", "R = 24", "R = 24\noffset = 1", "needs d = 2 entries"),
     ("expansion_d1.ini", "formula_L = 80", "", "needs formula_L"),
     (None, "", "", "probe depth L=-5"),
-], ids=["empty-boxes", "negative-formula_L", "long-offset", "short-offset",
-        "gate-without-formula_L", "negative-L"])
+], ids=["empty-boxes", "negative-formula_L", "gate-without-formula_L", "negative-L"])
 def test_sweep_that_measures_nothing_is_exit_2_before_the_first_sample(
         tmp_path, monkeypatch, capsys, config, old, new, message):
     # each of these ran to exit 0 on zeros, or ended in a traceback, or ran
@@ -375,7 +401,7 @@ def test_bad_gate_option_is_exit_2_before_any_work(tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize("config, old, new, message", [
     ("expansion_d1.ini", "R = 200", "R = 10", "probe depth L=80 needs 1 <= L <= R/2"),
     ("logenh_free.ini", "ells = 48 96 144 192 240 288 336 384", "ells = 48 96 144\nR = 40",
-     "sweep box ell=96 (offset (0,)) leaves B_R"),
+     "sweep box ell=96 leaves B_R"),
 ], ids=["expansion_fit", "log_enhancement"])
 def test_sweep_box_beyond_B_R_refuses_run_but_not_verify(tmp_path, monkeypatch, capsys,
                                                          config, old, new, message):
@@ -726,23 +752,29 @@ def test_identities_gates_the_partition_block_sizes(tmp_path, monkeypatch, capsy
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("argv, text, message", [
-    (["--d", "0"], None, "max_d = 0"),
-    (["--d", "-2"], None, "max_d = -2"),
-    ([], "[identities]\ntelescoping_families = 0\n", "telescoping_families = 0"),
-], ids=["d-0", "d-negative", "no-families"])
-def test_identities_that_check_nothing_are_exit_2(tmp_path, capsys, argv, text, message):
-    # each wrote empty sections (or no telescoping family) and exited 0
+@pytest.mark.parametrize("argv, message", [
+    (["--d", "0"], "max_d = 0"),
+    (["--d", "-2"], "max_d = -2"),
+], ids=["d-0", "d-negative"])
+def test_identities_that_check_nothing_are_exit_2(tmp_path, capsys, argv, message):
+    # each wrote empty sections and exited 0
     out = tmp_path / "ids"
-    if text is None:
-        code = main(["identities", *argv, "--out", str(out)])
-    else:
-        path = write(tmp_path, "ids.ini", f"[experiment]\nkind = identity_checks\n"
-                                          f"out = {out}\n\n{text}")
-        code = main(["run", path])
-    assert code == 2
+    assert main(["identities", *argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_identities_hold_no_dense_family(tmp_path):
+    # the telescoping check reads only diagonals, yet each family was drawn as
+    # d+1 dense n x n matrices: 8 MiB at d = 3, side 8, and 12 GB at side 25
+    tracemalloc.start()
+    try:
+        code = main(["identities", "--d", "3", "--side", "8", "--out", str(tmp_path / "ids")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 512 * 512 * 8      # one dense 512 x 512 float64 matrix
 
 
 def test_identities_numeric_failure_is_exit_3(tmp_path, monkeypatch, capsys):
@@ -902,6 +934,31 @@ gate_tol = {tol}
         assert f"gate_tol = {float(tol)!r}: a gate bound must be finite" in \
             capsys.readouterr().err
         assert not ran and not out.exists()
+
+
+def test_szego1d_trace_grid_is_exit_2_before_any_determinant(tmp_path, monkeypatch, capsys):
+    # the trace fit's grid was checked only after every determinant and spectrum
+    import szegolab.harness as harness
+
+    def no_matrix(*args):
+        raise AssertionError("a Toeplitz matrix was built before the refusal")
+    monkeypatch.setattr(harness, "toeplitz_matrix", no_matrix)
+    out = tmp_path / "szg"
+    path = write(tmp_path, "szg.ini", f"""
+[experiment]
+kind = szego_1d
+out = {out}
+
+[h]
+form = poly(0, 0, 1)
+
+[szego1d]
+symbol = expcos(0.5)
+l_grid = 400 800
+""")
+    assert run_experiment(path) == 2
+    assert "need at least d+2 = 3 grid points, got 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_cli(tmp_path):
@@ -1209,16 +1266,6 @@ def test_decay_report_layout(tmp_path):
     a, b, sample = cert["argmax"]
     assert len(a) == len(b) == 1 and all(isinstance(v, int) for v in a + b + [sample])
     assert (cert["p"], cert["n_samples"]) == (1.0, 2) and 0 <= sample < 2
-
-
-def test_shipped_reference_configs_parse():
-    import pathlib
-    cfg_dir = pathlib.Path(__file__).resolve().parent.parent / "configs"
-    found = sorted(cfg_dir.glob("*.ini"))
-    assert found, "reference configs missing"
-    for path in found:
-        cfg = load_config(str(path))
-        assert cfg.kind in ("expansion_fit", "szego_1d", "verify", "log_enhancement")
 
 
 def test_log_enhancement_gate(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from szegolab import mc
 from szegolab.errors import ConfigError
-from szegolab.lattices import EnsembleSpec, HermitianOperator, LatticeBox, Symbol1D
+from szegolab.lattices import EnsembleSpec, LatticeBox, Symbol1D
 from szegolab.regions import orthant_region
 from szegolab.spectral import ScalarFunction
 from szegolab.cli import write_coefficients
@@ -369,25 +369,36 @@ def test_polynomial_h_runs_no_restricted_eigh(monkeypatch, h, restricted_eighs):
 def test_telescoping_equal_family_is_zero(rng):
     box = LatticeBox.cube(2, 0, 3)
     m = rand_hermitian(rng, box.site_count)
-    fam = [HermitianOperator(box, m) for _ in range(3)]
-    assert telescoping_check(fam, np.ones(box.site_count, bool)) == 0.0
+    diags = np.array([np.diagonal(m)] * 3)
+    assert telescoping_check(box, diags, np.ones(box.site_count, bool)) == 0.0
 
 
 def test_telescoping_random_families(rng):
     box = LatticeBox.cube(2, 0, 3)
     n = box.site_count
     for _ in range(50):
-        fam = [HermitianOperator(box, rand_hermitian(rng, n)) for _ in range(3)]
-        scale = max(np.abs(f.matrix).max() for f in fam) * n
-        assert telescoping_check(fam, np.ones(box.site_count, bool)) <= 1e-9 * scale
+        fam = [rand_hermitian(rng, n) for _ in range(3)]
+        scale = max(np.abs(m).max() for m in fam) * n
+        diags = np.array([np.diagonal(m) for m in fam])
+        assert telescoping_check(box, diags, np.ones(box.site_count, bool)) <= 1e-9 * scale
 
 
 def test_telescoping_d1_single_wedge(rng):
     box = LatticeBox.interval(0, 5)
-    fam = [HermitianOperator(box, rand_hermitian(rng, 6)) for _ in range(2)]
+    diags = np.array([np.diagonal(rand_hermitian(rng, 6)) for _ in range(2)])
     probe = np.ones(box.site_count, bool)
-    lhs = telescoping_check(fam, probe)
+    lhs = telescoping_check(box, diags, probe)
     assert lhs <= 1e-12
+
+
+@pytest.mark.parametrize("diags", [
+    np.zeros((2, 16)), np.zeros((3, 15)), np.zeros(48), np.zeros((3, 16, 16)),
+    np.zeros((3, 16), complex)], ids=["d-members", "short-rows", "flat", "matrices", "complex"])
+def test_telescoping_refuses_diagonals_of_the_wrong_shape(diags):
+    # the check reads one real diagonal per member f_0..f_d: a (d+1) x n array
+    box = LatticeBox.cube(2, 0, 3)
+    with pytest.raises(ConfigError, match="real \\(d\\+1\\) x n = 3 x 16 array"):
+        telescoping_check(box, diags, np.ones(box.site_count, bool))
 
 
 def test_inclusion_exclusion_d1():
@@ -480,7 +491,7 @@ def test_finite_volume_requires_L_within_R():
 ], ids=["zero-L", "negative-error-L"])
 def test_sweep_plan_refuses_a_depth_below_1(kwargs, message):
     # its masks are empty, so its columns would read 0.0; the command-line
-    # tests cover a negative formula_L and L, and the offset length
+    # tests cover a negative formula_L and L
     with pytest.raises(ConfigError, match=message):
         make_sweep_plan(ANDERSON, 1, G_BUMP, H_SQUARE, 12, **kwargs)
 
@@ -748,6 +759,25 @@ def test_probe_exact_at_rounding_level(d, L, R):
     rep = decomposition_identity_probe(ANDERSON, d, 0, G_BUMP, H_SQUARE, L=L, R=R)
     assert rep.residual <= 1e-10 * rep.scale
     assert rep.lhs != 0.0
+
+
+@pytest.mark.parametrize("d,L,R", [(1, 10, 60), (2, 3, 12), (3, 1, 4)])
+def test_probe_sees_a_corner_reflection_off_the_cell_grid(monkeypatch, d, L, R):
+    # reflect s -> -s instead of s -> -1-s: the corner transforms then miss
+    # the box by one layer.  The probe is the only value test that sees it:
+    # the E^(L) column test pulls back through the same helper, and identity
+    # h makes every corner term vanish whatever the geometry
+    import szegolab.coefficients as coefficients
+
+    def reflect_about_zero(coords, sigma, L):
+        out = coords.copy()
+        for i, b in enumerate(sigma):
+            if b:
+                out[:, i] = -out[:, i]
+        return out + L
+    monkeypatch.setattr(coefficients, "_pullback_coords", reflect_about_zero)
+    rep = decomposition_identity_probe(ANDERSON, d, 0, G_BUMP, H_SQUARE, L=L, R=R)
+    assert rep.residual > 1e-3 * rep.scale
 
 
 def test_probe_b_diagnostics_sum_to_corner_terms():

@@ -297,20 +297,6 @@ def test_periodic_hull_average_agrees_across_routes():
     assert abs(report.A_hat[1] - wedge) <= 1e-6 * abs(wedge)
 
 
-def test_box_offset_is_exposed():
-    # alignment of the sweep boxes is a parameter, not a hidden choice
-    from szegolab.coefficients import coefficient_sweep
-    spec = EnsembleSpec("periodic", period=(2,), potential_cell=(1.5, -1.5))
-    g = ScalarFunction.bump(2.0, 4.0, 4)
-    h = ScalarFunction.poly((0.0, 0.0, 1.0))
-    r0 = coefficient_sweep(spec, 1, g, h, 40, [], 1, ells=[9], ell_offset=(0,))
-    r1 = coefficient_sweep(spec, 1, g, h, 40, [], 1, ells=[9], ell_offset=(1,))
-    t0 = r0.stat("sweep", 9).mean
-    t1 = r1.stat("sweep", 9).mean
-    assert np.isfinite(t0) and np.isfinite(t1)
-    assert t0 != t1       # period-2 potential: odd boxes see the alignment
-
-
 def test_toeplitz_ensemble_through_build_and_trace():
     from szegolab.lattices import build_operator, LatticeBox
     sym = symbol_fourier_coefficients(lambda th: np.exp(np.cos(th)), 16, 128)
