@@ -1,15 +1,11 @@
 """Command line interface and experiment runner with stable artifacts.
 
 Artifacts are written with a fixed key order and shortest round-trip float
-formatting.  Monte Carlo samples run on ``workers`` threads, each with
-OpenBLAS pinned to one thread (see ``mc.single_blas_thread``), so identical
-configurations and seeds of the sampled experiments produce byte-identical
-output whatever the worker count or BLAS thread setting, wherever OpenBLAS is
-found.  ``workers`` is the only parallelism.  It defaults to the CPUs the
-process may run on (``mc.usable_cpus``), and a coefficient sweep runs no more
-samples at once than the 2 GiB byte budget fits.  The command line keeps freed
-heap memory mapped from one sample to the next (``mc.retain_freed_heap``).
-A failed gate prints its quantity, value, bound and artifact path on stderr.
+formatting, and a sampled experiment writes the same bytes whatever its
+``workers`` count or BLAS thread setting (see :mod:`szegolab.mc`).  The
+command line keeps freed heap memory mapped from one sample to the next
+(``mc.retain_freed_heap``).  A failed gate prints its quantity, value, bound
+and artifact path on stderr.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numeric failure,
 4 identity-check failure, 5 gated tolerance exceeded.
@@ -169,8 +165,10 @@ def _run_expansion_fit(cfg: ExperimentConfig) -> int:
         write_coefficients(cfg.out_dir, res, formula_l)
     check = report.cross_check
     if gate and check is not None and not check["within_3_sigma"]:
+        bound = mc.agreement_bound(check["A1_fit"], check["A1_formula"].mean,
+                                   check["combined_stderr"])
         return _gate_failed(EXIT_GATE, "|A1_fit - A1_formula|", check["gap"],
-                            f"<= 3 x combined stderr = {3.0 * check['combined_stderr']!r}",
+                            f"<= max(3 x combined stderr, 1e3 eps max|A1|) = {bound!r}",
                             fit_path)
     return EXIT_OK
 

@@ -40,8 +40,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .lattices import (MEMORY_BUDGET_BYTES, EnsembleSpec, LatticeBox, build_operator,
-                       is_tridiagonal, operator_bytes, sample_itemsize)
+from .lattices import (EnsembleSpec, LatticeBox, build_operator, is_tridiagonal,
+                       operator_bytes, sample_itemsize)
 from . import mc
 from .mc import StatSummary, column_moments
 from .regions import (Layer, Region, box_region, check_mask, orthant_region, slot_chain,
@@ -602,15 +602,15 @@ class SweepResult:
 
     def adjudicate(self, L: int, m: int) -> Dict:
         """Which c~ variant reproduces the wedge-route coefficient A_m within
-        3 combined standard errors."""
+        ``mc.agreement_bound`` of their combined standard error."""
         ref = self.a_fv(L, m)
         verdicts = {}
         for name, cand in self.a_pf(L, m).items():
-            tol = 3.0 * math.hypot(ref.stderr, cand.stderr)
+            tol = mc.agreement_bound(cand.mean, ref.mean, math.hypot(ref.stderr, cand.stderr))
             verdicts[name] = {
                 "value": cand.mean, "stderr": cand.stderr,
                 "reference": ref.mean, "tolerance": tol,
-                "matches": bool(abs(cand.mean - ref.mean) <= max(tol, 1e-12)),
+                "matches": bool(abs(cand.mean - ref.mean) <= tol),
             }
         matched = [k for k, v in verdicts.items() if v["matches"]]
         winner = matched[0] if len(matched) == 1 else (
@@ -627,15 +627,14 @@ def coefficient_sweep(spec: EnsembleSpec, d: int, g: ScalarFunction,
                       h: ScalarFunction, R: int, L_values: Sequence[int],
                       n_samples: int, ells: Sequence[int] = (),
                       error_L: Sequence[int] = (), workers: int = 1) -> SweepResult:
-    """Monte Carlo sweep of all coefficient statistics over one ensemble.
-
-    Runs on at most ``workers`` threads, and on no more than the byte budget
-    fits operators of the sweep's box: each thread holds one sample's operator.
-    """
+    """Monte Carlo sweep of all coefficient statistics over one ensemble, on at most
+    ``workers`` threads.  It holds every sample's row, refused before the first
+    sample when they would not fit the byte budget (``mc.chunk_size``)."""
     plan = make_sweep_plan(spec, d, g, h, R, L_values, ells, error_L)
-    fits = max(1, MEMORY_BUDGET_BYTES // operator_bytes(plan.box.site_count,
-                                                         sample_itemsize(spec.kind)))
-    rows = mc.ordered_map(lambda s: _sample_stats(plan, s), range(n_samples),
-                          workers=min(workers, fits))
-    samples = np.array(rows).reshape(n_samples, len(plan.columns))
+    row = 8 * len(plan.columns)
+    chunk = mc.chunk_size(operator_bytes(plan.box.site_count, sample_itemsize(spec.kind)),
+                          row, n_samples * row)
+    samples = np.empty((n_samples, len(plan.columns)))
+    mc.fold_samples(lambda s: _sample_stats(plan, s), n_samples, samples.__setitem__, chunk,
+                    workers)
     return SweepResult(plan, samples, *column_moments(samples))

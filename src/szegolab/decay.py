@@ -9,13 +9,9 @@ over the sample budget and reported as an estimate, never as a certificate.
 
 The kernel-box probes share one pass: ``kernel_box_stats`` diagonalizes each
 sample once and keeps running sums and maxima, which ``fit_kernel_decay``,
-``certify_a1`` and ``combes_thomas_probe`` reduce.  The pass, like the trace
-probe, maps its samples through ``ordered_map`` in chunks of at most
-``CHUNK_SAMPLES`` and folds each chunk in ascending sample order, so memory is
-O(chunk n^2) whatever the sample count and the bytes of a report do not
-depend on ``workers``.  Inputs whose one sample would not fit the byte budget
-beside the accumulators are refused before the first sample, and so are the
-options the reducers would refuse (``check_kernel_fit``, ``check_schatten_p``).
+``certify_a1`` and ``combes_thomas_probe`` reduce.  Both passes run through
+``mc.fold_samples``, which bounds their memory and refuses a sample that would
+not fit the byte budget; the reducers' options are refused before them too.
 
 Fits are ordinary least squares on transformed coordinates (log-log for the
 polynomial mode, log-linear for the exponential mode and for Combes-Thomas'
@@ -33,11 +29,11 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .coefficients import block_of_gH, spectral_data, _restricted_diag
-from .errors import ConfigError, DegenerateFitError, ModelError, NumericError
+from .errors import ConfigError, DegenerateFitError, NumericError
 from .fitting import ols_line
-from .lattices import (MEMORY_BUDGET_BYTES, EnsembleSpec, LatticeBox, operator_bytes,
-                       sample_itemsize)
-from .mc import ordered_map
+from .lattices import EnsembleSpec, LatticeBox, operator_bytes, sample_itemsize
+from .mc import chunk_size, fold_samples
+from .mc import ordered_map  # noqa: F401  perfbench/job.py patches decay.ordered_map
 from .regions import Region, boundary_distance
 from .spectral import ScalarFunction
 
@@ -141,34 +137,8 @@ def check_ct_theta(theta: float) -> None:
 # one pass over the kernel box
 # ---------------------------------------------------------------------------
 
-CHUNK_SAMPLES = 32  # most samples one ordered_map call holds before they are folded
-
-
 def _sup_distances(coords: np.ndarray) -> np.ndarray:
     return np.max(np.abs(coords[:, None, :] - coords[None, :, :]), axis=2)
-
-
-def _fold_samples(one: Callable, n_samples: int, fold: Callable[[int, object], None],
-                  sample_bytes: int, held_bytes: int, workers: int) -> None:
-    """Map ``one`` over samples 0..n_samples-1 in chunks; ``fold(s, out)`` in order.
-
-    A chunk holds at most ``CHUNK_SAMPLES`` samples of ``sample_bytes`` each,
-    fewer when the byte budget left beside the ``held_bytes`` of the
-    accumulators admits fewer.  The folds run in ascending sample order on the
-    calling thread, so what they build depends on neither the chunk size nor
-    ``workers``.  Raises ``ModelError`` before the first sample when one sample
-    does not fit beside the accumulators.
-    """
-    if sample_bytes + held_bytes > MEMORY_BUDGET_BYTES:
-        raise ModelError(f"one sample and the accumulators need an estimated "
-                         f"{(sample_bytes + held_bytes) / 2 ** 30:.2f} GiB "
-                         f"({sample_bytes} + {held_bytes} bytes), over the "
-                         f"{MEMORY_BUDGET_BYTES / 2 ** 30:.2f} GiB budget")
-    chunk = min(CHUNK_SAMPLES, (MEMORY_BUDGET_BYTES - held_bytes) // sample_bytes)
-    for start in range(0, n_samples, chunk):
-        ids = range(start, min(start + chunk, n_samples))
-        for s, out in zip(ids, ordered_map(one, ids, workers=workers)):
-            fold(s, out)
 
 
 @dataclass
@@ -203,6 +173,9 @@ def kernel_box_stats(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
         raise ConfigError("ct_z = 0j: the resolvent R_z(g(H)) needs z != 0")
     n = box.site_count
     kept = (8 + 16 * len(zs)) * n * n       # |g(H)| and the resolvent blocks
+    # a sample: eigh, g(H), |g(H)| and its output; held: sum and max of |g(H)|, a sum per z
+    chunk = chunk_size(operator_bytes(n, sample_itemsize(spec.kind)) + 16 * n * n + kept,
+                       kept, (16 + 16 * len(zs)) * n * n)
     coords = box.sites()
     stats = KernelBoxStats(box, n_samples, np.zeros((n, n)), np.zeros((n, n)), -1.0,
                            ((0,) * box.d, (0,) * box.d, 0),
@@ -239,11 +212,7 @@ def kernel_box_stats(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
         stats.hard_bound_ok = stats.hard_bound_ok and ok
         stats.window.update(gl)
 
-    # a sample: the diagonalization, g(H) and |g(H)|, then what it returns; held: the
-    # running sum and max of |g(H)| and one resolvent sum per z
-    _fold_samples(one, n_samples, fold,
-                  sample_bytes=operator_bytes(n, sample_itemsize(spec.kind)) + 16 * n * n + kept,
-                  held_bytes=(16 + 16 * len(zs)) * n * n, workers=workers)
+    fold_samples(one, n_samples, fold, chunk, workers)
     return stats
 
 
@@ -365,10 +334,9 @@ def trace_difference_probe(spec: EnsembleSpec, g: ScalarFunction, h: ScalarFunct
                 - _restricted_diag(u, gl, outer_bits, h, spectral=True))
 
     n = box.site_count
+    chunk = chunk_size(operator_bytes(n, sample_itemsize(spec.kind)) + 8 * n, 8 * n, 8 * n)
     total = np.zeros(n)     # 0.0 + row == row: starting at zero adds no rounding
-    _fold_samples(one, n_samples, lambda s, row: np.add(total, row, out=total),
-                  sample_bytes=operator_bytes(n, sample_itemsize(spec.kind)) + 8 * n,
-                  held_bytes=8 * n, workers=workers)
+    fold_samples(one, n_samples, lambda s, row: np.add(total, row, out=total), chunk, workers)
     rs, env = _envelope(dist, np.abs(total / n_samples)[inner_bits])
     rep = _fit_pairs(rs, env, "polynomial", n_samples)
     rep.params["q_tilde"] = rep.params.pop("q")

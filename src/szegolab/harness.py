@@ -19,7 +19,7 @@ from .coefficients import SweepResult, coefficient_sweep
 from .errors import ConfigError, NumericError
 from .fitting import ols_line, weighted_lstsq
 from .lattices import EnsembleSpec, Symbol1D, toeplitz_matrix
-from .mc import single_blas_thread
+from .mc import agreement_bound, single_blas_thread
 from .spectral import ScalarFunction
 
 __all__ = ["FitReport", "check_fit_grid", "fit_expansion", "sweep_and_fit", "szego_1d_suite",
@@ -111,7 +111,8 @@ def sweep_and_fit(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFuncti
             "A1_fit_stderr": report.A_stderr[1],
             "gap": gap,
             "combined_stderr": combined,
-            "within_3_sigma": bool(gap <= 3.0 * max(combined, 1e-12)),
+            "within_3_sigma": bool(gap <= agreement_bound(report.A_hat[1], a1_formula.mean,
+                                                          combined)),
             "A0_formula": res.a_fv(formula_L, 0),
         }
         if d >= 2:

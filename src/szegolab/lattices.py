@@ -22,9 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, ModelError, check_keys, config_value
 
-# Bytes one dense step may hold: operators whose build and diagonalization
-# would need more are refused, and the sweeps and decay passes size how many
-# samples they hold at once from it.
+# Bytes one dense step may hold: the largest operator build_operator builds, and
+# what a sample pass holds at once (mc.chunk_size)
 MEMORY_BUDGET_BYTES = 2 * 1024 ** 3
 
 

@@ -1,17 +1,17 @@
 """Monte Carlo samples in ascending order, reduced column by column.
 
-A sweep's per-sample statistics form one samples x statistics float array,
-rows in ascending sample order whatever the worker count.
+Every Monte Carlo pass maps its samples through :func:`fold_samples`, in
+chunks that :func:`chunk_size` fits to the 2 GiB byte budget beside what the
+pass holds, and folds them in ascending sample order: memory is one chunk
+plus the held bytes whatever the sample count, and a pass that would not fit
+is refused before it allocates.  A sweep holds a samples x statistics array;
 ``column_moments`` reduces it with Welford's running update applied to all
 columns at once, so each column gets exactly the numbers of a scalar update
 over its samples.  Every sample runs with OpenBLAS pinned to one thread, so a
 given (seed, budget) produces bit-identical statistics whatever the worker
-count or the BLAS thread setting.  Parallelism comes from ``workers`` alone;
-a config that does not set it runs on :func:`usable_cpus` threads.
-The OpenBLAS that numpy loaded also lends the LAPACKE stages of ``dsyevd``
-(``dsytrd``, ``dstedc``, ``dormtr``) to :func:`szegolab.coefficients.spectral_data`,
-which back-transforms only the eigenvectors with g(lambda) != 0; functions of
-g(H) that do not vanish at 0 add f(0) on the rest (the f(0) completion).
+count or the BLAS thread setting.  Parallelism comes from ``workers`` alone
+(by default :func:`usable_cpus`).  The OpenBLAS that numpy loaded also lends
+the LAPACKE stages of ``dsyevd`` to :func:`szegolab.coefficients.spectral_data`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from .errors import ModelError
+from .lattices import MEMORY_BUDGET_BYTES
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,12 @@ def column_moments(samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if n < 2:
         return mean, np.zeros_like(mean)
     return mean, np.sqrt(m2 / (n * (n - 1)))
+
+
+def agreement_bound(a: float, b: float, stderr: float) -> float:
+    """How far two estimates of one number may lie apart and agree: 3 combined
+    standard errors, but at least rounding, 1e3 eps max(|a|, |b|) (stderr 0)."""
+    return max(3.0 * stderr, 1e3 * np.finfo(float).eps * max(abs(a), abs(b)))
 
 
 # (get, set) thread-count entry points, by the symbol names OpenBLAS builds use
@@ -161,18 +170,13 @@ _HEAP_TRIM_THRESHOLD = 64 << 20  # free heap kept mapped before any goes back
 def retain_freed_heap() -> None:
     """Keep freed heap memory mapped for the next sample, process-wide.
 
-    By default glibc hands the top of the heap back to the OS whenever a free
-    leaves more than a small trim threshold unused there, so the arrays of
-    the next sample (the eigenvector buffer, LAPACK workspaces) are built on
-    freshly zeroed pages: a 700-sample ``verify_d1.ini`` run took about
-    190 000 page faults and 0.3-0.7 s of system time (now about 9 000 and
-    0.1 s).  Blocks under ``_HEAP_MMAP_THRESHOLD`` now come from the heap, and
-    up to ``_HEAP_TRIM_THRESHOLD`` of free heap stays mapped; larger blocks
-    (d=2 operators) are still mapped and unmapped on their own.  Worker
-    threads share the one heap: with an arena per thread each kept its own
-    high-water mark, and the peak RSS of identical 2-worker runs varied
-    from 43 to 49 MB (41 MB with one).  Results do not change.  Does
-    nothing where the C library has no ``mallopt``.
+    By default glibc hands the top of the heap back to the OS, so each
+    sample's arrays land on freshly zeroed pages (the README has the page
+    fault counts).  Blocks under ``_HEAP_MMAP_THRESHOLD`` now come from the
+    heap, and up to ``_HEAP_TRIM_THRESHOLD`` of free heap stays mapped.
+    Worker threads share one heap, since an arena per thread kept its own
+    high-water mark.  Results do not change.  Does nothing where the C
+    library has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -203,3 +207,31 @@ def ordered_map(fn: Callable, args: Iterable, workers: int = 1) -> List:
             return [fn(a) for a in args]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, args))
+
+
+# finished outputs one chunk holds before they are folded: 32 kernel-box
+# samples of verify_d1.ini (|g(H)| and two resolvent blocks on 64 sites)
+CHUNK_BYTES = 5 << 20
+
+
+def chunk_size(sample_bytes: int, out_bytes: int, held_bytes: int) -> int:
+    """Samples per chunk of :func:`fold_samples`, so the most that run at once: as many
+    of ``sample_bytes`` as fit the budget beside ``held_bytes``, and of ``out_bytes``
+    as ``CHUNK_BYTES`` holds.  Raises ``ModelError`` if one sample does not fit."""
+    need = sample_bytes + held_bytes
+    if need > MEMORY_BUDGET_BYTES:
+        raise ModelError(f"one sample ({sample_bytes} bytes) and the accumulators "
+                         f"({held_bytes} bytes) need an estimated {need / 2 ** 30:.2f} GiB, "
+                         f"over the {MEMORY_BUDGET_BYTES / 2 ** 30:.2f} GiB budget")
+    return max(1, min(CHUNK_BYTES // out_bytes,
+                      (MEMORY_BUDGET_BYTES - held_bytes) // sample_bytes))
+
+
+def fold_samples(one: Callable, n_samples: int, fold: Callable[[int, object], None],
+                 chunk: int, workers: int) -> None:
+    """Map ``one`` over samples 0..n_samples-1, ``chunk`` at a time; ``fold(s, out)``
+    runs on the calling thread in ascending sample order."""
+    for start in range(0, n_samples, chunk):
+        ids = range(start, min(start + chunk, n_samples))
+        for s, out in zip(ids, ordered_map(one, ids, workers=workers)):
+            fold(s, out)

@@ -128,6 +128,8 @@ class ScalarFunction:
     @staticmethod
     def indicator(a: float, b: float) -> "ScalarFunction":
         lo, hi = float(a), float(b)
+        if lo > hi:
+            raise ConfigError(f"indicator({lo!r}, {hi!r}) is empty: lower bound > upper")
 
         def f(x):
             x = np.asarray(x, dtype=float)

@@ -579,13 +579,14 @@ class _Stop(Exception):
 
 
 def test_sweep_workers_are_capped_by_the_byte_budget(tmp_path, monkeypatch):
-    # the d = 2 reference box: ten 2304-site operators fit the 2 GiB budget;
+    # the d = 2 reference box: ten 2304-site operators fit the 2 GiB budget, so
+    # one map call gets 10 of the 50 samples and no more run at once;
     # the map is stopped before it starts a thread or a sample
     from szegolab.lattices import MEMORY_BUDGET_BYTES, operator_bytes
     seen = []
 
     def recorded_map(fn, args, workers=1):
-        seen.append(workers)
+        seen.append(len(args))
         raise _Stop
     monkeypatch.setattr(mc, "ordered_map", recorded_map)
     with pytest.raises(_Stop):
@@ -593,6 +594,64 @@ def test_sweep_workers_are_capped_by_the_byte_budget(tmp_path, monkeypatch):
                        {"workers": "64", "out": str(tmp_path / "d2")})
     cap = MEMORY_BUDGET_BYTES // operator_bytes(48 ** 2, 8)
     assert seen == [cap] and cap == 10
+
+
+def test_one_sample_chunks_write_the_same_bytes(tmp_path, monkeypatch):
+    # a sweep and a verify run fold the same rows in the same order whatever
+    # the chunk size: here one sample per ordered_map call
+    cases = [("run", EXPANSION_INI.format(out="unused", workers=2),
+              ("fit-report.json", "sweep.csv", "coefficients.json", "coefficients.csv")),
+             ("verify", VERIFY_INI.format(samples=40, out="unused", workers=2, d=1, side=32),
+              ("decay-report.json",))]
+    sizes = []
+
+    def recorded_map(fn, args, workers=1, _orig=mc.ordered_map):
+        sizes.append(len(args))
+        return _orig(fn, args, workers)
+    monkeypatch.setattr(mc, "ordered_map", recorded_map)
+    for command, text, names in cases:
+        path = write(tmp_path, f"{command}.ini", text)
+        outs = [tmp_path / f"{command}-{chunks}" for chunks in ("default", "single")]
+        assert main([command, path, "--out", str(outs[0])]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "CHUNK_BYTES", 1)
+            sizes.clear()
+            assert main([command, path, "--out", str(outs[1])]) == 0
+        assert set(sizes) == {1}
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_sweep_rows_over_the_budget_are_exit_2_before_the_first_sample(tmp_path, monkeypatch,
+                                                                       capsys):
+    # 10^8 samples of 9 columns: 7.2 GB of rows, refused before they are allocated
+    # (one map call used to take every sample: stopped here before it submits any)
+    import szegolab.coefficients as coefficients
+    sampled = []
+    monkeypatch.setattr(coefficients, "spectral_data", lambda *a: sampled.append(a))
+    monkeypatch.setattr(mc, "ordered_map", lambda *a, **k: sampled.append(a) or [])
+    path = write(tmp_path, "many.ini", EXPANSION_INI.format(out=tmp_path / "many", workers=2))
+    tracemalloc.start()
+    try:
+        code = main(["run", path, "--samples", str(10 ** 8)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "(7200000000 bytes)" in capsys.readouterr().err
+    assert sampled == [] and not (tmp_path / "many").exists()
+    assert peak < 10 ** 7
+
+
+def test_empty_indicator_is_exit_2_at_load(tmp_path, capsys):
+    # indicator(3, 1) is 0 everywhere: the sweep wrote A_hat = [0.0, 0.0] and
+    # passed its gate
+    with open(os.path.join(CONFIGS, "expansion_d1.ini"), encoding="utf-8") as fh:
+        text = fh.read().replace("bump(2.0, 3.0, 4)", "indicator(3, 1)")
+    path = write(tmp_path, "empty.ini", text)
+    assert main(["run", path, "--samples", "4", "--out", str(tmp_path / "o")]) == 2
+    assert "indicator(3.0, 1.0) is empty" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_default_workers_do_not_change_bytes(tmp_path, monkeypatch):
@@ -880,7 +939,7 @@ gate_tol = 1e-30
 @pytest.mark.parametrize("config, edits, flags, artifact, quantity, bound, value", [
     ("expansion_d1.ini", [("kind = anderson\nW = 8.0\nhopping = 1.0", "kind = free"),
                           ("formula_L = 80", "formula_L = 10")], ["--samples", "1"],
-     "fit-report.json", "|A1_fit - A1_formula|", "<= 3 x combined stderr = ",
+     "fit-report.json", "|A1_fit - A1_formula|", "<= max(3 x combined stderr, 1e3 eps max|A1|) = ",
      lambda rep: rep["cross_check"]["gap"]),
     ("logenh_free.ini", [("expect = enhanced", "expect = flat")], [],
      "log-enhancement.json", "classification", "== 'flat'",
@@ -1020,10 +1079,11 @@ trace_outer = orthant(1,+)
 """
 
 
-def test_verify_samples_all_run_inside_decay_ordered_map(tmp_path, monkeypatch):
+def test_verify_samples_all_run_inside_mc_ordered_map(tmp_path, monkeypatch):
     # a benchmark job marks its first sample by patching ``ordered_map`` in
     # ``szegolab.mc`` and ``szegolab.decay``, and traces the probes through
-    # the names ``cli`` and ``decay`` bind; every sample must pass through them
+    # the names ``cli`` and ``decay`` bind; every sample must pass through
+    # them, and the passes map through ``mc.fold_samples``
     import szegolab.cli as cli
     import szegolab.decay as decay
     for name in ("fit_kernel_decay", "certify_a1", "combes_thomas_probe",
@@ -1033,7 +1093,7 @@ def test_verify_samples_all_run_inside_decay_ordered_map(tmp_path, monkeypatch):
         assert hasattr(decay, name)
     depth, calls = [0], []
 
-    def recorded_map(fn, args, workers=1, _orig=decay.ordered_map):
+    def recorded_map(fn, args, workers=1, _orig=mc.ordered_map):
         depth[0] += 1
         try:
             return _orig(fn, args, workers)
@@ -1044,7 +1104,7 @@ def test_verify_samples_all_run_inside_decay_ordered_map(tmp_path, monkeypatch):
         calls.append(depth[0] > 0)
         return _orig(*args)
 
-    monkeypatch.setattr(decay, "ordered_map", recorded_map)
+    monkeypatch.setattr(mc, "ordered_map", recorded_map)
     monkeypatch.setattr(decay, "spectral_data", recorded_spectrum)
     path = write(tmp_path, "ver.ini", VERIFY_INI.format(
         samples=5, out=tmp_path / "ver", workers=1, d=1, side=32))

@@ -696,6 +696,19 @@ def test_partition_free_free_lattice_oracle(d, h, R, L, ells, exact, fit_rel):
         assert (cross["A2_fit"], cross["A2_fit_stderr"]) == (rep.A_hat[2], rep.A_stderr[2])
 
 
+@pytest.mark.parametrize("d, h, R, L", [(2, H_SQUARE, 16, 6), (3, H_SQUARE, 6, 3),
+                                        (2, H_CUBE, 16, 8)], ids=["x2-d2", "x2-d3", "x3-d2"])
+def test_adjudication_of_a_deterministic_ensemble_has_a_rounding_floor(d, h, R, L):
+    # one free-lattice sample has stderr 0: the recurrence A_1 is the wedge A_1
+    # up to summation order (gaps 1.4e-12, 3.6e-12, 1.5e-11 on A_1 = -296,
+    # -972, -25728), which an absolute 1e-12 floor called "neither"
+    res = coefficient_sweep(EnsembleSpec("free"), d, H_SQUARE, h, R, [L], 1)
+    verdict = res.adjudicate(L, 1)
+    assert verdict["winner"] == "recurrence"
+    rec = verdict["candidates"]["recurrence"]
+    assert 0 < abs(rec["value"] - rec["reference"]) <= rec["tolerance"]
+
+
 def sequential_sum_summary(res, const, name, L, m, n_values):
     """column_moments of the per-sample sum of const * column, n ascending from 0.0,
     accumulated one sample at a time in Python floats."""

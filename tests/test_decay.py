@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from szegolab import decay
+from szegolab import decay, mc
 from szegolab.errors import ConfigError, DegenerateFitError, ModelError
 from szegolab.lattices import EnsembleSpec, LatticeBox, Symbol1D, operator_bytes
 from szegolab.regions import CoordRange, Orthant, Region
@@ -319,7 +319,7 @@ def test_complex_toeplitz_samples_are_sized_at_16_bytes(monkeypatch, probe):
         run = lambda: trace_difference_probe(COMPLEX_TOEPLITZ, G_BUMP, H_SQUARE, inner,
                                              Region(1, ()), box, 2)
     budget = (operator_bytes(n, 8) + operator_bytes(n, 16)) // 2 + rest
-    monkeypatch.setattr(decay, "MEMORY_BUDGET_BYTES", budget)
+    monkeypatch.setattr(mc, "MEMORY_BUDGET_BYTES", budget)     # where the fold reads it
     sampled = []
     real = decay.spectral_data
     monkeypatch.setattr(decay, "spectral_data", lambda *a: sampled.append(a) or real(*a))

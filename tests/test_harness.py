@@ -85,6 +85,39 @@ def test_ordered_map_restores_blas_threads_after_failure(openblas_at_two, worker
     assert set(openblas_at_two()) == {2}
 
 
+def test_sweep_memory_is_its_rows_plus_one_chunk(monkeypatch):
+    # with 64 rows to a chunk, ten times the samples add their rows and no
+    # more: one map call used to hold every sample's row and pending task,
+    # about 1.7 KB each at two workers
+    import tracemalloc
+    from szegolab.coefficients import coefficient_sweep
+    spec, g, h = (EnsembleSpec("anderson", W=8.0, seed=7), ScalarFunction.bump(2.0, 3.0, 4),
+                  ScalarFunction.poly((0.0, 0.0, 1.0)))
+    sweep = lambda n: coefficient_sweep(spec, 1, g, h, 8, [], n, ells=(2, 4, 6, 8), workers=2)
+    row = sweep(2).samples[0].nbytes                       # warms caches too
+    monkeypatch.setattr(mc, "CHUNK_BYTES", 64 * row)
+    peaks = []
+    for n_samples in (200, 2000):
+        tracemalloc.start()
+        try:
+            sweep(n_samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 1800 * row + (256 << 10), (peaks, row)
+
+
+def test_mc_fold_samples_is_the_only_library_caller_of_ordered_map():
+    import pathlib
+    import re
+    import szegolab
+    from szegolab import decay
+    callers = [path.name for path in sorted(pathlib.Path(szegolab.__file__).parent.glob("*.py"))
+               if re.search(r"ordered_map\s*\(", path.read_text(encoding="utf-8"))]
+    assert callers == ["mc.py"]
+    assert decay.ordered_map is mc.ordered_map      # the name the benchmark patches
+
+
 def test_single_blas_thread_without_openblas_does_nothing(openblas_at_two, monkeypatch):
     monkeypatch.setattr(mc, "_openblas_controls", lambda: ())
     with mc.single_blas_thread():
