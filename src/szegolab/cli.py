@@ -290,24 +290,25 @@ def _run_verify(cfg: ExperimentConfig) -> int:
                           "which kernel_mode = polynomial does not fit")
     zs = config_value("ct_z", cfg.options.get("ct_z", ""),
                       lambda t: [complex(v) for v in t.split()])
+    trace = ()
     if cfg.has_trace_probe:
-        inner = parse_region(cfg.d, cfg.options["trace_inner"])
-        outer = parse_region(cfg.d, cfg.options["trace_outer"])
         tbox = LatticeBox.cube(cfg.d, cfg.opt_int("trace_box_lo", -side // 2),
                                cfg.opt_int("trace_box_hi", 3 * side // 2))
-        trace_probe_geometry(inner, outer, tbox)
+        inner_bits, outer_bits, dist = trace_probe_geometry(
+            parse_region(cfg.d, cfg.options["trace_inner"]),
+            parse_region(cfg.d, cfg.options["trace_outer"]), tbox)
+        trace = (cfg.h, tbox, inner_bits, outer_bits)
     payload: Dict = {"box_side": side, "d": cfg.d, "n_samples": cfg.samples}
     stats = kernel_box_stats(cfg.ensemble, cfg.g, box, cfg.samples, zs,
-                             workers=cfg.workers)
+                             workers=cfg.workers, trace=trace)
     kernel = fit_kernel_decay(stats, mode=mode)
     payload["kernel_decay"] = kernel
     if "a1_p" in cfg.options:
         payload["a1_certificate"] = certify_a1(stats, p)
     if "ct_z" in cfg.options:
         payload["combes_thomas"] = combes_thomas_probe(stats, theta)
-    if cfg.has_trace_probe:
-        payload["trace_difference"] = trace_difference_probe(
-            cfg.ensemble, cfg.g, cfg.h, inner, outer, tbox, cfg.samples, workers=cfg.workers)
+    if trace:
+        payload["trace_difference"] = trace_difference_probe(stats, inner_bits, dist)
     path = os.path.join(cfg.out_dir, "decay-report.json")
     write_json(path, payload)
     if min_mu and kernel.params["mu"] <= min_mu:

@@ -40,8 +40,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .lattices import (EnsembleSpec, LatticeBox, build_operator, is_tridiagonal,
-                       operator_bytes, sample_itemsize)
+from .lattices import EnsembleSpec, LatticeBox, build_operator, is_tridiagonal, operator_bytes
 from . import mc
 from .mc import StatSummary, column_moments
 from .regions import (Layer, Region, box_region, check_mask, orthant_region, slot_chain,
@@ -632,8 +631,7 @@ def coefficient_sweep(spec: EnsembleSpec, d: int, g: ScalarFunction,
     sample when they would not fit the byte budget (``mc.chunk_size``)."""
     plan = make_sweep_plan(spec, d, g, h, R, L_values, ells, error_L)
     row = 8 * len(plan.columns)
-    chunk = mc.chunk_size(operator_bytes(plan.box.site_count, sample_itemsize(spec.kind)),
-                          row, n_samples * row)
+    chunk = mc.chunk_size(operator_bytes(plan.box.site_count, spec.kind), row, n_samples * row)
     samples = np.empty((n_samples, len(plan.columns)))
     mc.fold_samples(lambda s: _sample_stats(plan, s), n_samples, samples.__setitem__, chunk,
                     workers)

@@ -7,11 +7,12 @@ decay away from the spectrum, and the boundary trace-norm estimate for
 differences h(g(H)_G) - h(g(H)_G').  "esssup over omega" is realized as a max
 over the sample budget and reported as an estimate, never as a certificate.
 
-The kernel-box probes share one pass: ``kernel_box_stats`` diagonalizes each
-sample once and keeps running sums and maxima, which ``fit_kernel_decay``,
-``certify_a1`` and ``combes_thomas_probe`` reduce.  Both passes run through
-``mc.fold_samples``, which bounds their memory and refuses a sample that would
-not fit the byte budget; the reducers' options are refused before them too.
+The probes share one pass: ``kernel_box_stats`` diagonalizes each sample once
+per box (the kernel box, and the trace box if asked) and keeps running sums and
+maxima, which ``fit_kernel_decay``, ``certify_a1``, ``combes_thomas_probe`` and
+``trace_difference_probe`` reduce.  Its one ``mc.fold_samples`` admission counts
+both boxes, so a pass over the byte budget is refused before the first sample,
+as are the reducers' options and the trace geometry.
 
 Fits are ordinary least squares on transformed coordinates (log-log for the
 polynomial mode, log-linear for the exponential mode and for Combes-Thomas'
@@ -31,7 +32,7 @@ import numpy as np
 from .coefficients import block_of_gH, spectral_data, _restricted_diag
 from .errors import ConfigError, DegenerateFitError, NumericError
 from .fitting import ols_line
-from .lattices import EnsembleSpec, LatticeBox, operator_bytes, sample_itemsize
+from .lattices import EnsembleSpec, LatticeBox, operator_bytes
 from .mc import chunk_size, fold_samples
 from .mc import ordered_map  # noqa: F401  perfbench/job.py patches decay.ordered_map
 from .regions import Region, boundary_distance
@@ -154,33 +155,37 @@ class KernelBoxStats:
     resolvent_sums: Dict[complex, np.ndarray]   # sum over samples of R_z(g(H))
     hard_bound_ok: bool                     # |R_z[a,b]| <= 1/dist(z) + 1e-8 always
     window: SpectralWindow
+    trace_sum: np.ndarray                   # sum over samples of the trace probe's row
 
 
 def kernel_box_stats(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
                      n_samples: int, z_grid: Sequence[complex] = (),
-                     workers: int = 1) -> KernelBoxStats:
-    """One pass over the samples of the kernel box: one diagonalization per sample.
+                     workers: int = 1, trace: Tuple = ()) -> KernelBoxStats:
+    """One pass over the samples: one diagonalization per sample and box.
 
-    Each sample yields |g(H)| and the resolvent R_z(g(H)) for every z of the
-    grid; the pass keeps their running sums, the running max of |g(H)|, the A1
-    maximum (the first sample wins a tie), the hard resolvent-bound flag and
-    the spectral window of g(H).  Memory is O(chunk n^2) whatever the sample
-    count.  Raises ``ConfigError`` for z = 0 before the first sample, and for
-    a z that equals g(eigenvalue) in a sample, where R_z does not exist.
+    Each sample yields |g(H)| on the kernel box and the resolvent R_z(g(H)) for
+    every z of the grid; the pass keeps their running sums, the running max of
+    |g(H)|, the A1 maximum (the first sample wins a tie), the hard
+    resolvent-bound flag and the spectral window of g(H).  ``trace`` = (h,
+    trace box, inner mask, outer mask) adds the trace probe's row, the diagonal
+    of h(g(H)_G) - h(g(H)_G') on the trace box, summed from 0.0 (which adds no
+    rounding).  Memory is O(chunk n^2) whatever the sample count.  Raises
+    ``ConfigError`` for z = 0 before the first sample, and for a z that equals
+    g(eigenvalue) in a sample, where R_z does not exist.
     """
     zs = list(dict.fromkeys(complex(z) for z in z_grid))
     if 0 in zs:     # R_z(0) = -1/z completes R_z on the eigenpairs g drops
         raise ConfigError("ct_z = 0j: the resolvent R_z(g(H)) needs z != 0")
-    n = box.site_count
-    kept = (8 + 16 * len(zs)) * n * n       # |g(H)| and the resolvent blocks
-    # a sample: eigh, g(H), |g(H)| and its output; held: sum and max of |g(H)|, a sum per z
-    chunk = chunk_size(operator_bytes(n, sample_itemsize(spec.kind)) + 16 * n * n + kept,
-                       kept, (16 + 16 * len(zs)) * n * n)
+    n, nt = box.site_count, trace[1].site_count if trace else 0
+    kept = (8 + 16 * len(zs)) * n * n + 8 * nt     # |g(H)|, the resolvent blocks, the row
+    # a sample: an eigh per box, g(H), |g(H)| and its output; held: the sums and max
+    chunk = chunk_size(operator_bytes(n, spec.kind) + operator_bytes(nt, spec.kind)
+                       + 16 * n * n + kept, kept, (16 + 16 * len(zs)) * n * n + 8 * nt)
     coords = box.sites()
     stats = KernelBoxStats(box, n_samples, np.zeros((n, n)), np.zeros((n, n)), -1.0,
                            ((0,) * box.d, (0,) * box.d, 0),
                            {z: np.zeros((n, n), dtype=complex) for z in zs}, True,
-                           SpectralWindow())
+                           SpectralWindow(), np.zeros(nt))
 
     def one(s):
         lam, u, gl = spectral_data(spec, box, s, g)
@@ -197,10 +202,16 @@ def kernel_box_stats(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
             res[np.diag_indices(n)] += r0
             ok = ok and not np.abs(res).max() > 1.0 / gap + 1e-8
             resolvents.append(res)
-        return np.abs(block_of_gH(u, g_kept)), resolvents, ok, gl
+        row = 0.0
+        if trace:   # the spectral route keeps the pinned q~ (see _restricted_diag)
+            h, tbox, inner_bits, outer_bits = trace
+            lam, ut, glt = spectral_data(spec, tbox, s, g)
+            row = (_restricted_diag(ut, glt, inner_bits, h, spectral=True)
+                   - _restricted_diag(ut, glt, outer_bits, h, spectral=True))
+        return np.abs(block_of_gH(u, g_kept)), resolvents, ok, gl, row
 
     def fold(s, out):
-        mags, resolvents, ok, gl = out
+        mags, resolvents, ok, gl, row = out
         stats.abs_sum += mags
         np.maximum(stats.abs_max, mags, out=stats.abs_max)
         i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
@@ -211,6 +222,7 @@ def kernel_box_stats(spec: EnsembleSpec, g: ScalarFunction, box: LatticeBox,
             stats.resolvent_sums[z] += res
         stats.hard_bound_ok = stats.hard_bound_ok and ok
         stats.window.update(gl)
+        stats.trace_sum += row
 
     fold_samples(one, n_samples, fold, chunk, workers)
     return stats
@@ -316,29 +328,18 @@ def trace_probe_geometry(inner: Region, outer: Region, box: LatticeBox):
     return inner_bits, outer_bits, dist
 
 
-def trace_difference_probe(spec: EnsembleSpec, g: ScalarFunction, h: ScalarFunction,
-                           inner: Region, outer: Region, box: LatticeBox,
-                           n_samples: int, workers: int = 1) -> DecayFitReport:
+def trace_difference_probe(stats: KernelBoxStats, inner_bits: np.ndarray,
+                           dist: np.ndarray) -> DecayFitReport:
     """Fit the decay exponent q~ of ||E[ chi_a {h(g(H)_G) - h(g(H)_G')} chi_a ]||_1.
 
-    Values are averaged diagonal entries of the difference at sites a inside
-    the inner region, regressed log-log against the sup-norm distance of a to
-    the boundary of inner in outer.  The fitted q~ feeds the truncation
-    budgets and convergence-rate checks downstream.
+    Values are the pass's averaged diagonal entries of the difference at sites
+    a inside the inner region, regressed log-log against the sup-norm distance
+    ``dist`` of a to the boundary of inner in outer (``trace_probe_geometry``).
+    The fitted q~ feeds the truncation budgets and convergence-rate checks
+    downstream.
     """
-    inner_bits, outer_bits, dist = trace_probe_geometry(inner, outer, box)
-
-    def one(s):     # the spectral route keeps the pinned q~ (see _restricted_diag)
-        lam, u, gl = spectral_data(spec, box, s, g)
-        return (_restricted_diag(u, gl, inner_bits, h, spectral=True)
-                - _restricted_diag(u, gl, outer_bits, h, spectral=True))
-
-    n = box.site_count
-    chunk = chunk_size(operator_bytes(n, sample_itemsize(spec.kind)) + 8 * n, 8 * n, 8 * n)
-    total = np.zeros(n)     # 0.0 + row == row: starting at zero adds no rounding
-    fold_samples(one, n_samples, lambda s, row: np.add(total, row, out=total), chunk, workers)
-    rs, env = _envelope(dist, np.abs(total / n_samples)[inner_bits])
-    rep = _fit_pairs(rs, env, "polynomial", n_samples)
+    rs, env = _envelope(dist, np.abs(stats.trace_sum / stats.n_samples)[inner_bits])
+    rep = _fit_pairs(rs, env, "polynomial", stats.n_samples)
     rep.params["q_tilde"] = rep.params.pop("q")
     rep.params["q_tilde_stderr"] = rep.params.pop("q_stderr")
     return rep

@@ -346,25 +346,21 @@ def potential_values(spec: EnsembleSpec, box: LatticeBox, sample_id: int) -> np.
     raise ModelError(f"no potential for ensemble kind {spec.kind!r}")
 
 
-def operator_bytes(n: int, itemsize: int) -> int:
-    """Estimated peak bytes to build and ``eigh`` one dense n x n operator.
+def operator_bytes(n: int, kind: str) -> int:
+    """Estimated peak bytes to build and ``eigh`` one dense n x n operator of
+    ensemble ``kind``.
 
     Five n x n arrays: the matrix, the eigenvectors, LAPACK's copy of the
     input and the ``syevd``/``heevd`` workspace of about two more (measured
-    peak: 5.1 matrices for real and complex).
+    peak: 5.1 matrices for real and complex).  A Toeplitz matrix is assembled
+    complex (16 bytes an entry), a Schroedinger operator real (8).
     """
-    return 5 * itemsize * n * n
-
-
-def sample_itemsize(kind: str) -> int:
-    """Bytes per entry of one sample's operator of ensemble ``kind``: a Toeplitz
-    matrix is assembled complex (16), a Schroedinger operator real (8)."""
-    return 16 if kind == "toeplitz1d" else 8
+    return 5 * (16 if kind == "toeplitz1d" else 8) * n * n
 
 
 def _refuse_oversized(n: int, kind: str) -> None:
     """Raise ``ModelError``, before allocating, for an operator over the budget."""
-    need = operator_bytes(n, sample_itemsize(kind))
+    need = operator_bytes(n, kind)
     if need > MEMORY_BUDGET_BYTES:
         raise ModelError(f"{n} sites need an estimated {need / 2 ** 30:.2f} GiB "
                          f"({need} bytes) to build and diagonalize, over the "

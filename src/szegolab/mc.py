@@ -209,21 +209,23 @@ def ordered_map(fn: Callable, args: Iterable, workers: int = 1) -> List:
             return list(pool.map(fn, args))
 
 
-# finished outputs one chunk holds before they are folded: 32 kernel-box
-# samples of verify_d1.ini (|g(H)| and two resolvent blocks on 64 sites)
+# finished outputs one chunk holds before they are folded, with TASK_BYTES for
+# each task ``ThreadPoolExecutor.map`` holds (1.7 KB measured at two workers):
+# 31 samples of verify_d1.ini (|g(H)|, two resolvents on 64 sites, a trace row)
 CHUNK_BYTES = 5 << 20
+TASK_BYTES = 2 << 10
 
 
 def chunk_size(sample_bytes: int, out_bytes: int, held_bytes: int) -> int:
-    """Samples per chunk of :func:`fold_samples`, so the most that run at once: as many
-    of ``sample_bytes`` as fit the budget beside ``held_bytes``, and of ``out_bytes``
-    as ``CHUNK_BYTES`` holds.  Raises ``ModelError`` if one sample does not fit."""
+    """Samples per chunk of :func:`fold_samples`, so the most that run at once: as many of
+    ``sample_bytes`` as fit the budget beside ``held_bytes``, and of ``out_bytes`` +
+    ``TASK_BYTES`` as ``CHUNK_BYTES`` holds.  Raises ``ModelError`` if one sample does not fit."""
     need = sample_bytes + held_bytes
     if need > MEMORY_BUDGET_BYTES:
         raise ModelError(f"one sample ({sample_bytes} bytes) and the accumulators "
                          f"({held_bytes} bytes) need an estimated {need / 2 ** 30:.2f} GiB, "
                          f"over the {MEMORY_BUDGET_BYTES / 2 ** 30:.2f} GiB budget")
-    return max(1, min(CHUNK_BYTES // out_bytes,
+    return max(1, min(CHUNK_BYTES // (out_bytes + TASK_BYTES),
                       (MEMORY_BUDGET_BYTES - held_bytes) // sample_bytes))
 
 

@@ -18,7 +18,8 @@ from szegolab.cli import run_experiment, write_coefficients
 from szegolab.coefficients import (coefficient_sweep, inclusion_exclusion_check,
                                    k_vectors, sd_partition_residual,
                                    telescoping_check)
-from szegolab.decay import fit_kernel_decay, kernel_box_stats, trace_difference_probe
+from szegolab.decay import (fit_kernel_decay, kernel_box_stats, trace_difference_probe,
+                            trace_probe_geometry)
 from szegolab.fitting import ols_line
 from szegolab.harness import fit_expansion, log_enhancement_probe, szego_1d_suite
 from szegolab.lattices import (EnsembleSpec, HermitianOperator, LatticeBox,
@@ -67,14 +68,14 @@ def d2_bundle():
 @pytest.fixture(scope="session")
 def decay_bundle():
     """Criterion-5 certificates on the d=1 Anderson setup."""
-    stats = kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 63), 200, workers=2)
-    kernel = fit_kernel_decay(stats, mode="exponential")
     inner = Region(1, (CoordRange(0, 0, 59),))          # G  = [0, 2L), L = 30
     outer = Region(1, (Orthant(0, +1),))                # G' = the half line
     tbox = LatticeBox.interval(-40, 159)
-    tdiff = trace_difference_probe(ANDERSON, G_BUMP, H_SQUARE, inner, outer,
-                                   tbox, 200, workers=2)
-    return kernel, tdiff
+    inner_bits, outer_bits, dist = trace_probe_geometry(inner, outer, tbox)
+    stats = kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 63), 200, workers=2,
+                             trace=(H_SQUARE, tbox, inner_bits, outer_bits))
+    kernel = fit_kernel_decay(stats, mode="exponential")
+    return kernel, trace_difference_probe(stats, inner_bits, dist)
 
 
 # ---------------------------------------------------------------------------

@@ -592,7 +592,7 @@ def test_sweep_workers_are_capped_by_the_byte_budget(tmp_path, monkeypatch):
     with pytest.raises(_Stop):
         run_experiment(os.path.join(CONFIGS, "expansion_d2.ini"),
                        {"workers": "64", "out": str(tmp_path / "d2")})
-    cap = MEMORY_BUDGET_BYTES // operator_bytes(48 ** 2, 8)
+    cap = MEMORY_BUDGET_BYTES // operator_bytes(48 ** 2, "anderson")
     assert seen == [cap] and cap == 10
 
 
@@ -1196,6 +1196,43 @@ def test_verify_over_budget_is_exit_2_before_first_sample(tmp_path, monkeypatch,
         samples=3, out=tmp_path / "big", workers=1, d=2, side=64))
     assert run_experiment(path) == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, samples", [
+    ("expansion_d1.ini", 4), ("expansion_d2.ini", 2), ("logenh_free.ini", 1),
+    ("verify_d1.ini", 4), ("coefficient_formula", 2)])
+def test_every_sampled_run_is_one_fold(tmp_path, monkeypatch, config, samples):
+    # one sample loop and one budget admission per run: verify folded its
+    # trace probe in a second pass, admitted only after the first had run
+    import szegolab.decay as decay
+    folds = []
+
+    def counted(one, n_samples, *args, _orig=mc.fold_samples):
+        folds.append(n_samples)
+        return _orig(one, n_samples, *args)
+    for module in (mc, decay):      # decay binds the name itself
+        monkeypatch.setattr(module, "fold_samples", counted)
+    path = os.path.join(CONFIGS, config)
+    if config == "coefficient_formula":
+        path = write(tmp_path, "cf.ini", CF_D2_INI.format(out="unused", error_term="true"))
+    assert main(["run", path, "--samples", str(samples), "--out", str(tmp_path / "o")]) == 0
+    assert folds == [samples]
+
+
+def test_verify_oversized_trace_box_is_exit_2_before_any_sample(tmp_path, monkeypatch,
+                                                                capsys):
+    # the 8040-site trace box does not fit the budget: its pass was admitted
+    # only after every kernel-box sample had run
+    import szegolab.decay as decay
+    sampled = []
+    monkeypatch.setattr(decay, "spectral_data", lambda *a: sampled.append(a))
+    with open(os.path.join(CONFIGS, "verify_d1.ini"), encoding="utf-8") as fh:
+        text = fh.read().replace("trace_box_hi = 159", "trace_box_hi = 7999")
+    assert main(["verify", write(tmp_path, "big.ini", text), "--samples", "200",
+                 "--out", str(tmp_path / "big")]) == 2
+    err = capsys.readouterr().err
+    assert "one sample (2586121536 bytes) and the accumulators (260928 bytes)" in err
+    assert sampled == [] and not (tmp_path / "big").exists()
 
 
 def test_coefficient_formula_cli(tmp_path):

@@ -10,7 +10,7 @@ from szegolab.regions import CoordRange, Orthant, Region
 from szegolab.spectral import ScalarFunction
 from szegolab.decay import (SpectralWindow, certify_a1, combes_thomas_probe,
                             fit_kernel_decay, kernel_box_stats,
-                            trace_difference_probe)
+                            trace_difference_probe, trace_probe_geometry)
 
 G_BUMP = ScalarFunction.bump(2.0, 3.0, 4)
 H_SQUARE = ScalarFunction.poly((0.0, 0.0, 1.0))
@@ -183,6 +183,15 @@ OUTER = Region(1, (Orthant(0, +1),))
 TBOX = LatticeBox.interval(-40, 159)
 
 
+def _trace_probe(spec, g, h, inner, outer, box, n_samples):
+    """The trace probe as ``verify`` runs it: the geometry, the pass (here over a
+    two-site kernel box) with the trace box, and the reduction."""
+    inner_bits, outer_bits, dist = trace_probe_geometry(inner, outer, box)
+    stats = kernel_box_stats(spec, g, LatticeBox.interval(0, 1), n_samples,
+                             trace=(h, box, inner_bits, outer_bits))
+    return trace_difference_probe(stats, inner_bits, dist)
+
+
 def test_trace_difference_identity_h_deep_inside():
     # with h = identity both restrictions carry the same diagonal inside, so
     # every probe value is exactly zero and the fit is degenerate by design
@@ -196,18 +205,17 @@ def test_trace_difference_identity_h_deep_inside():
     idx = [rep_box.index_of((10,)), rep_box.index_of((15,))]
     assert all(d_in[i] - d_out[i] == 0.0 for i in idx)
     with pytest.raises(DegenerateFitError):
-        trace_difference_probe(ANDERSON, G_BUMP, ScalarFunction.identity(),
-                               inner, OUTER, rep_box, 4)
+        _trace_probe(ANDERSON, G_BUMP, ScalarFunction.identity(), inner, OUTER, rep_box, 4)
 
 
 def test_trace_difference_off_spectrum():
     g_off = ScalarFunction.bump(50.0, 2.0, 4)
     with pytest.raises(DegenerateFitError):
-        trace_difference_probe(ANDERSON, g_off, H_SQUARE, INNER, OUTER, TBOX, 3)
+        _trace_probe(ANDERSON, g_off, H_SQUARE, INNER, OUTER, TBOX, 3)
 
 
 def test_trace_difference_fit_quality():
-    rep = trace_difference_probe(ANDERSON, G_BUMP, H_SQUARE, INNER, OUTER, TBOX, 80)
+    rep = _trace_probe(ANDERSON, G_BUMP, H_SQUARE, INNER, OUTER, TBOX, 80)
     assert rep.params["q_tilde"] >= 4.0
     assert rep.r2 >= 0.9
 
@@ -241,7 +249,7 @@ def test_trace_difference_pair_values_swap_symmetric():
 def test_trace_difference_requires_containment():
     bad_inner = Region(1, (CoordRange(0, -60, 200),))
     with pytest.raises(ConfigError):
-        trace_difference_probe(ANDERSON, G_BUMP, H_SQUARE, bad_inner, OUTER, TBOX, 2)
+        _trace_probe(ANDERSON, G_BUMP, H_SQUARE, bad_inner, OUTER, TBOX, 2)
 
 
 
@@ -295,7 +303,7 @@ def test_raw_pairs_are_the_usable_envelope_points():
         rows.append(_restricted_diag(u, gl, in_bits, H_SQUARE, spectral=True)
                     - _restricted_diag(u, gl, out_bits, H_SQUARE, spectral=True))
     mean = np.abs(sum(rows) / 4)
-    rep = trace_difference_probe(ANDERSON, G_BUMP, H_SQUARE, INNER, OUTER, TBOX, 4)
+    rep = _trace_probe(ANDERSON, G_BUMP, H_SQUARE, INNER, OUTER, TBOX, 4)
     # the boundary of [0, 59] in the half line is the site 60
     want = _usable_envelope(60 - coords[in_bits, 0], mean[in_bits])
     assert (rep.raw["distances"], rep.raw["values"]) == want
@@ -310,15 +318,15 @@ def test_complex_toeplitz_samples_are_sized_at_16_bytes(monkeypatch, probe):
     # a budget between the 8- and 16-byte sample estimates refuses a complex sample
     box = LatticeBox.interval(0, 19)
     n = box.site_count
-    if probe == "kernel":
-        rest = (16 + 8 + 16) * n * n        # g(H) and |g(H)|, then the held sum and max
-        run = lambda: kernel_box_stats(COMPLEX_TOEPLITZ, G_BUMP, box, 2)
-    else:
-        rest = 16 * n                       # the returned row and the held total
-        inner = Region(1, (CoordRange(0, 0, 9),))
-        run = lambda: trace_difference_probe(COMPLEX_TOEPLITZ, G_BUMP, H_SQUARE, inner,
-                                             Region(1, ()), box, 2)
-    budget = (operator_bytes(n, 8) + operator_bytes(n, 16)) // 2 + rest
+    rest = (16 + 8 + 16) * n * n        # g(H) and |g(H)|, then the held sum and max
+    boxes, trace = 1, ()
+    if probe == "trace":                # the pass diagonalizes the trace box too
+        inner_bits, outer_bits, _ = trace_probe_geometry(
+            Region(1, (CoordRange(0, 0, 9),)), Region(1, ()), box)
+        boxes, trace = 2, (H_SQUARE, box, inner_bits, outer_bits)
+        rest += 16 * n                  # the returned row and the held total
+    run = lambda: kernel_box_stats(COMPLEX_TOEPLITZ, G_BUMP, box, 2, trace=trace)
+    budget = boxes * (operator_bytes(n, "anderson") + operator_bytes(n, "toeplitz1d")) // 2 + rest
     monkeypatch.setattr(mc, "MEMORY_BUDGET_BYTES", budget)     # where the fold reads it
     sampled = []
     real = decay.spectral_data

@@ -95,7 +95,7 @@ def test_sweep_memory_is_its_rows_plus_one_chunk(monkeypatch):
                   ScalarFunction.poly((0.0, 0.0, 1.0)))
     sweep = lambda n: coefficient_sweep(spec, 1, g, h, 8, [], n, ells=(2, 4, 6, 8), workers=2)
     row = sweep(2).samples[0].nbytes                       # warms caches too
-    monkeypatch.setattr(mc, "CHUNK_BYTES", 64 * row)
+    monkeypatch.setattr(mc, "CHUNK_BYTES", 64 * (row + mc.TASK_BYTES))
     peaks = []
     for n_samples in (200, 2000):
         tracemalloc.start()
@@ -105,6 +105,29 @@ def test_sweep_memory_is_its_rows_plus_one_chunk(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 1800 * row + (256 << 10), (peaks, row)
+
+
+def test_a_chunk_counts_the_tasks_the_pool_holds(monkeypatch):
+    # 128 KiB of chunk: 61 samples of 72-byte rows and their pending tasks.
+    # Counting the rows alone admitted 1820 samples to a chunk, so 1000
+    # samples ran as one map call, whose pending tasks grew the peak by 1.7 MB
+    import tracemalloc
+    from szegolab.coefficients import coefficient_sweep
+    spec, g, h = (EnsembleSpec("anderson", W=8.0, seed=7), ScalarFunction.bump(2.0, 3.0, 4),
+                  ScalarFunction.poly((0.0, 0.0, 1.0)))
+    sweep = lambda n: coefficient_sweep(spec, 1, g, h, 4, [2], n, ells=(2, 3, 4), workers=2)
+    row = sweep(2).samples[0].nbytes                       # warms caches too
+    assert row == 72
+    monkeypatch.setattr(mc, "CHUNK_BYTES", 128 << 10)
+    peaks = []
+    for n_samples in (100, 1000):
+        tracemalloc.start()
+        try:
+            sweep(n_samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 900 * row + (256 << 10), (peaks, row)
 
 
 def test_mc_fold_samples_is_the_only_library_caller_of_ordered_map():

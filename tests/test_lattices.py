@@ -188,12 +188,13 @@ def test_non_finite_ensemble_is_config_error(block):
 
 def test_operator_byte_estimate_and_guard():
     # matrix, eigenvectors, LAPACK's input copy and two n^2 of eigh workspace
-    assert operator_bytes(2304, 8) == 5 * 8 * 2304 ** 2
-    assert operator_bytes(400, 16) == 5 * 16 * 400 ** 2
+    assert operator_bytes(2304, "anderson") == 5 * 8 * 2304 ** 2
+    assert operator_bytes(400, "toeplitz1d") == 5 * 16 * 400 ** 2
     # the largest shipped box (d = 2, R = 24) fits with room to spare
-    assert operator_bytes(LatticeBox.centered(2, 24).site_count, 8) < MEMORY_BUDGET_BYTES / 10
+    assert (operator_bytes(LatticeBox.centered(2, 24).site_count, "anderson")
+            < MEMORY_BUDGET_BYTES / 10)
     # 8000 sites of float64 need 2.56e9 bytes; refused before any allocation
-    assert operator_bytes(8000, 8) > MEMORY_BUDGET_BYTES
+    assert operator_bytes(8000, "free") > MEMORY_BUDGET_BYTES
     with pytest.raises(ModelError, match="2560000000 bytes"):
         build_operator(EnsembleSpec("free"), LatticeBox.interval(0, 7999), 0)
     sym = Symbol1D.from_dict({0: 2.0, 1: 0.5, -1: 0.5})
