@@ -14,8 +14,7 @@ from .coefficients import (chi_hat_region, coefficient_sweep,
 from .decay import (DecayFitReport, KernelBoxStats, SpectralWindow, certify_a1,
                     combes_thomas_probe, fit_kernel_decay, kernel_box_stats,
                     trace_difference_probe)
-from .errors import (ConfigError, DegenerateFitError, ModelError, NumericError,
-                     QuadratureError, SzegolabError)
+from .errors import ConfigError, DegenerateFitError, ModelError, NumericError, SzegolabError
 from .harness import (FitReport, fit_expansion, log_enhancement_probe,
                       sweep_and_fit, szego_1d_suite)
 from .lattices import (EnsembleSpec, HermitianOperator, LatticeBox, Symbol1D,

@@ -27,12 +27,12 @@ import numpy as np
 from . import coefficients as coeff
 from . import mc
 from .config import ExperimentConfig, load_config, parse_symbol
-from .decay import (certify_a1, check_ct_theta, check_kernel_fit, check_schatten_p,
-                    combes_thomas_probe, fit_kernel_decay, kernel_box_stats,
-                    trace_difference_probe, trace_probe_geometry)
+from .decay import (certify_a1, check_ct_theta, check_kernel_fit, combes_thomas_probe,
+                    fit_kernel_decay, kernel_box_stats, trace_difference_probe,
+                    trace_probe_geometry)
 from .errors import ConfigError, ModelError, NumericError, SzegolabError, config_value
 from .harness import LOG_VERDICTS, log_enhancement_probe, sweep_and_fit, szego_1d_suite
-from .lattices import LatticeBox
+from .lattices import K_MAX, LatticeBox
 from .regions import parse_region
 
 EXIT_OK = 0
@@ -233,13 +233,14 @@ def _run_identity_checks(max_d: int, side: int, seed: int, out_dir: str) -> int:
 
 
 def _run_szego_1d(cfg: ExperimentConfig) -> int:
-    symbol = parse_symbol(cfg.options, k_max=cfg.opt_int("k_max", 32))
+    k_max = cfg.opt_int("k_max", K_MAX)
+    symbol = parse_symbol(cfg.options, k_max)
     grid = cfg.opt_ints("l_grid", "50 100 200 400")
     gate_l = cfg.opt_int("gate_at_l", 0)
     if gate_l and gate_l not in grid:
         raise ConfigError(f"gate_at_l = {gate_l} is not in l_grid = {grid}")
     tol = _gate_bound(cfg, "gate_tol", 1e-3)
-    report = szego_1d_suite(symbol, cfg.h, grid, k_max=cfg.opt_int("k_max", 32))
+    report = szego_1d_suite(symbol, cfg.h, grid, k_max)
     path = os.path.join(cfg.out_dir, "szego1d.json")
     write_json(path, report)
     rows = [[l, ld, gap] for l, ld, gap in
@@ -280,8 +281,6 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     box = LatticeBox.cube(cfg.d, 0, side - 1)
     mode = cfg.options.get("kernel_mode", "exponential").strip()
     check_kernel_fit(box, mode)
-    p = cfg.opt_float("a1_p", 1.0)
-    check_schatten_p(p)
     theta = cfg.opt_float("ct_theta", 1.0)
     check_ct_theta(theta)
     min_mu = _gate_bound(cfg, "gate_min_mu", 0.0)
@@ -303,8 +302,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
                              workers=cfg.workers, trace=trace)
     kernel = fit_kernel_decay(stats, mode=mode)
     payload["kernel_decay"] = kernel
-    if "a1_p" in cfg.options:
-        payload["a1_certificate"] = certify_a1(stats, p)
+    payload["a1_certificate"] = certify_a1(stats)
     if "ct_z" in cfg.options:
         payload["combes_thomas"] = combes_thomas_probe(stats, theta)
     if trace:
@@ -362,7 +360,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     add_common(sub.add_parser("run", help="run the experiment in a config file"))
     add_common(sub.add_parser("verify", help="decay certification only"))
-    add_common(sub.add_parser("szego1d", help="classical 1-D Toeplitz suite"))
     ids = sub.add_parser("identities", help="exact identity checks")
     ids.add_argument("--d", type=int, default=3)
     ids.add_argument("--side", type=int, default=4)
@@ -382,8 +379,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         overrides["workers"] = str(args.workers)
     if args.command == "verify":
         overrides["kind"] = "verify"
-    elif args.command == "szego1d":
-        overrides["kind"] = "szego_1d"
     return run_experiment(args.config, overrides)
 
 

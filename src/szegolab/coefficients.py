@@ -39,7 +39,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .lattices import EnsembleSpec, LatticeBox, build_operator, is_tridiagonal, operator_bytes
 from . import mc
 from .mc import StatSummary, column_moments
@@ -628,11 +628,18 @@ def coefficient_sweep(spec: EnsembleSpec, d: int, g: ScalarFunction,
                       error_L: Sequence[int] = (), workers: int = 1) -> SweepResult:
     """Monte Carlo sweep of all coefficient statistics over one ensemble, on at most
     ``workers`` threads.  It holds every sample's row, refused before the first
-    sample when they would not fit the byte budget (``mc.chunk_size``)."""
+    sample when they would not fit the byte budget (``mc.chunk_size``).  A
+    non-finite statistic raises ``NumericError`` naming its sample and column."""
     plan = make_sweep_plan(spec, d, g, h, R, L_values, ells, error_L)
     row = 8 * len(plan.columns)
     chunk = mc.chunk_size(operator_bytes(plan.box.site_count, spec.kind), row, n_samples * row)
     samples = np.empty((n_samples, len(plan.columns)))
-    mc.fold_samples(lambda s: _sample_stats(plan, s), n_samples, samples.__setitem__, chunk,
-                    workers)
+
+    def fold(s, stats):
+        if not np.all(np.isfinite(stats)):
+            name = next(name for name, j in plan.columns.items() if not np.isfinite(stats[j]))
+            raise NumericError(f"sample {s}: statistic {name} is not finite")
+        samples[s] = stats
+
+    mc.fold_samples(lambda s: _sample_stats(plan, s), n_samples, fold, chunk, workers)
     return SweepResult(plan, samples, *column_moments(samples))

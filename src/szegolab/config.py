@@ -9,7 +9,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import ConfigError, check_keys, config_value
-from .lattices import EnsembleSpec, Symbol1D, symbol_fourier_coefficients
+from .lattices import K_MAX, EnsembleSpec, Symbol1D, symbol_fourier_coefficients
 from . import mc
 from .spectral import ScalarFunction
 
@@ -22,8 +22,8 @@ OPTION_KEYS = {
     "coefficient_formula": ("L", "R", "include_error_term"),
     "szego_1d": ("symbol", "symbol.coeffs", "k_max", "l_grid", "gate_at_l", "gate_tol"),
     "log_enhancement": ("ells", "R", "expect"),
-    "verify": ("box_side", "kernel_mode", "a1_p", "ct_z", "ct_theta", "gate_min_mu",
-               "trace_inner", "trace_outer", "trace_box_lo", "trace_box_hi"),
+    "verify": ("box_side", "kernel_mode", "ct_z", "ct_theta", "gate_min_mu", "trace_inner",
+               "trace_outer", "trace_box_lo", "trace_box_hi"),
 }
 EXPERIMENT_KINDS = tuple(OPTION_KEYS)
 # kinds that draw ensemble samples: they need [ensemble] and [g], and [h] where they apply h
@@ -55,7 +55,7 @@ def parse_scalar_function(text: str) -> ScalarFunction:
     raise ConfigError(f"unknown function form {name!r}")
 
 
-def parse_symbol(block: Dict[str, str], k_max: int = 32) -> Symbol1D:
+def parse_symbol(block: Dict[str, str], k_max: int = K_MAX) -> Symbol1D:
     """Symbol from ``symbol.coeffs``, or the named form ``one`` or ``expcos(c)``."""
     if "symbol.coeffs" in block:
         return config_value("symbol.coeffs", block["symbol.coeffs"], Symbol1D.parse)

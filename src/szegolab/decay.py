@@ -2,7 +2,8 @@
 
 These probes estimate, at desk scale, the constants and rates that the trace
 expansion rests on: the uniform Schatten bound on one-site kernel blocks of
-g(H), polynomial or exponential decay of those blocks, averaged resolvent
+g(H) (the same for every Schatten exponent p, since a one-site block is one
+entry), polynomial or exponential decay of those blocks, averaged resolvent
 decay away from the spectrum, and the boundary trace-norm estimate for
 differences h(g(H)_G) - h(g(H)_G').  "esssup over omega" is realized as a max
 over the sample budget and reported as an estimate, never as a certificate.
@@ -124,11 +125,6 @@ def check_kernel_fit(box: LatticeBox, mode: str) -> None:
         raise ConfigError("kernel-decay fits need box side >= 16")
 
 
-def check_schatten_p(p: float) -> None:
-    if not 0 < p < math.inf:
-        raise ConfigError(f"a1_p = {p!r}: the Schatten exponent must be finite and > 0")
-
-
 def check_ct_theta(theta: float) -> None:
     if not 0 < theta < math.inf:
         raise ConfigError(f"ct_theta = {theta!r} must be finite and > 0")
@@ -236,14 +232,11 @@ class A1Certificate:
     n_samples: int
 
 
-def certify_a1(stats: KernelBoxStats, p: float) -> A1Certificate:
-    """Estimate sup_{a,b} esssup_omega of the one-site kernel block norm.
-
-    With one-site cells every Schatten-p norm of a block equals the entry
-    modulus, so the estimate is the max |g(H)[a,b]| over sites and samples.
-    """
-    check_schatten_p(p)
-    return A1Certificate(stats.a1_value, p, stats.a1_argmax, stats.n_samples)
+def certify_a1(stats: KernelBoxStats) -> A1Certificate:
+    """Estimate sup_{a,b} esssup_omega of the one-site kernel block norm, the max
+    |g(H)[a,b]| over sites and samples.  It records p = 1, which stands for every
+    p: on one-site cells every Schatten norm of a block is its entry's modulus."""
+    return A1Certificate(stats.a1_value, 1.0, stats.a1_argmax, stats.n_samples)
 
 
 def fit_kernel_decay(stats: KernelBoxStats, mode: str = "exponential") -> DecayFitReport:

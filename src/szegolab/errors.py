@@ -21,10 +21,6 @@ class DegenerateFitError(NumericError):
     """All sampled values below the numerical floor; no fit possible."""
 
 
-class QuadratureError(NumericError):
-    """Quadrature grid too coarse for the requested tolerance."""
-
-
 def config_value(key: str, raw, convert):
     """``convert(raw)``, with a ``ValueError`` turned into a ``ConfigError`` naming ``key``."""
     try:

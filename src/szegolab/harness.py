@@ -18,7 +18,7 @@ import numpy as np
 from .coefficients import SweepResult, coefficient_sweep
 from .errors import ConfigError, NumericError
 from .fitting import ols_line, weighted_lstsq
-from .lattices import EnsembleSpec, Symbol1D, toeplitz_matrix
+from .lattices import K_MAX, EnsembleSpec, Symbol1D, toeplitz_matrix
 from .mc import agreement_bound, single_blas_thread
 from .spectral import ScalarFunction
 
@@ -127,7 +127,7 @@ def sweep_and_fit(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFuncti
 # ---------------------------------------------------------------------------
 
 def szego_1d_suite(symbol: Symbol1D, h: Optional[ScalarFunction],
-                   L_grid: Sequence[int], k_max: int = 64) -> Dict:
+                   L_grid: Sequence[int], k_max: int = K_MAX) -> Dict:
     """Determinant and trace asymptotics of truncated Toeplitz matrices.
 
     Computes log det T_L against the classical two-term prediction

@@ -25,6 +25,7 @@ from .errors import ConfigError, ModelError, check_keys, config_value
 # Bytes one dense step may hold: the largest operator build_operator builds, and
 # what a sample pass holds at once (mc.chunk_size)
 MEMORY_BUDGET_BYTES = 2 * 1024 ** 3
+K_MAX = 64  # Fourier modes kept of a 1-D symbol and of its logarithm
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ConfigError, ModelError
 from .lattices import MEMORY_BUDGET_BYTES
 
 
@@ -231,8 +231,10 @@ def chunk_size(sample_bytes: int, out_bytes: int, held_bytes: int) -> int:
 
 def fold_samples(one: Callable, n_samples: int, fold: Callable[[int, object], None],
                  chunk: int, workers: int) -> None:
-    """Map ``one`` over samples 0..n_samples-1, ``chunk`` at a time; ``fold(s, out)``
-    runs on the calling thread in ascending sample order."""
+    """Map ``one`` over samples 0..n_samples-1 (at least one), ``chunk`` at a time;
+    ``fold(s, out)`` runs on the calling thread in ascending sample order."""
+    if n_samples < 1:
+        raise ConfigError(f"n_samples = {n_samples}: a Monte Carlo pass needs at least 1")
     for start in range(0, n_samples, chunk):
         ids = range(start, min(start + chunk, n_samples))
         for s, out in zip(ids, ordered_map(one, ids, workers=workers)):

@@ -19,13 +19,13 @@ one batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import ConfigError, NumericError, QuadratureError
+from .errors import ConfigError, NumericError
 from .lattices import HermitianOperator
 
 # Bytes of one batch of resolvent solves.  Timing hs_discrepancy at n = 16,
@@ -265,14 +265,6 @@ class QuadratureGrid:
     x_nodes: int = 8
     y_nodes: int = 4
 
-    def halved(self) -> "QuadratureGrid":
-        """Half the x panels, which also drops one dyadic y panel; at one x
-        panel, half the node counts instead."""
-        if self.x_panels > 1:
-            return replace(self, x_panels=self.x_panels // 2)
-        return replace(self, x_nodes=max(self.x_nodes // 2, 1),
-                       y_nodes=max(self.y_nodes // 2, 1))
-
     def nodes(self, ext: QuasiAnalyticExtension
               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(xs, wx, ys, wy): the x and y nodes of the rule and their weights."""
@@ -326,25 +318,20 @@ def _hs_quadrature(matrix: np.ndarray, ext: QuasiAnalyticExtension,
 
 
 def hs_apply(op: HermitianOperator, ext: QuasiAnalyticExtension,
-             grid: QuadratureGrid = DEFAULT_GRID, rtol: Optional[float] = None
-             ) -> HermitianOperator:
+             grid: QuadratureGrid = DEFAULT_GRID) -> HermitianOperator:
     """Operator function as a Gauss-Legendre panel integral of resolvents.
 
     Each node z of ``grid`` in the upper half plane costs one solve of
-    (M - z) X = I; the lower half plane contributes the adjoint.  With
-    ``rtol`` set, the quadrature is repeated on ``grid.halved()`` and a
-    discrepancy above ``rtol`` raises ``QuadratureError``.
+    (M - z) X = I; the lower half plane contributes the adjoint.  A spectrum not
+    inside the extension's x-support (a NaN one) raises ``ConfigError``, and a
+    non-finite result ``NumericError``.
     """
     spec = np.linalg.eigvalsh(op.matrix)
-    if spec.min() <= ext.x_support[0] or spec.max() >= ext.x_support[1]:
+    if not (spec.min() > ext.x_support[0] and spec.max() < ext.x_support[1]):
         raise ConfigError("operator spectrum is not inside the extension's x-support")
     result = _hs_quadrature(op.matrix, ext, grid)
-    if rtol is not None:
-        coarse = _hs_quadrature(op.matrix, ext, grid.halved())
-        err = np.abs(result - coarse).max()
-        if err > rtol:
-            raise QuadratureError(
-                f"grid too coarse: refinement discrepancy {err:.3e} > rtol {rtol:.3e}")
+    if not np.all(np.isfinite(result)):
+        raise NumericError("non-finite Helffer-Sjostrand quadrature")
     if np.abs(result.imag).max() <= 1e-13 * max(1.0, np.abs(result).max()):
         result = result.real.copy()
     return HermitianOperator(op.box, result)

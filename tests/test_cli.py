@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -444,7 +445,10 @@ def test_nan_is_written_as_null_whatever_its_type(tmp_path):
      "'R' is set in both [sweep] and [more]"),
     ("logenh_free.ini", "kind = free", "kind = free\nW = 8.0",
      "[ensemble] kind = free reads no key 'W' (it reads: hopping)"),
-], ids=["formula_L-case", "kernel_mode-typo", "R-in-two-sections", "W-of-the-free-chain"])
+    ("verify_d1.ini", "ct_theta = 1.0", "ct_theta = 1.0\na1_p = 1.0",
+     "[verify] has no key 'a1_p'"),
+], ids=["formula_L-case", "kernel_mode-typo", "R-in-two-sections", "W-of-the-free-chain",
+        "a1_p-removed"])
 def test_option_key_no_kind_reads_is_exit_2_before_the_first_sample(tmp_path, monkeypatch,
                                                                     capsys, config, old, new,
                                                                     message):
@@ -480,6 +484,18 @@ def test_readme_reference_config_loads(tmp_path):
     cfg = load_config(write(tmp_path, "readme.ini", block))
     assert cfg.kind == "expansion_fit" and cfg.ensemble.W == 8.0
     assert cfg.opt_bool("gate_crosscheck")
+
+
+def test_readme_command_line_names_every_subcommand(capsys):
+    # the README's command list must be the subcommands ``main`` accepts,
+    # which its parser names when it refuses one
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("szegolab ")]
+    with pytest.raises(SystemExit):
+        main(["no-such-subcommand"])
+    accepted = re.findall(r"[a-z][\w-]*", capsys.readouterr().err.split("choose from", 1)[1])
+    assert listed == accepted
 
 
 def test_library_import_does_not_load_scipy():
@@ -755,7 +771,7 @@ def test_blas_thread_count_does_not_change_bytes(tmp_path, ini):
 def test_blas_thread_count_does_not_change_szego1d_bytes(tmp_path):
     outs = [tmp_path / f"sz{threads}" for threads in ("1", "2")]
     for threads, out in zip(("1", "2"), outs):
-        run_cli_with_blas_threads(threads, "szego1d", os.path.join(CONFIGS, "szego1d.ini"),
+        run_cli_with_blas_threads(threads, "run", os.path.join(CONFIGS, "szego1d.ini"),
                                   "--out", str(out))
     names = sorted(os.listdir(outs[0]))
     assert names == ["szego1d.csv", "szego1d.json"]
@@ -857,7 +873,7 @@ out = {out}
 symbol = one
 l_grid = 5 10 20
 """)
-    assert main(["szego1d", path]) == 0
+    assert main(["run", path]) == 0
     rep = json.loads((out / "szego1d.json").read_text())
     assert all(abs(v) < 1e-12 for v in rep["logdet"])
 
@@ -915,6 +931,56 @@ form = bump(50.0, 2.0, 4)
 box_side = 24
 """)
     assert run_experiment(path) == 3
+
+
+OVERFLOW_INI = """
+[experiment]
+kind = {kind}
+seed = 1
+samples = 2
+out = {out}
+workers = 1
+d = 1
+
+[ensemble]
+kind = anderson
+W = 1e200
+
+[g]
+form = poly(0, 0, 1)
+
+[h]
+form = poly(0, 0, 1)
+
+[options]
+{options}
+"""
+
+
+@pytest.mark.parametrize("kind, options", [
+    ("expansion_fit", "ells = 2 4 6\nR = 8"),
+    ("coefficient_formula", "L = 2\nR = 8"),
+    ("log_enhancement", "ells = 2 4 8\nR = 16"),
+], ids=["expansion_fit", "coefficient_formula", "log_enhancement"])
+def test_non_finite_sweep_statistic_is_exit_3_without_artifacts(tmp_path, capsys, kind,
+                                                                 options):
+    # g(H) = H^2 overflows at W = 1e200: each run wrote null fits, nan rows or
+    # a non-JSON Infinity window and exited 0
+    out = tmp_path / "o"
+    path = write(tmp_path, "overflow.ini", OVERFLOW_INI.format(kind=kind, out=out,
+                                                               options=options))
+    with np.errstate(all="ignore"):
+        assert run_experiment(path) == 3
+    assert "sample 0: statistic ('window_lo',) is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_always_reports_the_a1_certificate_at_p_1(tmp_path):
+    path = write(tmp_path, "ver.ini", VERIFY_INI.format(
+        samples=3, out=tmp_path / "ver", workers=1, d=1, side=32))
+    assert run_experiment(path) == 0
+    rep = json.loads((tmp_path / "ver" / "decay-report.json").read_text())
+    assert rep["a1_certificate"]["p"] == 1.0 and rep["a1_certificate"]["n_samples"] == 3
 
 
 def test_gate_exceeded_is_exit_5(tmp_path, capsys):
@@ -1072,7 +1138,6 @@ form = poly(0, 0, 1)
 [verify]
 box_side = {side}
 kernel_mode = exponential
-a1_p = 1.0
 ct_z = 2.5+0j 3+0j
 trace_inner = range(1,0,29)
 trace_outer = orthant(1,+)
@@ -1117,24 +1182,21 @@ def test_verify_samples_all_run_inside_mc_ordered_map(tmp_path, monkeypatch):
 @pytest.mark.parametrize("old, new", [
     ("kernel_mode = exponential", "kernel_mode = exponental"),
     ("kernel_mode = exponential", "kernel_mode = stretched"),
-    ("a1_p = 1.0", "a1_p = -1"),
     ("box_side = 32", "box_side = 12"),
     ("trace_inner = range(1,0,29)", "trace_inner = rnage(1,0,29)"),
-    ("a1_p = 1.0", "a1_p = 1.0\nct_theta = 0"),
-    ("a1_p = 1.0", "a1_p = 1.0\nct_theta = -1"),
-    ("a1_p = 1.0", "a1_p = 1.0\nct_theta = nan"),
+    ("box_side = 32", "box_side = 32\nct_theta = 0"),
+    ("box_side = 32", "box_side = 32\nct_theta = -1"),
+    ("box_side = 32", "box_side = 32\nct_theta = nan"),
     ("kernel_mode = exponential", "kernel_mode = polynomial\ngate_min_mu = 0.1"),
-    ("a1_p = 1.0", "a1_p = nan"),
-    ("a1_p = 1.0", "a1_p = inf"),
-    ("a1_p = 1.0", "a1_p = 1.0\ngate_min_mu = nan"),
-    ("a1_p = 1.0", "a1_p = 1.0\ngate_min_mu = inf"),
+    ("box_side = 32", "box_side = 32\ngate_min_mu = nan"),
+    ("box_side = 32", "box_side = 32\ngate_min_mu = inf"),
     ("ct_z = 2.5+0j 3+0j", "ct_z = 0+0j 3+0j"),
     ("trace_outer = orthant(1,+)", "trace_outer = range(1,0,20)"),
     ("trace_inner = range(1,0,29)", "trace_inner = range(1,500,600)"),
-], ids=["kernel_mode-typo", "kernel_mode-stretched", "a1_p", "box_side", "trace_inner",
+], ids=["kernel_mode-typo", "kernel_mode-stretched", "box_side", "trace_inner",
         "ct_theta-zero", "ct_theta-negative", "ct_theta-nan", "gate_min_mu-polynomial",
-        "a1_p-nan", "a1_p-inf", "gate_min_mu-nan", "gate_min_mu-inf", "ct_z-zero",
-        "trace_outer-without-inner", "trace_inner-off-the-box"])
+        "gate_min_mu-nan", "gate_min_mu-inf", "ct_z-zero", "trace_outer-without-inner",
+        "trace_inner-off-the-box"])
 def test_verify_refuses_bad_options_before_the_first_sample(tmp_path, monkeypatch, capsys,
                                                             old, new):
     import szegolab.decay as decay
@@ -1151,9 +1213,8 @@ def test_verify_refuses_bad_options_before_the_first_sample(tmp_path, monkeypatc
     err = capsys.readouterr().err
     if old.startswith("kernel_mode"):
         assert "polynomial" in err and "exponential" in err
-    for key in ("a1_p", "gate_min_mu"):
-        if f"{key} = nan" in new or f"{key} = inf" in new:
-            assert f"{key} = " in err and "finite" in err
+    if "gate_min_mu = nan" in new or "gate_min_mu = inf" in new:
+        assert "gate_min_mu = " in err and "finite" in err
     if new.startswith("ct_z"):      # z = 0 ended in a ZeroDivisionError traceback
         assert "ct_z = 0j" in err
     # both trace geometries were refused only after the kernel pass, the second

@@ -459,6 +459,12 @@ def test_off_spectrum_g_gives_zero_coefficients():
         assert abs(res.a_fv(4, m).mean) < 1e-18
 
 
+def test_sweep_over_zero_samples_is_refused():
+    # it reported A_1 = 0.0 +- 0.0 from no samples
+    with pytest.raises(ConfigError, match="at least 1"):
+        coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 10, [4], 0)
+
+
 def test_coefficient_l_stability_d1():
     res = coefficient_sweep(ANDERSON, 1, G_BUMP, H_SQUARE, 100, [20, 40], 40)
     a20, a40 = res.a_fv(20, 1), res.a_fv(40, 1)

@@ -20,25 +20,24 @@ BOX64 = LatticeBox.interval(0, 63)
 
 def test_certify_a1_off_spectrum():
     g_off = ScalarFunction.bump(50.0, 2.0, 4)
-    cert = certify_a1(kernel_box_stats(ANDERSON, g_off, LatticeBox.interval(0, 19), 5), 1.0)
+    cert = certify_a1(kernel_box_stats(ANDERSON, g_off, LatticeBox.interval(0, 19), 5))
     assert cert.C_p_estimate < 1e-18
 
 
 def test_certify_a1_bounded_by_sup_g():
-    cert = certify_a1(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 31), 20), 0.5)
+    cert = certify_a1(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 31), 20))
     assert 0.0 < cert.C_p_estimate <= 1.0 + 1e-12      # |g| <= 1 bounds every block
 
 
-def test_certify_a1_p_independent_on_one_site_cells():
-    stats = kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 19), 10)
-    a = certify_a1(stats, 0.5)
-    b = certify_a1(stats, 2.0)
-    assert a.C_p_estimate == b.C_p_estimate
+def test_kernel_box_pass_over_zero_samples_is_refused():
+    # certify_a1 read C_p_estimate = -1.0 at ((0,), (0,), 0) from no samples
+    with pytest.raises(ConfigError, match="at least 1"):
+        kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 19), 0)
 
 
 def test_certify_a1_two_scale_stability():
-    a = certify_a1(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 39), 40), 1.0)
-    b = certify_a1(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 79), 40), 1.0)
+    a = certify_a1(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 39), 40))
+    b = certify_a1(kernel_box_stats(ANDERSON, G_BUMP, LatticeBox.interval(0, 79), 40))
     assert abs(a.C_p_estimate - b.C_p_estimate) <= 0.05 * max(a.C_p_estimate, b.C_p_estimate)
 
 
