@@ -4,16 +4,19 @@
 ``hs_apply`` evaluates the same operator function as a two-dimensional
 quadrature of resolvents against the d-bar derivative of a quasi-analytic
 extension, built from a Taylor sum with a smooth cutoff in the imaginary
-direction.  The quadrature is a tensor Gauss-Legendre panel rule whose seams
-sit where the integrand loses regularity or changes scale: at the support
-edges of f in x; at dyadic heights below y = 1/2, where the resolvent grows
-like 1/y; and at y = 1/2, where the cutoff begins (see ``QuadratureGrid``).
-The two routes are kept algorithmically independent (the quadrature solves
-shifted linear systems and never touches eigenvectors), so one can serve as
-an oracle for the other.  The quadrature solves its nodes in batches sized to
-a fixed working set (``HS_WORKING_SET_BYTES``), not to the memory budget, so
-a batch stays in cache and the route's memory does not grow with n beyond
-one batch.
+direction.  The quadrature is a Gauss-Legendre panel rule whose seams sit
+where the integrand loses regularity or changes scale: at the support edges
+of f in x; at dyadic heights below y = 1/2, where the resolvent grows like
+1/y; and at y = 1/2, where the cutoff begins.  Each height band [a, b] gets
+its own x panels, only as fine as a pole at height a needs (see
+``QuadratureGrid``).  The two routes are kept algorithmically independent
+(the quadrature solves shifted linear systems and never touches
+eigenvectors), so one can serve as an oracle for the other.  The quadrature
+solves its nodes in batches sized to a fixed working set
+(``HS_WORKING_SET_BYTES``), not to the memory budget, so a batch stays in
+cache and the route's memory does not grow with n beyond one batch.  It runs
+with OpenBLAS pinned to one thread, as every Monte Carlo sample does:
+threading its small weighted sums only burns CPU.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from numpy.polynomial import Polynomial
 
 from .errors import ConfigError, NumericError
 from .lattices import HermitianOperator
+from .mc import single_blas_thread
 
 # Bytes of one batch of resolvent solves.  Timing hs_discrepancy at n = 16,
 # 48 and 96 (2 cores, OpenBLAS 0.3.31), 1 MiB was within 5% of the fastest of
@@ -226,8 +230,8 @@ def hs_extension(f: ScalarFunction, n: int) -> QuasiAnalyticExtension:
     """Quasi-analytic extension data for a compactly supported C^n function."""
     if n < 2:
         raise ConfigError("extension order n must be >= 2")
-    if f.support is None or f.support[0] < -1e29 or f.support[1] > 1e29:
-        raise ConfigError("quasi-analytic extension needs compact support")
+    if f.support is None or not -1e29 <= f.support[0] < f.support[1] <= 1e29:
+        raise ConfigError("quasi-analytic extension needs a compact support of positive width")
     try:
         for r in range(n + 2):
             f.derivative(r)
@@ -242,41 +246,61 @@ def hs_extension(f: ScalarFunction, n: int) -> QuasiAnalyticExtension:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Tensor Gauss-Legendre panel rule over supp f x (0, 1].
+    """Gauss-Legendre panel rule over supp f x (0, 1], x panels sized per y band.
 
     Every term of omega carries a derivative of f, so omega vanishes outside
-    supp f = [lo, hi], and f is only C^k across its support edges.  The x
-    rule is ``x_panels`` equal panels over [lo, hi] with ``x_nodes`` nodes
-    each, so the edges are panel seams.
+    supp f = [lo, hi], and f is only C^k across its support edges.  Each y
+    band's x rule is equal panels over [lo, hi], so the edges are panel seams.
 
     Below y = 1/2, tau = 1 and omega is f^(n+1)(x) (iy)^n / n!, a polynomial
     in y, while the resolvent grows like 1/y near the real axis.  Those y
-    panels are [0, y0] and then dyadic up to 1/2, ``y_nodes`` nodes each.
-    y0 is the smallest 2^-k / 2 not below the x-panel width h: under y = h
-    the x panels no longer resolve the resolvent's peak of width y, so
-    refining there buys nothing, and the strip holds O(h^n) of the mass.
+    bands are [0, y0] and then dyadic up to 1/2, ``y_nodes`` nodes each.
+    y0 is the smallest 2^-k / 2 not below h = (hi - lo) / ``x_panels``:
+    under y = h the x panels no longer resolve the resolvent's peak of width
+    y, so refining there buys nothing, and the strip holds O(h^n) of the mass.
     On [1/2, 1], tau' != 0 and omega is a polynomial of degree 3n + 4 in y
-    (tau' of degree 2n + 4 times the Taylor sum), so that panel takes the
-    (3n + 6) // 2 nodes that integrate it exactly.  Gauss nodes are interior,
-    so no strip along the real axis is left out.
+    (tau' of degree 2n + 4 times the Taylor sum), so that band takes the
+    (3n + 6) // 2 nodes that integrate it exactly.
+
+    The x panels follow the poles.  The band [0, y0] reaches the real axis:
+    ``x_panels`` panels of ``x_nodes`` + 2 nodes.  No pole of a band [a, b]
+    above it comes closer than a, so the fewest equal panels no wider than
+    max(a, 2h), with ``x_nodes`` nodes, suffice: width a keeps each pole half
+    a panel off its line (Gauss error ~ (2 + sqrt 5)^(-2 x_nodes)), and
+    2h > a only next to [0, y0], where y < 4h leaves omega O(h^n).  Gauss
+    nodes are interior, so every node has 0 < Im z <= 1 and Re z in supp f.
     """
 
     x_panels: int = 16
     x_nodes: int = 8
     y_nodes: int = 4
 
-    def nodes(self, ext: QuasiAnalyticExtension
-              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(xs, wx, ys, wy): the x and y nodes of the rule and their weights."""
+    def __post_init__(self):
+        for name in ("x_panels", "x_nodes", "y_nodes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"QuadratureGrid {name} = {value!r} is not a positive integer")
+
+    def nodes(self, ext: QuasiAnalyticExtension) -> Tuple[np.ndarray, np.ndarray]:
+        """(z, w): the rule's nodes in the upper half plane and their weights."""
         lo, hi = ext.f.support
-        xs, wx = _gauss_panels(np.linspace(lo, hi, self.x_panels + 1), self.x_nodes)
         k = 0                                   # y0 = 2^-(k+1)
         while 2.0 ** -(k + 2) >= (hi - lo) / self.x_panels:
             k += 1
-        ys, wy = _gauss_panels(np.append(0.0, 2.0 ** -np.arange(k + 1, 0, -1)),
-                               self.y_nodes)
-        yt, wt = _gauss_panels(np.array([0.5, 1.0]), (3 * ext.order + 6) // 2)
-        return xs, wx, np.append(ys, yt), np.append(wy, wt)
+        edges = np.append(0.0, 2.0 ** -np.arange(k + 1, -1, -1))    # 0, y0, ..., 1/2, 1
+        zs, ws = [], []
+        for a, b in zip(edges[:-1], edges[1:]):
+            if a == 0.0:
+                panels, order = self.x_panels, self.x_nodes + 2
+            else:                               # no wider than max(a, 2h)
+                panels = min(math.ceil((hi - lo) / a), (self.x_panels + 1) // 2)
+                order = self.x_nodes
+            xs, wx = _gauss_panels(np.linspace(lo, hi, panels + 1), order)
+            ys, wy = _gauss_panels(np.array([a, b]),
+                                   self.y_nodes if b <= 0.5 else (3 * ext.order + 6) // 2)
+            zs.append((xs[None, :] + 1j * ys[:, None]).ravel())
+            ws.append((wy[:, None] * wx[None, :]).ravel())
+        return np.concatenate(zs), np.concatenate(ws)
 
 
 DEFAULT_GRID = QuadratureGrid()
@@ -302,9 +326,8 @@ def _chunk_nodes(n: int) -> int:
 def _hs_quadrature(matrix: np.ndarray, ext: QuasiAnalyticExtension,
                    grid: QuadratureGrid) -> np.ndarray:
     n = matrix.shape[0]
-    xs, wx, ys, wy = grid.nodes(ext)
-    wz = ((wy[:, None] * wx[None, :]) * ext.omega(xs[None, :], ys[:, None])).ravel()
-    zs = (xs[None, :] + 1j * ys[:, None]).ravel()
+    zs, w = grid.nodes(ext)
+    wz = w * ext.omega(zs.real, zs.imag)
     chunk = _chunk_nodes(n)
     acc = np.zeros((n, n), dtype=complex)
     eye = np.eye(n, dtype=complex)
@@ -322,14 +345,15 @@ def hs_apply(op: HermitianOperator, ext: QuasiAnalyticExtension,
     """Operator function as a Gauss-Legendre panel integral of resolvents.
 
     Each node z of ``grid`` in the upper half plane costs one solve of
-    (M - z) X = I; the lower half plane contributes the adjoint.  A spectrum not
-    inside the extension's x-support (a NaN one) raises ``ConfigError``, and a
-    non-finite result ``NumericError``.
+    (M - z) X = I, on one BLAS thread; the lower half plane contributes the
+    adjoint.  A spectrum not inside the extension's x-support (a NaN one)
+    raises ``ConfigError``, and a non-finite result ``NumericError``.
     """
     spec = np.linalg.eigvalsh(op.matrix)
     if not (spec.min() > ext.x_support[0] and spec.max() < ext.x_support[1]):
         raise ConfigError("operator spectrum is not inside the extension's x-support")
-    result = _hs_quadrature(op.matrix, ext, grid)
+    with single_blas_thread():
+        result = _hs_quadrature(op.matrix, ext, grid)
     if not np.all(np.isfinite(result)):
         raise NumericError("non-finite Helffer-Sjostrand quadrature")
     if np.abs(result.imag).max() <= 1e-13 * max(1.0, np.abs(result).max()):

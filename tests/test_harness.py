@@ -55,20 +55,6 @@ def test_column_moments_match_scalar_welford_bit_for_bit():
     assert mean[11] == 0.0 and stderr[11] == 0.0
 
 
-@pytest.fixture
-def openblas_at_two():
-    """The loaded OpenBLAS set to 2 threads; its own count is put back after."""
-    controls = mc._openblas_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS loaded")
-    before = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(2)
-    yield lambda: [get() for get, _ in controls]
-    for (_, set_), n in zip(controls, before):
-        set_(n)
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ordered_map_pins_blas_to_one_thread(openblas_at_two, workers):
     seen = mc.ordered_map(lambda a: openblas_at_two(), range(3), workers=workers)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from szegolab import mc
 from szegolab.errors import ConfigError, NumericError
 from szegolab.lattices import (MEMORY_BUDGET_BYTES, EnsembleSpec, HermitianOperator,
                                LatticeBox, build_operator)
@@ -131,6 +132,13 @@ def test_hs_extension_requires_order_two():
         hs_extension(ScalarFunction.indicator(0.0, 1.0), 2)
 
 
+@pytest.mark.parametrize("support", [(1.0, 1.0), (2.0, 1.0)])
+def test_hs_extension_refuses_an_empty_support(support):
+    # the rule's y0 search never ended on a support of width <= 0
+    with pytest.raises(ConfigError, match="positive width"):
+        hs_extension(ScalarFunction.poly((0.0,), support=support), 2)
+
+
 # ---------------------------------------------------------------------------
 # hs_apply against the spectral route
 # ---------------------------------------------------------------------------
@@ -213,9 +221,51 @@ def test_hs_default_rule_is_cheap_and_accurate(rng, monkeypatch):
         return solve(a, b)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     got = hs_apply(op, ext)
-    assert sum(systems) <= 4096
+    assert sum(systems) <= 1440
     err = np.linalg.norm(got.matrix - matrix_function(op, ext.f).matrix, ord=2)
     assert err <= 1e-8
+    zs, w = DEFAULT_GRID.nodes(ext)
+    lo, hi = ext.f.support
+    assert zs.size == w.size == sum(systems)
+    assert np.all((zs.imag > 0) & (zs.imag <= 1) & (zs.real > lo) & (zs.real < hi))
+    assert np.all(np.isfinite(w))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_hs_oracle_is_finite_and_accurate_on_more_matrices(seed):
+    # criterion 8's recipe on fresh matrices: a node on or near the real axis
+    # would make a resolvent singular and the discrepancy NaN or large
+    ext = hs_extension(ScalarFunction.bump(0.0, 2.0, 6), 4)
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        err = hs_discrepancy(_criterion_8_operator(rng), ext)
+        assert np.isfinite(err) and err <= 1e-8
+
+
+@pytest.mark.parametrize("counts, field", [((0, 8, 4), "x_panels"), ((16, 0, 4), "x_nodes"),
+                                           ((16, 8, 0), "y_nodes"), ((-2, 8, 4), "x_panels"),
+                                           ((16, 8.0, 4), "x_nodes"), ((16, 8, True), "y_nodes")])
+def test_quadrature_grid_refuses_a_count_that_is_not_a_positive_integer(counts, field):
+    with pytest.raises(ConfigError, match=field):
+        QuadratureGrid(*counts)
+
+
+def test_hs_apply_pins_blas_to_one_thread(openblas_at_two, monkeypatch):
+    ext = hs_extension(ScalarFunction.bump(0.0, 2.0, 6), 4)
+    op = _criterion_8_operator(np.random.default_rng(7))
+    with mc.single_blas_thread():
+        at_one = hs_apply(op, ext).matrix
+    solve = np.linalg.solve
+    seen = []
+
+    def recording_solve(a, b):
+        seen.append(tuple(openblas_at_two()))
+        return solve(a, b)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    at_two = hs_apply(op, ext).matrix
+    assert seen and all(set(counts) == {1} for counts in seen)
+    assert set(openblas_at_two()) == {2}
+    assert at_one.tobytes() == at_two.tobytes()
 
 
 def test_hs_chunk_fits_memory_budget():
@@ -227,8 +277,8 @@ def test_hs_chunk_fits_memory_budget():
         assert chunk * per_node <= MEMORY_BUDGET_BYTES
         assert chunk * per_node <= HS_WORKING_SET_BYTES
         assert chunk == 1 or (chunk + 1) * per_node > HS_WORKING_SET_BYTES
-    xs, _, ys, _ = DEFAULT_GRID.nodes(hs_extension(ScalarFunction.bump(0.0, 2.0, 6), 4))
-    assert xs.size * ys.size > _chunk_nodes(16)
+    zs, _ = DEFAULT_GRID.nodes(hs_extension(ScalarFunction.bump(0.0, 2.0, 6), 4))
+    assert zs.size > _chunk_nodes(16)
 
 
 @pytest.mark.parametrize("n", [16, 48])
