@@ -26,11 +26,11 @@ import numpy as np
 
 from . import coefficients as coeff
 from . import mc
-from .config import ExperimentConfig, load_config, parse_symbol
+from .config import ExperimentConfig, boolean, load_config, number_list, parse_symbol
 from .decay import (certify_a1, check_ct_theta, check_kernel_fit, combes_thomas_probe,
                     fit_kernel_decay, kernel_box_stats, trace_difference_probe,
                     trace_probe_geometry)
-from .errors import ConfigError, ModelError, NumericError, SzegolabError, config_value
+from .errors import ConfigError, ModelError, NumericError, SzegolabError
 from .harness import LOG_VERDICTS, log_enhancement_probe, sweep_and_fit, szego_1d_suite
 from .lattices import K_MAX, LatticeBox
 from .regions import parse_region
@@ -124,10 +124,10 @@ def write_coefficients(out_dir: str, res: coeff.SweepResult, L: int) -> None:
     write_coefficient_csv(os.path.join(out_dir, "coefficients.csv"), res, L)
 
 
-def _gate_bound(cfg: ExperimentConfig, key: str, default: float) -> float:
+def _gate_bound(cfg: ExperimentConfig, key: str, default=None) -> Optional[float]:
     """A gate's bound, which must be finite: a NaN or infinite bound never trips."""
-    bound = cfg.opt_float(key, default)
-    if not math.isfinite(bound):
+    bound = cfg.opt(key, float, default)
+    if bound is not None and not math.isfinite(bound):
         raise ConfigError(f"{key} = {bound!r}: a gate bound must be finite")
     return bound
 
@@ -144,13 +144,13 @@ def _gate_failed(code: int, quantity: str, value, bound: str, artifact: str) -> 
 # ---------------------------------------------------------------------------
 
 def _run_expansion_fit(cfg: ExperimentConfig) -> int:
-    ells = cfg.opt_ints("ells")
-    if not ells:
+    ells = cfg.opt("ells", number_list(int))
+    if ells is None:
         raise ConfigError("expansion_fit needs an 'ells' grid")
-    r = cfg.opt_int("R", 2 * max(ells))
-    formula_l = cfg.opt_int("formula_L", 0) or None
-    gate = cfg.opt_bool("gate_crosscheck")
-    if gate and not formula_l:
+    r = cfg.opt("R", int, 2 * max(ells))
+    formula_l = cfg.opt("formula_L", int)
+    gate = cfg.opt("gate_crosscheck", boolean, False)
+    if gate and formula_l is None:
         raise ConfigError("gate_crosscheck gates the formula cross-check, which needs "
                           "formula_L")
     report, res = sweep_and_fit(cfg.ensemble, cfg.d, cfg.g, cfg.h, ells, r,
@@ -161,7 +161,7 @@ def _run_expansion_fit(cfg: ExperimentConfig) -> int:
             zip(report.ells, report.trace_means, report.trace_stderrs)]
     write_csv(os.path.join(cfg.out_dir, "sweep.csv"),
               ["ell", "trace_mean", "trace_stderr", "n_samples"], rows)
-    if formula_l:
+    if formula_l is not None:
         write_coefficients(cfg.out_dir, res, formula_l)
     check = report.cross_check
     if gate and check is not None and not check["within_3_sigma"]:
@@ -174,11 +174,11 @@ def _run_expansion_fit(cfg: ExperimentConfig) -> int:
 
 
 def _run_coefficient_formula(cfg: ExperimentConfig) -> int:
-    l_val = cfg.opt_int("L", 0)
-    r = cfg.opt_int("R", 4 * l_val)
-    if not l_val:
+    l_val = cfg.opt("L", int)
+    if l_val is None:
         raise ConfigError("coefficient_formula needs L")
-    include_e = cfg.opt_bool("include_error_term")
+    r = cfg.opt("R", int, 4 * l_val)
+    include_e = cfg.opt("include_error_term", boolean, False)
     res = coeff.coefficient_sweep(cfg.ensemble, cfg.d, cfg.g, cfg.h, r, [l_val],
                                   cfg.samples, error_L=[l_val] if include_e else (),
                                   workers=cfg.workers)
@@ -233,11 +233,11 @@ def _run_identity_checks(max_d: int, side: int, seed: int, out_dir: str) -> int:
 
 
 def _run_szego_1d(cfg: ExperimentConfig) -> int:
-    k_max = cfg.opt_int("k_max", K_MAX)
+    k_max = cfg.opt("k_max", int, K_MAX)
     symbol = parse_symbol(cfg.options, k_max)
-    grid = cfg.opt_ints("l_grid", "50 100 200 400")
-    gate_l = cfg.opt_int("gate_at_l", 0)
-    if gate_l and gate_l not in grid:
+    grid = cfg.opt("l_grid", number_list(int), [50, 100, 200, 400])
+    gate_l = cfg.opt("gate_at_l", int)
+    if gate_l is not None and gate_l not in grid:
         raise ConfigError(f"gate_at_l = {gate_l} is not in l_grid = {grid}")
     tol = _gate_bound(cfg, "gate_tol", 1e-3)
     report = szego_1d_suite(symbol, cfg.h, grid, k_max)
@@ -247,7 +247,7 @@ def _run_szego_1d(cfg: ExperimentConfig) -> int:
             zip(report["L_grid"], report["logdet"], report["logdet_minus_prediction"])]
     write_csv(os.path.join(cfg.out_dir, "szego1d.csv"),
               ["L", "logdet", "logdet_minus_prediction"], rows)
-    if gate_l:
+    if gate_l is not None:
         idx = grid.index(gate_l)
         gap = abs(report["logdet_minus_prediction"][idx])
         if gap > tol:
@@ -257,10 +257,10 @@ def _run_szego_1d(cfg: ExperimentConfig) -> int:
 
 
 def _run_log_enhancement(cfg: ExperimentConfig) -> int:
-    ells = cfg.opt_ints("ells", "48 96 144 192 240 288 336 384")
-    r = cfg.opt_int("R", 0) or None
-    expect = cfg.options.get("expect", "").strip()
-    if expect and expect not in LOG_VERDICTS:
+    ells = cfg.opt("ells", number_list(int), [48, 96, 144, 192, 240, 288, 336, 384])
+    r = cfg.opt("R", int)
+    expect = cfg.opt("expect", str.strip)
+    if expect is not None and expect not in LOG_VERDICTS:
         raise ConfigError(f"expect = {expect!r} is not one of {', '.join(LOG_VERDICTS)}")
     report = log_enhancement_probe(cfg.ensemble, cfg.g, cfg.h, ells, cfg.samples,
                                    R=r, workers=cfg.workers)
@@ -270,46 +270,45 @@ def _run_log_enhancement(cfg: ExperimentConfig) -> int:
             zip(report["ells"], report["trace_means"], report["trace_stderrs"])]
     write_csv(os.path.join(cfg.out_dir, "log-enhancement.csv"),
               ["ell", "trace_mean", "trace_stderr"], rows)
-    if expect and report["classification"] != expect:
+    if expect is not None and report["classification"] != expect:
         return _gate_failed(EXIT_GATE, "classification", report["classification"],
                             f"== {expect!r}", path)
     return EXIT_OK
 
 
 def _run_verify(cfg: ExperimentConfig) -> int:
-    side = cfg.opt_int("box_side", 64)
+    side = cfg.opt("box_side", int, 64)
     box = LatticeBox.cube(cfg.d, 0, side - 1)
-    mode = cfg.options.get("kernel_mode", "exponential").strip()
+    mode = cfg.opt("kernel_mode", str.strip, "exponential")
     check_kernel_fit(box, mode)
-    theta = cfg.opt_float("ct_theta", 1.0)
+    theta = cfg.opt("ct_theta", float, 1.0)
     check_ct_theta(theta)
-    min_mu = _gate_bound(cfg, "gate_min_mu", 0.0)
-    if min_mu and mode == "polynomial":
+    min_mu = _gate_bound(cfg, "gate_min_mu")
+    if min_mu is not None and mode == "polynomial":
         raise ConfigError(f"gate_min_mu = {min_mu!r} gates the exponential rate mu, "
                           "which kernel_mode = polynomial does not fit")
-    zs = config_value("ct_z", cfg.options.get("ct_z", ""),
-                      lambda t: [complex(v) for v in t.split()])
+    zs = cfg.opt("ct_z", number_list(complex))
     trace = ()
     if cfg.has_trace_probe:
-        tbox = LatticeBox.cube(cfg.d, cfg.opt_int("trace_box_lo", -side // 2),
-                               cfg.opt_int("trace_box_hi", 3 * side // 2))
+        tbox = LatticeBox.cube(cfg.d, cfg.opt("trace_box_lo", int, -side // 2),
+                               cfg.opt("trace_box_hi", int, 3 * side // 2))
         inner_bits, outer_bits, dist = trace_probe_geometry(
-            parse_region(cfg.d, cfg.options["trace_inner"]),
-            parse_region(cfg.d, cfg.options["trace_outer"]), tbox)
+            cfg.opt("trace_inner", lambda text: parse_region(cfg.d, text)),
+            cfg.opt("trace_outer", lambda text: parse_region(cfg.d, text)), tbox)
         trace = (cfg.h, tbox, inner_bits, outer_bits)
     payload: Dict = {"box_side": side, "d": cfg.d, "n_samples": cfg.samples}
-    stats = kernel_box_stats(cfg.ensemble, cfg.g, box, cfg.samples, zs,
+    stats = kernel_box_stats(cfg.ensemble, cfg.g, box, cfg.samples, zs or (),
                              workers=cfg.workers, trace=trace)
     kernel = fit_kernel_decay(stats, mode=mode)
     payload["kernel_decay"] = kernel
     payload["a1_certificate"] = certify_a1(stats)
-    if "ct_z" in cfg.options:
+    if zs is not None:
         payload["combes_thomas"] = combes_thomas_probe(stats, theta)
     if trace:
         payload["trace_difference"] = trace_difference_probe(stats, inner_bits, dist)
     path = os.path.join(cfg.out_dir, "decay-report.json")
     write_json(path, payload)
-    if min_mu and kernel.params["mu"] <= min_mu:
+    if min_mu is not None and kernel.params["mu"] <= min_mu:
         return _gate_failed(EXIT_GATE, "kernel decay mu", kernel.params["mu"],
                             f"> {min_mu!r}", path)
     return EXIT_OK

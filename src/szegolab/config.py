@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -14,9 +14,8 @@ from . import mc
 from .spectral import ScalarFunction
 
 # the keys each experiment kind reads from its option sections (every section but
-# [experiment], [ensemble], [g] and [h]); load_config refuses a key no kind reads,
-# and accepts the others whatever the kind, since `szegolab verify` may run a
-# config written for another kind
+# [experiment], [ensemble], [g] and [h]); load_config refuses any other key, by the
+# kind the file names, so `szegolab verify` runs another kind's file with its defaults
 OPTION_KEYS = {
     "expansion_fit": ("ells", "R", "formula_L", "gate_crosscheck"),
     "coefficient_formula": ("L", "R", "include_error_term"),
@@ -25,7 +24,6 @@ OPTION_KEYS = {
     "verify": ("box_side", "kernel_mode", "ct_z", "ct_theta", "gate_min_mu", "trace_inner",
                "trace_outer", "trace_box_lo", "trace_box_hi"),
 }
-EXPERIMENT_KINDS = tuple(OPTION_KEYS)
 # kinds that draw ensemble samples: they need [ensemble] and [g], and [h] where they apply h
 SAMPLED_KINDS = ("expansion_fit", "coefficient_formula", "log_enhancement", "verify")
 
@@ -55,8 +53,28 @@ def parse_scalar_function(text: str) -> ScalarFunction:
     raise ConfigError(f"unknown function form {name!r}")
 
 
+def boolean(text: str) -> bool:
+    """``true``/``false``, ``yes``/``no``, ``on``/``off`` or ``1``/``0``, in any case."""
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError("use true/false, yes/no, on/off or 1/0")
+    return word in ("1", "true", "yes", "on")
+
+
+def number_list(convert):
+    """Converter of a space-separated list of numbers, which must not be empty."""
+    def parse(text: str) -> list:
+        values = [convert(v) for v in text.split()]
+        if not values:
+            raise ValueError("the list is empty")
+        return values
+    return parse
+
+
 def parse_symbol(block: Dict[str, str], k_max: int = K_MAX) -> Symbol1D:
     """Symbol from ``symbol.coeffs``, or the named form ``one`` or ``expcos(c)``."""
+    if "symbol.coeffs" in block and "symbol" in block:
+        raise ConfigError("symbol and symbol.coeffs are both set: set one of them")
     if "symbol.coeffs" in block:
         return config_value("symbol.coeffs", block["symbol.coeffs"], Symbol1D.parse)
     form = block.get("symbol", "one").strip()
@@ -82,22 +100,11 @@ class ExperimentConfig:
     h: Optional[ScalarFunction] = None
     options: Dict[str, str] = field(default_factory=dict)
 
-    def opt_ints(self, key: str, default: str = "") -> List[int]:
-        return config_value(key, self.options.get(key, default),
-                            lambda t: [int(v) for v in t.split()])
-
-    def opt_int(self, key: str, default: int) -> int:
-        return config_value(key, self.options.get(key, default), int)
-
-    def opt_float(self, key: str, default: float) -> float:
-        return config_value(key, self.options.get(key, default), float)
-
-    def opt_bool(self, key: str) -> bool:
-        word = self.options.get(key, "false").strip().lower()
-        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-            raise ConfigError(f"{key} = {word!r} is not a boolean: use true/false, "
-                              "yes/no, on/off or 1/0")
-        return word in ("1", "true", "yes", "on")
+    def opt(self, key: str, convert, default=None):
+        """Option ``key`` through ``convert``, or ``default`` if the config does not set it."""
+        if key not in self.options:
+            return default
+        return config_value(key, self.options[key], convert)
 
     @property
     def has_trace_probe(self) -> bool:
@@ -105,8 +112,10 @@ class ExperimentConfig:
         return "trace_inner" in self.options and "trace_outer" in self.options
 
     def validate(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        missing = [key for key in ("trace_inner", "trace_outer") if key not in self.options]
+        if missing and any(key.startswith("trace_") for key in self.options):
+            raise ConfigError(f"a trace probe needs trace_inner and trace_outer: "
+                              f"{' and '.join(missing)} is not set")
         if self.kind in SAMPLED_KINDS:
             applies_h = self.kind != "verify" or self.has_trace_probe
             for name in ("ensemble", "g", "h") if applies_h else ("ensemble", "g"):
@@ -171,23 +180,23 @@ def load_config(path: str, overrides: Optional[Dict[str, str]] = None) -> Experi
         raise ConfigError("config needs an [experiment] section")
     exp = dict(sections["experiment"])
     check_keys("experiment", exp, ("kind", "seed", "samples", "out", "workers", "d"))
-    overrides = overrides or {}
-    exp.update({k: v for k, v in overrides.items() if v is not None})
-
-    try:
-        kind = exp["kind"].strip()
-    except KeyError:
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    # the kind the file names decides its option keys, whatever `szegolab verify` runs
+    own_kind = exp.get("kind", overrides.get("kind", "")).strip()
+    exp.update(overrides)
+    if "kind" not in exp:
         raise ConfigError("missing experiment 'kind'")
+    if own_kind not in OPTION_KEYS:
+        raise ConfigError(f"unknown experiment kind {own_kind!r}")
 
     g = _function_section(sections, "g")
     h = _function_section(sections, "h")
 
-    known = tuple(dict.fromkeys(k for keys in OPTION_KEYS.values() for k in keys))
     options: Dict[str, str] = {}
     home: Dict[str, str] = {}       # the option section that set each key
     for section, block in sections.items():
         if section not in ("experiment", "ensemble", "g", "h"):
-            check_keys(section, block, known)
+            check_keys(section, block, OPTION_KEYS[own_kind])
             for key, value in block.items():
                 if key in home:
                     raise ConfigError(f"{key!r} is set in both [{home[key]}] and "
@@ -195,7 +204,7 @@ def load_config(path: str, overrides: Optional[Dict[str, str]] = None) -> Experi
                 home[key], options[key] = section, value
 
     cfg = ExperimentConfig(
-        kind=kind,
+        kind=exp["kind"].strip(),
         seed=config_value("seed", exp.get("seed", 0), int),
         samples=config_value("samples", exp.get("samples", 1), int),
         out_dir=exp.get("out", "out"),

@@ -95,12 +95,12 @@ def sweep_and_fit(spec: EnsembleSpec, d: int, g: ScalarFunction, h: ScalarFuncti
     comparing the fitted subleading coefficient with the formula value.
     """
     check_fit_grid(ells, d)
-    L_values = [formula_L] if formula_L else []
+    L_values = [] if formula_L is None else [formula_L]
     res = coefficient_sweep(spec, d, g, h, R, L_values, n_samples, ells=ells,
                             workers=workers)
     ells_out, means, errs = res.sweep_series()
     report = fit_expansion(ells_out, means, errs, d, n_samples)
-    if formula_L:
+    if formula_L is not None:
         a1_formula = res.a_fv(formula_L, 1)
         gap = abs(report.A_hat[1] - a1_formula.mean)
         combined = math.hypot(report.A_stderr[1], a1_formula.stderr)

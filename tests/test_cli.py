@@ -13,7 +13,8 @@ import pytest
 
 from szegolab import mc
 from szegolab.cli import main, run_experiment
-from szegolab.config import OPTION_KEYS, load_config, parse_scalar_function, parse_symbol
+from szegolab.config import (OPTION_KEYS, boolean, load_config, parse_scalar_function,
+                             parse_symbol)
 from szegolab.errors import ConfigError, NumericError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -88,6 +89,22 @@ def test_unknown_symbol_form_is_exit_2_before_the_suite(tmp_path, monkeypatch, c
     assert not (tmp_path / "o").exists()
 
 
+def test_symbol_and_its_coefficients_together_are_exit_2_before_the_suite(
+        tmp_path, monkeypatch, capsys):
+    # symbol.coeffs won and symbol was dropped: expcos(0.5) ran as a = 1
+    import szegolab.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the suite ran before the refusal")
+    monkeypatch.setattr(cli, "szego_1d_suite", no_work)
+    with open(os.path.join(CONFIGS, "szego1d.ini"), encoding="utf-8") as fh:
+        text = fh.read().replace("symbol = expcos(0.5)",
+                                 "symbol = expcos(0.5)\nsymbol.coeffs = 0:1.0")
+    assert main(["run", write(tmp_path, "sym.ini", text), "--out", str(tmp_path / "o")]) == 2
+    assert "symbol and symbol.coeffs are both set" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_seed_flag_reaches_the_ensemble(tmp_path):
     # the seed has one home, [experiment], which --seed overrides
     config = os.path.join(CONFIGS, "expansion_d1.ini")
@@ -136,7 +153,7 @@ def test_shipped_config_validates(path):
     assert path is not None, "reference configs missing"
     cfg = load_config(path)
     assert cfg.kind in ("expansion_fit", "szego_1d", "verify", "log_enhancement")
-    # a key of another kind loads, and this kind would ignore it
+    # a config may set only the option keys of its own kind
     assert set(cfg.options) <= set(OPTION_KEYS[cfg.kind])
 
 
@@ -209,7 +226,7 @@ def test_non_finite_function_parameter_is_exit_2(tmp_path, capsys, old, new):
     ("L", [("L = 4", "L = five")]),
     ("samples", [("samples = 1", "samples = x")]),
     ("symbol.coeffs", [("kind = anderson\nW = 8.0", "kind = toeplitz1d\nsymbol.coeffs = 1:abc")]),
-    ("ct_z", [("coefficient_formula", "verify"), ("R = 16", "ct_z = 5+1j nope")]),
+    ("ct_z", [("coefficient_formula", "verify"), ("L = 4\nR = 16", "ct_z = 5+1j nope")]),
 ], ids=["W", "L", "samples", "symbol.coeffs", "ct_z"])
 def test_malformed_number_is_exit_2_naming_the_key(tmp_path, capsys, key, edits):
     text = FORMULA_INI.format(out=tmp_path / "o")
@@ -353,11 +370,17 @@ R = 12
     ("expansion_d1.ini", "formula_L = 80", "formula_L = -5", "probe depth L=-5"),
     ("expansion_d1.ini", "formula_L = 80", "", "needs formula_L"),
     (None, "", "", "probe depth L=-5"),
-], ids=["empty-boxes", "negative-formula_L", "gate-without-formula_L", "negative-L"])
+    ("expansion_d1.ini", "formula_L = 80\ngate_crosscheck = true", "formula_L = 0",
+     "probe depth L=0"),
+    (None, "L = -5", "L = 0", "probe depth L=0"),
+    ("logenh_free.ini", "expect = enhanced", "expect = enhanced\nR = 0", "empty box"),
+], ids=["empty-boxes", "negative-formula_L", "gate-without-formula_L", "negative-L",
+        "formula_L-zero", "L-zero", "log_enhancement-R-zero"])
 def test_sweep_that_measures_nothing_is_exit_2_before_the_first_sample(
         tmp_path, monkeypatch, capsys, config, old, new, message):
     # each of these ran to exit 0 on zeros, or ended in a traceback, or ran
-    # without the gate it was asked for
+    # without the gate it was asked for; a 0 meant "not set": formula_L = 0 ran
+    # no cross-check, L = 0 asked for L, and R = 0 ran at R = 76
     import szegolab.coefficients as coefficients
 
     def no_sample(*args):
@@ -367,9 +390,8 @@ def test_sweep_that_measures_nothing_is_exit_2_before_the_first_sample(
     if config is not None:
         with open(os.path.join(CONFIGS, config), encoding="utf-8") as fh:
             text = fh.read()
-        assert old in text
-        text = text.replace(old, new)
-    path = write(tmp_path, "refused.ini", text)
+    assert old in text
+    path = write(tmp_path, "refused.ini", text.replace(old, new))
     assert main(["run", path, "--samples", "2", "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -378,11 +400,15 @@ def test_sweep_that_measures_nothing_is_exit_2_before_the_first_sample(
 @pytest.mark.parametrize("config, old, new, message", [
     ("szego1d.ini", "gate_tol = 1e-3", "gate_tol = abc", "gate_tol = 'abc'"),
     ("logenh_free.ini", "expect = enhanced", "expect = enhancd", "expect = 'enhancd'"),
-], ids=["szego1d-gate_tol", "log_enhancement-expect"])
+    ("szego1d.ini", "gate_at_l = 100", "gate_at_l = 0", "gate_at_l = 0 is not in l_grid"),
+    ("logenh_free.ini", "expect = enhanced", "expect =", "expect = '' is not one of"),
+], ids=["szego1d-gate_tol", "log_enhancement-expect", "szego1d-gate_at_l-zero",
+        "log_enhancement-expect-empty"])
 def test_bad_gate_option_is_exit_2_before_any_work(tmp_path, monkeypatch, capsys, config,
                                                     old, new, message):
     # gate_tol was parsed after both artifacts were written, and expect was
-    # compared only after every sample, so the run ended with exit 5
+    # compared only after every sample, so the run ended with exit 5; a
+    # gate_at_l of 0 and an empty expect meant "no gate", and the run exited 0
     import szegolab.cli as cli
     import szegolab.coefficients as coefficients
 
@@ -447,13 +473,25 @@ def test_nan_is_written_as_null_whatever_its_type(tmp_path):
      "[ensemble] kind = free reads no key 'W' (it reads: hopping)"),
     ("verify_d1.ini", "ct_theta = 1.0", "ct_theta = 1.0\na1_p = 1.0",
      "[verify] has no key 'a1_p'"),
+    ("expansion_d1.ini", "R = 200", "R = 200\nL = 10", "[sweep] has no key 'L'"),
+    ("expansion_d1.ini", "R = 200", "R = 200\ninclude_error_term = true",
+     "[sweep] has no key 'include_error_term'"),
+    ("expansion_d1.ini", "R = 200", "R = 200\nbox_side = 16", "[sweep] has no key 'box_side'"),
+    ("expansion_d1.ini", "R = 200", "R = 200\nexpect = flat", "[sweep] has no key 'expect'"),
+    ("verify_d1.ini", "box_side = 64", "box_side = 64\nformula_L = 80",
+     "[verify] has no key 'formula_L'"),
+    ("verify_d1.ini", "box_side = 64", "box_side = 64\ngate_crosscheck = true",
+     "[verify] has no key 'gate_crosscheck'"),
 ], ids=["formula_L-case", "kernel_mode-typo", "R-in-two-sections", "W-of-the-free-chain",
-        "a1_p-removed"])
+        "a1_p-removed", "L-in-a-sweep", "include_error_term-in-a-sweep",
+        "box_side-in-a-sweep", "expect-in-a-sweep", "formula_L-in-verify",
+        "gate_crosscheck-in-verify"])
 def test_option_key_no_kind_reads_is_exit_2_before_the_first_sample(tmp_path, monkeypatch,
                                                                     capsys, config, old, new,
                                                                     message):
-    # a key no experiment kind reads would be dropped: the cross-check and its
-    # gate, or the polynomial kernel fit, would silently not run.  So would
+    # a key its experiment kind does not read would be dropped: the cross-check
+    # and its gate, or the polynomial kernel fit, would silently not run, and a
+    # verify config's gate_crosscheck asked for a gate that never ran.  So would
     # the first of two sections that set one key (R = 24 ran as R = 12), and
     # an [ensemble] key its kind does not read (W = 8 ran the free chain)
     import szegolab.coefficients as coefficients
@@ -472,10 +510,15 @@ def test_option_key_no_kind_reads_is_exit_2_before_the_first_sample(tmp_path, mo
     assert not (tmp_path / "o").exists()
 
 
-def test_verify_accepts_the_option_keys_of_other_kinds():
-    # `szegolab verify` may run a config written for another kind
+def test_verify_accepts_the_option_keys_of_other_kinds(tmp_path):
+    # `szegolab verify` may run a config written for another kind, with the
+    # verify defaults: the file's own kind decides which keys it may set
     cfg = load_config(os.path.join(CONFIGS, "expansion_d1.ini"), {"kind": "verify"})
     assert cfg.kind == "verify" and cfg.options["formula_L"] == "80"
+    with open(os.path.join(CONFIGS, "expansion_d1.ini"), encoding="utf-8") as fh:
+        text = fh.read().replace("R = 200", "R = 200\nbox_side = 16")
+    with pytest.raises(ConfigError, match="has no key 'box_side'"):
+        load_config(write(tmp_path, "sweep.ini", text), {"kind": "verify"})
 
 
 def test_readme_reference_config_loads(tmp_path):
@@ -483,7 +526,7 @@ def test_readme_reference_config_loads(tmp_path):
         block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = load_config(write(tmp_path, "readme.ini", block))
     assert cfg.kind == "expansion_fit" and cfg.ensemble.W == 8.0
-    assert cfg.opt_bool("gate_crosscheck")
+    assert cfg.opt("gate_crosscheck", boolean)
 
 
 def test_readme_command_line_names_every_subcommand(capsys):
@@ -1193,10 +1236,12 @@ def test_verify_samples_all_run_inside_mc_ordered_map(tmp_path, monkeypatch):
     ("ct_z = 2.5+0j 3+0j", "ct_z = 0+0j 3+0j"),
     ("trace_outer = orthant(1,+)", "trace_outer = range(1,0,20)"),
     ("trace_inner = range(1,0,29)", "trace_inner = range(1,500,600)"),
+    ("ct_z = 2.5+0j 3+0j", "ct_z ="),
+    ("kernel_mode = exponential", "kernel_mode = polynomial\ngate_min_mu = 0.0"),
 ], ids=["kernel_mode-typo", "kernel_mode-stretched", "box_side", "trace_inner",
         "ct_theta-zero", "ct_theta-negative", "ct_theta-nan", "gate_min_mu-polynomial",
         "gate_min_mu-nan", "gate_min_mu-inf", "ct_z-zero", "trace_outer-without-inner",
-        "trace_inner-off-the-box"])
+        "trace_inner-off-the-box", "ct_z-empty", "gate_min_mu-zero-polynomial"])
 def test_verify_refuses_bad_options_before_the_first_sample(tmp_path, monkeypatch, capsys,
                                                             old, new):
     import szegolab.decay as decay
@@ -1215,14 +1260,113 @@ def test_verify_refuses_bad_options_before_the_first_sample(tmp_path, monkeypatc
         assert "polynomial" in err and "exponential" in err
     if "gate_min_mu = nan" in new or "gate_min_mu = inf" in new:
         assert "gate_min_mu = " in err and "finite" in err
-    if new.startswith("ct_z"):      # z = 0 ended in a ZeroDivisionError traceback
+    if new.startswith("ct_z = 0"):      # z = 0 ended in a ZeroDivisionError traceback
         assert "ct_z = 0j" in err
+    if new == "ct_z =":     # no z at all ran every sample, then exited 3
+        assert "ct_z = '' is not valid" in err
     # both trace geometries were refused only after the kernel pass, the second
     # one after the trace pass too, as a numeric failure (exit 3)
     if new == "trace_outer = range(1,0,20)":
         assert "inner region is not contained in outer" in err
     if new == "trace_inner = range(1,500,600)":
         assert "0 inner sites" in err and "needs at least 3" in err
+
+
+@pytest.mark.parametrize("dropped, missing", [
+    (("trace_outer",), "trace_outer"),
+    (("trace_inner",), "trace_inner"),
+    (("trace_inner", "trace_outer"), "trace_inner and trace_outer"),
+], ids=["inner-only", "outer-only", "box-keys-only"])
+def test_partial_trace_probe_is_exit_2_naming_the_missing_key(tmp_path, monkeypatch, capsys,
+                                                              dropped, missing):
+    # the probe needs both regions: without one it was dropped, and q~ with
+    # it, and the run exited 0
+    import szegolab.decay as decay
+
+    def no_sample(*args):
+        raise AssertionError("a sample ran before the refusal")
+    monkeypatch.setattr(decay, "spectral_data", no_sample)
+    with open(os.path.join(CONFIGS, "verify_d1.ini"), encoding="utf-8") as fh:
+        lines = [line for line in fh if line.split(" = ")[0] not in dropped]
+    path = write(tmp_path, "verify.ini", "".join(lines))
+    assert main(["run", path, "--samples", "2", "--out", str(tmp_path / "o")]) == 2
+    assert f"{missing} is not set" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+class _ReadKeys(dict):
+    """Options that record each key a runner asks for."""
+
+    def __init__(self, options):
+        super().__init__(options)
+        self.read = set()
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# one config per kind that sets every option key of its kind (szego_1d sets
+# symbol.coeffs, as symbol may not be set beside it)
+_EVERY_KEY = {
+    "expansion_fit": "ells = 4 6 8\nR = 8\nformula_L = 2\ngate_crosscheck = true",
+    "coefficient_formula": "L = 2\nR = 8\ninclude_error_term = true",
+    "szego_1d": "symbol.coeffs = 0:2 1:0.5 -1:0.5\nk_max = 8\nl_grid = 4 8 16\n"
+                "gate_at_l = 8\ngate_tol = 1e-3",
+    "log_enhancement": "ells = 4 6 8\nR = 8\nexpect = flat",
+    "verify": "box_side = 16\nkernel_mode = exponential\nct_z = 3+0j\nct_theta = 1.0\n"
+              "gate_min_mu = 0.0\ntrace_inner = range(1,0,9)\ntrace_outer = orthant(1,+)\n"
+              "trace_box_lo = -8\ntrace_box_hi = 23",
+}
+
+
+def test_option_keys_are_the_keys_each_runner_reads(tmp_path, monkeypatch):
+    # load_config accepts exactly the keys of OPTION_KEYS: a key listed there
+    # that its runner never reads would be accepted and dropped, and one the
+    # runner reads outside it could never be set
+    import szegolab.cli as cli
+    import szegolab.coefficients as coefficients
+    import szegolab.decay as decay
+
+    class FirstWork(Exception):
+        pass
+
+    def first_work(*args, **kwargs):
+        raise FirstWork
+    for module, name in ((coefficients, "spectral_data"), (decay, "spectral_data"),
+                         (cli, "szego_1d_suite")):
+        monkeypatch.setattr(module, name, first_work)
+    runs = []
+
+    def recording_load(path, overrides=None, _orig=cli.load_config):
+        cfg = _orig(path, overrides)
+        cfg.options = _ReadKeys(cfg.options)
+        runs.append(cfg)
+        return cfg
+    monkeypatch.setattr(cli, "load_config", recording_load)
+    commands = [(command, path) for path in sorted(glob.glob(os.path.join(CONFIGS, "*.ini")))
+                for command in (("run",) if path.endswith("szego1d.ini") else ("run", "verify"))]
+    for kind, options in _EVERY_KEY.items():
+        text = (f"[experiment]\nkind = {kind}\nsamples = 2\nd = 1\n\n{_ENSEMBLE}\n{_G}\n{_H}\n"
+                f"[options]\n{options}\n")
+        path = write(tmp_path, f"{kind}.ini", text)
+        commands += [("run", path), ("verify", path)]
+    for command, path in commands:
+        with pytest.raises(FirstWork):
+            main([command, path, "--workers", "1", "--out", str(tmp_path / "o")])
+    read = {kind: set() for kind in OPTION_KEYS}
+    for cfg in runs:
+        assert cfg.options.read <= set(OPTION_KEYS[cfg.kind]), cfg.kind
+        read[cfg.kind] |= cfg.options.read
+    assert read == {kind: set(keys) for kind, keys in OPTION_KEYS.items()}
 
 
 def test_verify_z_on_the_spectrum_of_g_is_exit_2_naming_z_and_sample(tmp_path, capsys):

@@ -702,6 +702,47 @@ def test_partition_free_free_lattice_oracle(d, h, R, L, ells, exact, fit_rel):
         assert (cross["A2_fit"], cross["A2_fit_stderr"]) == (rep.A_hat[2], rep.A_stderr[2])
 
 
+def anderson_x2_coefficients(d, W):
+    """Exact A_0..A_d for Anderson with g = h = x^2 and V uniform on [-W/2, W/2].
+
+    As for the free lattice, A_m = (-1)^m sum_k F(k) e_m(|k_1|, ..., |k_d|) with
+    F(k) = E|(H^2)_{0k}|^2, and (H^2)_{0k} depends on V_0 and V_k alone:
+    F(0) = E((2d + V)^2 + 2d)^2, F(e_i) = E(4d + V_0 + V_k)^2, and F(k) = 1 or
+    4 for |k|_1 = 2 (one path or two).  Four Gauss-Legendre nodes per variable
+    integrate these quartics exactly."""
+    x, w = np.polynomial.legendre.leggauss(4)
+    v, w = x * W / 2, w / 2                 # nodes and weights of the uniform law
+    f0 = float(w @ ((2 * d + v) ** 2 + 2 * d) ** 2)
+    f1 = float(w @ (4 * d + np.add.outer(v, v)) ** 2 @ w)
+    coeffs = [0.0] * (d + 1)
+    for k in itertools.product(range(-2, 3), repeat=d):
+        sizes = [abs(c) for c in k]
+        if sum(sizes) > 2:
+            continue
+        paths = np.count_nonzero(sizes)     # walks of length 2 from 0 to k, |k|_1 = 2
+        f = (f0, f1, paths ** 2)[sum(sizes)]
+        for m in range(d + 1):
+            coeffs[m] += (-1) ** m * f * sum(math.prod(c)
+                                             for c in itertools.combinations(sizes, m))
+    return coeffs
+
+
+def test_anderson_x2_oracle_within_4_stderr():
+    # the rows that hold today; the wedge A_2 in d = 2 (-647 +- 67 against 16)
+    # waits on the wedge route's sum over reflections
+    assert anderson_x2_coefficients(1, 0.0) == pytest.approx([70, -36])    # the free rows
+    assert anderson_x2_coefficients(2, 0.0) == pytest.approx([676, -296, 16])
+    exact1, exact2 = anderson_x2_coefficients(1, 8.0), anderson_x2_coefficients(2, 8.0)
+    rep, res = sweep_and_fit(ANDERSON, 1, H_SQUARE, H_SQUARE, [8, 16, 24, 32], 40, 400,
+                             formula_L=10, workers=2)
+    res2 = coefficient_sweep(ANDERSON, 2, H_SQUARE, H_SQUARE, 10, [5], 40, workers=2)
+    rows = [(res.a_fv(10, 0), exact1[0]), (res.a_fv(10, 1), exact1[1]),
+            (res2.a_fv(5, 0), exact2[0]), (res2.a_fv(5, 1), exact2[1])]
+    for stat, exact in rows:
+        assert abs(stat.mean - exact) <= 4 * stat.stderr
+    assert abs(rep.A_hat[0] - exact1[0]) <= 4 * rep.A_stderr[0]
+
+
 @pytest.mark.parametrize("d, h, R, L", [(2, H_SQUARE, 16, 6), (3, H_SQUARE, 6, 3),
                                         (2, H_CUBE, 16, 8)], ids=["x2-d2", "x2-d3", "x3-d2"])
 def test_adjudication_of_a_deterministic_ensemble_has_a_rounding_floor(d, h, R, L):
